@@ -166,11 +166,18 @@ def cmd_modular_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _positive_order(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("order must be a positive integer")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low, else a usage error (exit code 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}")
+        return value
+    parse.__name__ = what  # argparse names the type in its "invalid value" error
+    return parse
+
+
+_positive_order = _int_at_least(1, "order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--b-grid", required=True,
                    help="per-coordinate lo:hi:step ranges joined by ';'")
     h.add_argument("--order", type=_positive_order, required=True)
-    h.add_argument("--max-exp", type=int, default=4,
+    h.add_argument("--max-exp", type=_int_at_least(0, "max-exp"), default=4,
                    help="boundedness threshold on the peeled exponents")
-    h.add_argument("--max-n", type=int, default=None,
+    h.add_argument("--max-n", type=_int_at_least(1, "max-n"), default=None,
                    help="number of exponents to peel")
     h.add_argument("--json", action="store_true")
     h.set_defaults(func=cmd_hunt)

@@ -256,7 +256,7 @@ def _den_of_points(pts) -> int:
     return den
 
 
-def _phase_row(d_step: int, length: int) -> list:
+def _phase_row(length: int) -> list:
     """Dense coefficients of 1/(q^d; q^d)_0 = 1 on `length` slots."""
     row = [0] * length
     if length:
@@ -292,7 +292,7 @@ def nahm_sum(quad: NahmQuadruple, order: Rat,
         for n, e in pts:
             pts_by_row.setdefault(n[0], []).append((n, e))
         rows = sorted(pts_by_row)
-        outer = _phase_row(d[0], lr)
+        outer = _phase_row(lr)
         prev_i = 0
         for i in rows:
             while prev_i < i:

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import NotIntegralLattice, ZeroLeadingTerm
 from .nahm import NahmQuadruple, nahm_sum, quadruple
-from .series import QSeries
+from .series import QSeries, _coeff
 
 Rat = Union[int, Fraction]
 
@@ -60,52 +61,23 @@ class ExponentProfile:
         """Reconstruct the series (in the peeled variable) from the profile.
 
         Exact below min(order, delta + len(a) + 1): the scanned exponents
-        determine nothing beyond the last peeled index.
+        determine nothing beyond the last peeled index.  This is the peel's
+        recurrence run backwards: g_m = -sum_(d|m) d a_d, c_0 = 1 and
+        m c_m = sum_(k=1..m) g_k c_(m-k).
         """
         order = _frac(order)
         arr_order = min(order - self.delta, Fraction(len(self.a) + 1))
         n_slots = max(ceil(arr_order), 0)
-        arr = [Fraction(0)] * n_slots
-        if n_slots:
-            arr[0] = Fraction(1)
-        for n, a_n in enumerate(self.a, start=1):
-            if n >= n_slots:
-                break
-            _apply_power(arr, n, _frac(a_n))
-        out = {k: v for k, v in enumerate(arr) if v}
+        g = [0] * n_slots
+        for d in range(1, n_slots):
+            for m in range(d, n_slots, d):
+                g[m] -= d * self.a[d - 1]
+        g = [_coeff(_frac(x)) for x in g]   # integral profiles stay in ints
+        c = [1] if n_slots else []
+        for m in range(1, n_slots):
+            c.append(_coeff(Fraction(sum(map(mul, g[1:m + 1], c[::-1])), m)))
+        out = {k: v for k, v in enumerate(c) if v}
         return QSeries(out, 1, arr_order).shift(self.delta).scale(self.const)
-
-
-def _apply_power(arr: list, n: int, a: Fraction):
-    """Multiply the dense integer-exponent array by (1 - q^n)^a in place."""
-    if a == 0:
-        return
-    if a.denominator == 1 and abs(a) * n <= 4 * len(arr):
-        k = int(a)
-        for _ in range(abs(k)):
-            if k > 0:
-                for i in range(len(arr) - 1, n - 1, -1):
-                    if arr[i - n]:
-                        arr[i] -= arr[i - n]
-            else:
-                for i in range(n, len(arr)):
-                    if arr[i - n]:
-                        arr[i] += arr[i - n]
-        return
-    # generalized binomial series (1 - q^n)^a = sum_k C(a, k) (-q^n)^k
-    coef = [Fraction(1)]
-    k = 1
-    while n * k < len(arr):
-        coef.append(coef[-1] * (a - k + 1) / k)
-        k += 1
-    # convolve in place; descending i leaves every source arr[i - nk] unmodified
-    for i in range(len(arr) - 1, n - 1, -1):
-        total = arr[i]
-        for k in range(1, min(i // n, len(coef) - 1) + 1):
-            src = arr[i - n * k]
-            if src:
-                total += coef[k] * ((-1) ** k) * src
-        arr[i] = total
 
 
 def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
@@ -114,6 +86,13 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
     After dividing out the leading monomial, exponents must be nonnegative
     integers (NotIntegralLattice otherwise); callers normalize fractional
     lattices with a q -> q^den substitution first.
+
+    This is prodmake (Andrews, q-Series, CBMS 66, 1986, section 10.7): for
+    f = c_0 prod (1-q^n)^(a_n) the log-derivative q f'/f = sum g_m q^m has
+    g_m = -sum_(d|m) d a_d.  With the body scaled to integers C_k, the
+    numbers G_m = c_0^m g_m obey G_m = m D_m - sum_(k<m) G_k D_(m-k), where
+    D_j = C_j c_0^(j-1), so the pass runs in integers; a sieve over the
+    divisors then inverts the divisor sum exactly.
     """
     s = s.reduce()
     ld = s.lead()
@@ -122,22 +101,28 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
     if s.den != 1:
         raise NotIntegralLattice(f"exponent lattice has denominator {s.den}")
     delta, const = ld
-    body_order = s.order - delta
-    n_slots = ceil(body_order)
-    navail = n_slots - 1
-    n_max = min(max_n, navail)
+    n_max = max(min(max_n, ceil(s.order - delta) - 1), 0)
     base = int(delta)
-    arr = [Fraction(0)] * n_slots
-    inv_c = Fraction(1) / _frac(const)
+    scale = lcm(*(_frac(v).denominator for v in s.coeffs.values()))
+    C = [0] * (n_max + 1)
     for k, v in s.coeffs.items():
-        arr[k - base] = v * inv_c
-    a = []
-    for n in range(1, n_max + 1):
-        c_n = arr[n]
-        a_n = -c_n
-        a.append(a_n)
-        _apply_power(arr, n, -a_n)
-    return ExponentProfile(delta, _frac(const), tuple(a))
+        if k - base <= n_max:
+            C[k - base] = int(v * scale)
+    c0 = C[0]
+    D = [0] * (n_max + 1)
+    G = [0] * (n_max + 1)
+    for m in range(1, n_max + 1):
+        D[m] = C[m] * c0 ** (m - 1)
+        G[m] = m * D[m] - sum(map(mul, G[1:m], D[m - 1:0:-1]))
+    # B_m = m a_m c_0^n_max has divisor sums sum_(d|m) B_d = -G_m c_0^(n_max-m);
+    # Moebius inversion as a sieve: subtract each B_d from its proper multiples
+    B = [-G[m] * c0 ** (n_max - m) for m in range(n_max + 1)]
+    for d in range(1, n_max + 1):
+        for m in range(2 * d, n_max + 1, d):
+            B[m] -= B[d]
+    top = c0 ** n_max
+    a = tuple(Fraction(B[m], m * top) for m in range(1, n_max + 1))
+    return ExponentProfile(delta, _frac(const), a)
 
 
 def with_period(profile: ExponentProfile, min_repeats: int = 3) -> ExponentProfile:

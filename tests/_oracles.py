@@ -8,6 +8,7 @@ package under test.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 
 def partitions_from_parts(n: int, parts: tuple) -> int:
@@ -179,3 +180,32 @@ def nahm_naive(A, b, c, d, order, box: int, mask=None) -> dict:
             term = ser_mul(term, inv, order)
         total = ser_add(total, term)
     return total
+
+
+def peel_naive(coeffs: dict, order, max_n: int) -> tuple:
+    """Exponents a_1..a_max_n of q^delta * c * prod (1-q^n)^(a_n), by the
+    literal peel: after dividing out the leading monomial, the q^n
+    coefficient is -a_n once (1-q^m)^(a_m) is divided out for every m < n,
+    so read it and divide (1-q^n)^(a_n) out by its generalized binomial
+    series sum_k C(-a_n, k) (-q^n)^k.  `coeffs` maps integer exponents to
+    coefficients; the series is known below `order`.
+    """
+    lead = min(e for e, v in coeffs.items() if v)
+    n_slots = ceil(Fraction(order) - lead)
+    c = Fraction(coeffs[lead])
+    arr = [Fraction(0)] * n_slots
+    for e, v in coeffs.items():
+        arr[int(e - lead)] = Fraction(v) / c
+    exps = []
+    for n in range(1, min(max_n, n_slots - 1) + 1):
+        a_n = -arr[n]
+        exps.append(a_n)
+        if a_n == 0:
+            continue
+        binom = [Fraction(1)]
+        for k in range(1, (n_slots - 1) // n + 1):
+            binom.append(binom[-1] * (-a_n - k + 1) / k * -1)
+        terms = [(n * k, b) for k, b in enumerate(binom) if b]
+        arr = [sum(b * arr[i - j] for j, b in terms if j <= i)
+               for i in range(n_slots)]
+    return tuple(exps)

@@ -98,6 +98,28 @@ def test_hunt_cli(capsys):
     assert hit["period"] == 4
 
 
+HUNT_ARGS = ["hunt", "--A", '[["2","1"],["2","2"]]', "--d", "[1,2]",
+             "--b-grid=0:0:1;3:3:1", "--order", "40"]
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_hunt_max_n_nonpositive_usage_error(capsys, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main(HUNT_ARGS + ["--max-n", max_n])
+    assert exc.value.code == 2
+    assert "max-n" in capsys.readouterr().err
+
+
+def test_hunt_max_exp_negative_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(HUNT_ARGS + ["--max-exp", "-1"])
+    assert exc.value.code == 2
+    assert "max-exp" in capsys.readouterr().err
+    # the smallest accepted values run normally
+    code, out, _ = run(capsys, *HUNT_ARGS, "--max-n", "1", "--max-exp", "0")
+    assert code == 0 and "out of 1 grid points" in out
+
+
 def test_modular_check_pass(capsys):
     code, out, _ = run(capsys, "modular-check", "--relation", "conj1.1",
                        "--tau", "0,1", "--tol", "1e-9", "--json")

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nahm_forge.errors import NotIntegralLattice, ZeroLeadingTerm
 from nahm_forge.series import QSeries, eq_to_order
@@ -10,6 +12,8 @@ from nahm_forge.recognizer import (
     ExponentProfile, detect_period, extract_profile, hunt,
     normalize_and_profile, with_period,
 )
+
+from _oracles import peel_naive
 
 
 def test_rr_profile_mod5():
@@ -66,19 +70,72 @@ def test_normalize_and_profile_substitutes():
     assert eq_to_order(rebuilt.truncate(n), target.truncate(n), n) is None
 
 
+PRODUCT_CORPUS = [
+    (pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1)),
+    (pf(-1, 1, 2),),
+    (pf(-1, 2, 6), pf(-1, 3, 6), pf(-1, 4, 6), pf(-1, 6, 6)),
+    (pf(1, 1, 1, None, -1),),
+    (pf(1, 2, 7), pf(1, 5, 7), pf(1, 7, 7), pf(1, 1, 1, None, -2)),
+]
+
+
 def test_roundtrip_on_product_corpus():
-    corpus = [
-        (pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1)),
-        (pf(-1, 1, 2),),
-        (pf(-1, 2, 6), pf(-1, 3, 6), pf(-1, 4, 6), pf(-1, 6, 6)),
-        (pf(1, 1, 1, None, -1),),
-        (pf(1, 2, 7), pf(1, 5, 7), pf(1, 7, 7), pf(1, 1, 1, None, -2)),
-    ]
-    for factors in corpus:
+    for factors in PRODUCT_CORPUS:
         s = product(factors, 121)
         prof = extract_profile(s, 120)
         rebuilt = prof.rebuild(121)
         assert eq_to_order(rebuilt, s, 121) is None, factors
+
+
+# -- the peel against the literal peel of tests/_oracles.py -------------------
+
+def test_peel_matches_naive_on_product_corpus():
+    for factors in PRODUCT_CORPUS:
+        s = product(factors, 121)
+        assert extract_profile(s, 120).a == peel_naive(dict(s.items()), s.order, 120)
+
+
+@pytest.mark.parametrize("b, const, integral", [
+    ((F(-3, 2), F(0)), 1, True),   # family point a = 0, on the doubled lattice
+    ((F(-1), F(-1)), 2, True),
+    ((F(-1), F(-2)), 3, False),
+    ((F(-1), F(1)), 2, False),     # family point a = 1: not integral
+    ((F(-1, 2), F(2)), 1, True),   # family point a = 2: integral, unbounded
+])
+def test_peel_matches_naive_on_criterion7_points(b, const, integral):
+    s = nahm_sum(quadruple(((2, 1), (2, 2)), b, 0, (1, 2)), 61).reduce()
+    prof = normalize_and_profile(s, 60)
+    s = s.power_substitute(s.den)
+    assert (prof.const, prof.is_integral(), len(prof.a)) == (const, integral, 60)
+    assert prof.a == peel_naive(dict(s.items()), s.order, 60)
+    if b[1] == 2:
+        assert not prof.is_bounded(10 ** 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=-4, max_value=4).filter(bool),
+       st.lists(st.integers(min_value=-4, max_value=4), max_size=14))
+def test_peel_matches_naive_on_integer_series(delta, c0, body):
+    coeffs = {delta + k: v for k, v in enumerate([c0] + body) if v}
+    order = delta + len(body) + 1
+    s = QSeries(coeffs, 1, order)
+    prof = extract_profile(s, len(body) + 3)
+    assert (prof.delta, prof.const) == (delta, c0)
+    assert prof.a == peel_naive(coeffs, order, len(body) + 3)
+
+
+exponent_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=-3, max_value=3),
+       exponent_st.filter(bool),
+       st.lists(exponent_st, min_size=1, max_size=10))
+def test_rebuild_inverts_peel(delta, const, a):
+    prof = ExponentProfile(F(delta), const, tuple(a))
+    n = len(a) + 1
+    assert extract_profile(prof.rebuild(delta + n), n - 1) == prof
 
 
 def test_fractional_profile_kept_exact():
