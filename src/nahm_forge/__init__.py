@@ -17,10 +17,7 @@ from .nahm import (
     nahm_sum_param, quadruple,
 )
 from .recognizer import ExponentProfile, detect_period, extract_profile, hunt
-from .zlaurent import (
-    ZLaurent, constant_term, double_sum_ct, z_from_bilateral, z_from_poch,
-    z_mul,
-)
+from .zlaurent import double_sum_ct
 from .modular import check_transformation, eval_U, eval_V, relations
 from .registry import IdentityRecord, VerifyReport, verify, verify_all
 

@@ -181,7 +181,6 @@ _positive_order = _int_at_least(1, "order")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    jobs_default = int(os.environ.get("NAHM_FORGE_JOBS", "1"))
     p = argparse.ArgumentParser(
         prog="nahm-forge",
         description="exact q-series identity verification and modular checks")
@@ -197,7 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--order", type=_positive_order, required=True)
     va.add_argument("--status-filter", choices=["theorem", "known", "conjecture", "all"],
                     default=None)
-    va.add_argument("--jobs", type=int, default=jobs_default)
+    # a string default goes through `type`, so a bad NAHM_FORGE_JOBS is a
+    # usage error of verify-all alone
+    va.add_argument("--jobs", type=int,
+                    default=os.environ.get("NAHM_FORGE_JOBS", "1"),
+                    help="worker processes (default: $NAHM_FORGE_JOBS or 1)")
     va.add_argument("--param-order", type=_positive_order, default=None,
                     help="order used for parameter-carrying records")
     va.add_argument("--json", action="store_true")

@@ -1,8 +1,7 @@
-"""Constant-term extraction in an auxiliary variable z.
+"""Constant-term route for the rank-two double sum.
 
-A :class:`ZLaurent` holds finitely many z-powers, each carrying a QSeries in
-q; the constant-term method represents a double sum as the z^0 coefficient of
-a product of z-dependent Pochhammer ladders, replacing contour-integral
+:func:`double_sum_ct` represents the double sum as the z^0 coefficient of a
+product of z-dependent Pochhammer ladders, replacing contour-integral
 residue analysis by exact window-bounded algebra.
 
 Soundness of the windows: pushing content to z-power +-S through the ladder
@@ -10,158 +9,29 @@ factors costs at least S^2/2 - O(S) in the q-exponent (each rung of a
 quadratic ladder adds a distinct exponent a + k*m), so any content that ever
 leaves the window can only influence q-exponents at or above the truncation
 order.  The test suite exercises window doubling to confirm the pruning.
+
+Exactness of the dense kernel: every rung adds nonnegative terms, so the
+ladder runs once in int64, exact modulo 2^64 because integer adds wrap, and
+once in float64, whose entries majorize their own rounding error.  Each z^0
+coefficient is the integer of its residue class nearest to its float; when
+the proven error bound does not single that integer out, the same array code
+reruns on Python ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, isfinite, isqrt
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import WindowOverflow
-from .products import pf, poch, product
+from .products import pf, poch
 from .series import QSeries
 
 Rat = Union[int, Fraction]
 
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-@dataclass(frozen=True)
-class ZLaurent:
-    """Finite z-Laurent object: sum over w of terms[w] * z^w."""
-    terms: dict
-    order: Fraction
-
-    @property
-    def wmin(self) -> int:
-        return min(self.terms) if self.terms else 0
-
-    @property
-    def wmax(self) -> int:
-        return max(self.terms) if self.terms else 0
-
-    def truncated(self, order: Rat) -> "ZLaurent":
-        order = _frac(order)
-        return ZLaurent({w: s.truncate(min(order, s.order))
-                         for w, s in self.terms.items()}, order)
-
-
-def constant_term(x: ZLaurent) -> QSeries:
-    """The z^0 coefficient."""
-    s = x.terms.get(0)
-    if s is None:
-        return QSeries.zero(x.order)
-    return s
-
-
-def z_mul(x: ZLaurent, y: ZLaurent) -> ZLaurent:
-    """Exact product of two finite z-Laurent objects."""
-    def min_lead(z):
-        leads = [s.lead()[0] for s in z.terms.values() if s.lead() is not None]
-        return min(leads) if leads else Fraction(0)
-
-    order = min(x.order + min(Fraction(0), min_lead(y)),
-                y.order + min(Fraction(0), min_lead(x)))
-    out: dict = {}
-    for wx, sx in x.terms.items():
-        if sx.is_zero():
-            continue
-        for wy, sy in y.terms.items():
-            if sy.is_zero():
-                continue
-            prod = sx * sy
-            w = wx + wy
-            prev = out.get(w)
-            out[w] = prod if prev is None else prev + prod
-    out = {w: s.truncate(min(order, s.order)) for w, s in out.items()}
-    return ZLaurent({w: s for w, s in out.items() if not s.is_zero()}, order)
-
-
-def z_from_poch(zpow: int, sign: int, a: Rat, m: Rat, order: Rat) -> ZLaurent:
-    """Expand prod_k (1 - sign * z^zpow * q^(a + k m)) as a ZLaurent.
-
-    Needs a >= 0 and m > 0 so the minimal q-exponent at z-power w, namely
-    w*a + m*w(w-1)/2, eventually grows in |w|; slots past the order are
-    complete and simply absent.
-    """
-    if zpow not in (1, -1):
-        raise ValueError("z-power of the factor must be +1 or -1")
-    a = _frac(a)
-    m = _frac(m)
-    order = _frac(order)
-    if m <= 0 or a < 0:
-        raise WindowOverflow(
-            f"factor base q^{a} with step {m} does not grow with |z-power|")
-    terms = {0: QSeries.one(order)}
-    e = a
-    while e < order:
-        new = dict(terms)
-        for w, s in terms.items():
-            contrib = s.shift(e).scale(-sign).truncate(min(order, s.order + e))
-            tgt = w + zpow
-            prev = new.get(tgt)
-            new[tgt] = contrib if prev is None else prev + contrib
-        terms = {w: s for w, s in new.items() if not s.is_zero()}
-        e += m
-    return ZLaurent(terms, order)
-
-
-def z_from_bilateral(quad: Rat, lin: Rat, zstep: int, order: Rat,
-                     alternating: bool = False) -> ZLaurent:
-    """Kernel sum over k of (-1)^(k if alternating) q^(quad k^2 + lin k) z^(zstep k)."""
-    quad = _frac(quad)
-    lin = _frac(lin)
-    order = _frac(order)
-    if quad <= 0:
-        raise WindowOverflow("bilateral kernel needs positive quadratic growth")
-    if zstep not in (1, -1):
-        raise ValueError("z-step must be +1 or -1")
-    terms: dict = {}
-    k = 0
-    direction = 1
-    for direction in (1, -1):
-        k = 0 if direction == 1 else -1
-        while True:
-            e = quad * k * k + lin * k
-            if e >= order:
-                if (direction == 1 and 2 * quad * k + lin >= 0) or \
-                   (direction == -1 and 2 * quad * k + lin <= 0):
-                    break
-                k += direction
-                continue
-            c = -1 if (alternating and k % 2) else 1
-            w = zstep * k
-            s = QSeries.monomial(e, c, order)
-            prev = terms.get(w)
-            terms[w] = s if prev is None else prev + s
-            k += direction
-    return ZLaurent(terms, order)
-
-
-def z_euler_inverse(u_exp: Rat, order: Rat, wmax: int) -> ZLaurent:
-    """1/(q^u_exp * z; q)_inf = sum_i z^i q^(u_exp * i) / (q;q)_i up to z^wmax.
-
-    The caller supplies the window: for u_exp < 0 the slot exponents decrease
-    linearly, which is sound only inside a product whose other factors grow
-    quadratically; wmax must come from that combined bound.
-    """
-    u_exp = _frac(u_exp)
-    order = _frac(order)
-    terms = {}
-    for i in range(wmax + 1):
-        base = u_exp * i
-        body = product((pf(1, 1, 1, i, -1),), order - base)
-        terms[i] = body.shift(base)
-    return ZLaurent(terms, order)
-
-
-# ---------------------------------------------------------------------------
-# Dense pipeline for the double-sum constant term
-# ---------------------------------------------------------------------------
 
 def _ct_window(order: int) -> int:
     """Window W with S^2/2 - 3S - 4 >= order + 2W for all S > W."""
@@ -171,6 +41,72 @@ def _ct_window(order: int) -> int:
     return w
 
 
+def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
+    """The z^0 row of the integrand ladder, and the number of array adds.
+
+    Row i of the (2W+1) x ncols window holds z^(i-W), column k holds
+    q^(k-W-2); every add drops what it pushes out of the window.
+    """
+    rows = 2 * w_cap + 1
+    ncols = n + 3 * w_cap + 6
+    arr = np.zeros((rows, ncols), dtype=dtype)
+    arr[w_cap, w_cap + 2] = 1
+    adds = 0
+
+    def add(dz: int, e: int):
+        """arr += z^dz q^e arr."""
+        nonlocal adds
+        if abs(e) >= ncols:
+            return
+        dst, src = (arr[dz:], arr[:-dz]) if dz > 0 else (arr[:dz], arr[-dz:])
+        if e >= 0:
+            dst[:, e:] += src[:, :ncols - e]
+        else:
+            dst[:, :e] += src[:, -e:]
+        adds += 1
+
+    # (-q z; q^2)_inf (-q / z; q^2)_inf (-q^(1+v) / z; q^2)_inf
+    for dz, e0 in ((1, 1), (-1, 1), (-1, 1 + v_exp)):
+        for e in range(e0, ncols, 2):
+            add(dz, e)
+    # 1 / (q^u z; q)_inf, each rung as prod_j (1 + z^(2^j) q^(2^j e))
+    for e in range(u_exp, ncols):
+        s = 1
+        while s < rows:
+            add(s, s * e)
+            s *= 2
+    return arr[w_cap], adds
+
+
+def _exact_row(residues: np.ndarray, shadow: np.ndarray, adds: int):
+    """Exact coefficients from int64 residues and their float64 shadow.
+
+    After ``adds`` rounded adds of nonnegative terms, |f - x| <=
+    ((1 + 2^-53)^adds - 1) x <= adds 2^-51 f while adds < 2^51.  Below
+    2^62 that bound leaves one integer x of the residue class mod 2^64
+    near f.  Returns None when the bound does not hold or f is not finite.
+    """
+    top = float(shadow.max(initial=0.0))
+    if not isfinite(top) or adds >= 2 ** 51 or int(top) * adds >= 2 ** 113:
+        return None
+    out = []
+    for r, f in zip(residues.tolist(), shadow.tolist()):
+        base = int(f)
+        out.append(base + (r - base + 2 ** 63) % 2 ** 64 - 2 ** 63)
+    return out
+
+
+def _ct_row(u_exp: int, v_exp: int, n: int, w_cap: int) -> list:
+    """The exact z^0 row: int64 and float64 ladders, else Python ints."""
+    with np.errstate(over="ignore"):
+        residues, adds = _ladder(u_exp, v_exp, n, w_cap, np.int64)
+        shadow, _ = _ladder(u_exp, v_exp, n, w_cap, np.float64)
+    row = _exact_row(residues, shadow, adds)
+    if row is None:
+        row = _ladder(u_exp, v_exp, n, w_cap, object)[0].tolist()
+    return row
+
+
 def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
                   window: Optional[int] = None) -> QSeries:
     """Constant term of (-q^(1+v)/z, -qz, -q/z, q^2; q^2)_inf / (q^u z; q)_inf.
@@ -178,67 +114,12 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
     This is the product-form integrand whose z^0 coefficient equals the
     rank-two double sum with quadratic form (i-j)^2 + j^2, offsets (u, v).
     """
-    order = _frac(order)
+    order = Fraction(order)
     n = ceil(order)
     w_cap = window if window is not None else _ct_window(n)
-    kmin = -w_cap - 2
-    ktop = n + 2 * w_cap + 4
-    ncols = ktop - kmin
-    rows = 2 * w_cap + 1
-
-    arr = [[0] * ncols for _ in range(rows)]
-    arr[w_cap][-kmin] = 1  # z^0 q^0
-
-    def mul_rung(dz: int, sign: int, e: int):
-        rng = range(rows - 1, 0, -1) if dz == 1 else range(0, rows - 1)
-        for wi in rng:
-            src = arr[wi - dz]
-            dst = arr[wi]
-            lo = max(0, e)
-            hi = min(ncols, ncols + e)
-            for k in range(hi - 1, lo - 1, -1):
-                v = src[k - e]
-                if v:
-                    dst[k] -= sign * v
-
-    def div_rung(dz: int, sign: int, e: int):
-        rng = range(1, rows) if dz == 1 else range(rows - 2, -1, -1)
-        for wi in rng:
-            src = arr[wi - dz]
-            dst = arr[wi]
-            lo = max(0, e)
-            hi = min(ncols, ncols + e)
-            for k in range(lo, hi):
-                v = src[k - e]
-                if v:
-                    dst[k] += sign * v
-
-    span = ncols
-    # (-q z; q^2)_inf
-    e = 1
-    while e < span:
-        mul_rung(1, -1, e)
-        e += 2
-    # (-q / z; q^2)_inf
-    e = 1
-    while e < span:
-        mul_rung(-1, -1, e)
-        e += 2
-    # (-q^(1+v) / z; q^2)_inf
-    e = 1 + v_exp
-    while e < span:
-        mul_rung(-1, -1, e)
-        e += 2
-    # 1 / (q^u z; q)_inf
-    e = u_exp
-    while e < span:
-        div_rung(1, 1, e)
-        e += 1
-
-    row = arr[w_cap]
     out = {}
-    for k, v in enumerate(row):
-        exp = k + kmin
+    for k, v in enumerate(_ct_row(u_exp, v_exp, n, w_cap)):
+        exp = k - w_cap - 2
         if v and 0 <= exp < n:
             out[exp] = v
         elif v and exp < 0:

@@ -156,6 +156,20 @@ def test_jobs_env_default(monkeypatch):
     assert args.jobs == 3
 
 
+def test_jobs_env_not_integer_usage_error(capsys, monkeypatch):
+    from nahm_forge.cli import build_parser
+    monkeypatch.setenv("NAHM_FORGE_JOBS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--order", "10"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    # an explicit --jobs, or a subcommand without one, ignores the variable
+    assert build_parser().parse_args(
+        ["verify-all", "--order", "10", "--jobs", "2"]).jobs == 2
+    code, out, _ = run(capsys, "verify", "--id", "rr-1", "--order", "10")
+    assert code == 0 and "pass" in out
+
+
 def test_verify_failure_exit1(capsys, monkeypatch):
     from nahm_forge import cli, registry
 

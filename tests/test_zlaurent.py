@@ -1,70 +1,20 @@
-from fractions import Fraction as F
-
+import numpy as np
 import pytest
 
+from nahm_forge import zlaurent
 from nahm_forge.errors import WindowOverflow
-from nahm_forge.series import QSeries, eq_to_order
+from nahm_forge.series import eq_to_order
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge.zlaurent import (
-    ZLaurent, constant_term, double_sum_ct, z_euler_inverse, z_from_bilateral,
-    z_from_poch, z_mul,
+    _ct_row, _ct_window, _exact_row, _ladder, double_sum_ct,
 )
-
-from _oracles import poch_naive
 
 
 CASES = [(0, 0, (0, 0)), (-1, 2, (-1, 2)), (1, 0, (1, 0))]
 
 
-def test_z_from_poch_leading_exponents():
-    # (-q z; q^2)_inf: slot z^w starts at q^(w^2)
-    zl = z_from_poch(1, -1, 1, 2, 30)
-    for w, s in zl.terms.items():
-        assert w >= 0
-        lead = s.lead()
-        assert lead is not None and lead[0] == w * w
-        assert lead[1] == 1
-    # finite expansion oracle: multiply the binomials literally at small order
-    direct = {0: {F(0): F(1)}}
-    for k in range(6):
-        e = F(1 + 2 * k)
-        new = {}
-        for w, ser in direct.items():
-            for key in (w, w + 1):
-                new.setdefault(key, {})
-        for w, ser in direct.items():
-            for exp, c in ser.items():
-                new[w][exp] = new[w].get(exp, 0) + c
-                tgt = new[w + 1]
-                tgt[exp + e] = tgt.get(exp + e, 0) + c
-        direct = new
-    for w, ser in direct.items():
-        got = zl.terms.get(w)
-        for exp, c in ser.items():
-            if exp < 12:
-                assert got is not None and got.coeff(exp) == c
-
-
-def test_z_from_poch_rejects_negative_base():
-    with pytest.raises(WindowOverflow):
-        z_from_poch(1, 1, -1, 2, 10)
-
-
-def test_z_window_squared_constant_term():
-    # z^0 slot of (z + 1 + 1/z)^2 is 3
-    one = QSeries.one(10)
-    tri = ZLaurent({-1: one, 0: one, 1: one}, F(10))
-    sq = z_mul(tri, tri)
-    assert constant_term(sq).coeff(0) == 3
-
-
-def test_kernel_orthogonality():
-    # kernel sum_k q^(k^2) z^(-k) times z^j has constant term q^(j^2)
-    kern = z_from_bilateral(1, 0, -1, 50)
-    for j in (0, 1, 2, 3):
-        shifted = ZLaurent({j: QSeries.one(50)}, F(50))
-        ct = constant_term(z_mul(kern, shifted))
-        assert ct.coeffs == {j * j: 1}
+def direct_sum(b, order):
+    return nahm_sum(quadruple([[2, -1], [-2, 2]], b, 0, [1, 2]), order)
 
 
 @pytest.mark.parametrize("u,v,b", CASES)
@@ -75,24 +25,62 @@ def test_ct_matches_nahm_sum(u, v, b):
 
 
 @pytest.mark.parametrize("u,v,b", CASES)
-def test_ct_public_route_matches(u, v, b):
-    # 1/(q^u z; q)_inf * (-q^(1+v)/z; q^2)_inf * kernel, via the public ops
-    p1 = z_euler_inverse(u, 26, 14)
-    p2 = z_from_poch(-1, -1, 1 + v, 2, 26)
-    kern = z_from_bilateral(1, 0, -1, 26)
-    ct = constant_term(z_mul(z_mul(p1, p2), kern))
-    direct = nahm_sum(quadruple([[2, -1], [-2, 2]], b, 0, [1, 2]), 26)
-    n = min(ct.order, F(26))
-    assert eq_to_order(ct.truncate(n), direct.truncate(n), n) is None
-
-
-@pytest.mark.parametrize("u,v,b", CASES)
 def test_window_doubling_is_stable(u, v, b):
     base = double_sum_ct(u, v, 40)
     wide = double_sum_ct(u, v, 40, window=2 * 18)
     assert eq_to_order(base, wide, 40) is None
 
 
-def test_empty_z0_slot():
-    x = ZLaurent({1: QSeries.one(10)}, F(10))
-    assert constant_term(x).is_zero()
+@pytest.mark.parametrize("u,v", [(0, -1), (-1, 2)])
+def test_ct_exact_past_int64(u, v):
+    # the z^0 row passes 2^63 here, and the float64 shadow's bound still
+    # places every int64 residue
+    w = _ct_window(300)
+    residues, adds = _ladder(u, v, 300, w, np.int64)
+    shadow, _ = _ladder(u, v, 300, w, np.float64)
+    row = _exact_row(residues, shadow, adds)
+    assert row is not None and max(row) > 2 ** 63
+    assert eq_to_order(double_sum_ct(u, v, 300), direct_sum((u, v), 300),
+                       300) is None
+
+
+@pytest.mark.parametrize("u,v,b", CASES)
+def test_object_ladder_matches_int64(u, v, b):
+    w = _ct_window(60)
+    exact, adds = _ladder(u, v, 60, w, object)
+    residues, adds64 = _ladder(u, v, 60, w, np.int64)
+    assert adds == adds64
+    assert exact.tolist() == residues.tolist() == _ct_row(u, v, 60, w)
+
+
+def test_exact_row_bound():
+    adds = 2 ** 10
+    # the bound adds 2^-51 f reaches 2^62 exactly at f = 2^103
+    below = 2.0 ** 103 - 2.0 ** 50
+    x = int(below) + 2 ** 61 - 7
+    residues = np.array([x % 2 ** 64, 5], dtype=np.uint64).view(np.int64)
+    assert _exact_row(residues, np.array([below, 5.0]), adds) == [x, 5]
+    assert _exact_row(residues, np.array([2.0 ** 103, 5.0]), adds) is None
+    assert _exact_row(residues, np.array([np.inf, 5.0]), adds) is None
+    assert _exact_row(residues, np.array([np.nan, 5.0]), adds) is None
+
+
+@pytest.mark.parametrize("u,v,order", [(-1, 2, 60), (0, -1, 300)])
+def test_declined_shadow_falls_back_to_python_ints(monkeypatch, u, v, order):
+    # at order 300 the int64 residues wrap, so only Python ints are right
+    calls = []
+
+    def declined(residues, shadow, adds):
+        calls.append(adds)
+        return None
+
+    monkeypatch.setattr(zlaurent, "_exact_row", declined)
+    ct = double_sum_ct(u, v, order)
+    assert calls
+    assert eq_to_order(ct, direct_sum((u, v), order), order) is None
+
+
+@pytest.mark.parametrize("u,v", [(-2, 0), (0, -2), (-1, -1)])
+def test_window_overflow_outside_domain(u, v):
+    with pytest.raises(WindowOverflow):
+        double_sum_ct(u, v, 60)
