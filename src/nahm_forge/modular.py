@@ -4,6 +4,11 @@ verification of their modular transformation laws.
 
 Every fractional power of the nome is computed directly from tau as
 exp(2*pi*i*tau*e), never from a floating q, so branches are unambiguous.
+Infinite products and theta series write every exponent as an integer
+numerator over one denominator per call: a few exps give the first term,
+the first ratio and the ratio's constant growth, and every further term is
+one or two complex multiplies (Jacobi triple product and theta series,
+Andrews, The Theory of Partitions, 1976, ch. 2).
 
 The vectors are evaluated along two independent pipelines: (i) exact
 truncated series from the lattice-sum engine evaluated with a rigorous tail
@@ -43,9 +48,16 @@ TAU_DEFAULT = (1j, 2j, 0.25 + 0.5j, 0.2 + 1.0j, 0.3 + 0.8j)
 
 def _check_tau(tau: complex) -> complex:
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau.imag <= 0:
         raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
     return tau
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
 
 
 def qpow(tau: complex, e) -> complex:
@@ -55,6 +67,10 @@ def qpow(tau: complex, e) -> complex:
 
 # ---------------------------------------------------------------------------
 # transformation matrices
+#
+# Products of these 3x3 and 6x6 matrices use einsum, not matmul: a matmul call
+# starts the BLAS library, whose pages and buffers cost about 0.4 MB of
+# resident memory, far more than the matrices themselves.
 # ---------------------------------------------------------------------------
 
 def alpha(k: int) -> float:
@@ -83,7 +99,7 @@ def matrix_p() -> np.ndarray:
 
 
 def matrix_lambda4() -> np.ndarray:
-    p4 = np.linalg.matrix_power(matrix_p(), 4)
+    p4 = np.diag(np.diag(matrix_p()) ** 4)
     return _block_diag(p4, p4)
 
 
@@ -129,14 +145,15 @@ def inversion_block_w() -> np.ndarray:
 
 def gamma_block_u() -> np.ndarray:
     m = matrix_m()
-    b = 2.0 * m @ _x_diag() @ m
+    b = 2.0 * np.einsum("ij,jk,kl->il", m, _x_diag(), m)
     return _block_anti(b, b)
 
 
 def gamma_block_v() -> np.ndarray:
     w = matrix_w()
     x = _x_diag()
-    return _block_diag(-(w @ x @ w.T), w.T @ x @ w)
+    return _block_diag(-np.einsum("ij,jk,lk->il", w, x, w),
+                       np.einsum("ji,jk,kl->il", w, x, w))
 
 
 def wtw_deviation() -> float:
@@ -153,143 +170,154 @@ def double_inversion_deviation() -> float:
 # numeric building blocks with computed cutoff errors
 # ---------------------------------------------------------------------------
 
-def _ladder(tau: complex, sign: int, a: Fraction, m: Fraction,
+def _ladder(tau: complex, sign: int, a: float, m: float,
             eps: float) -> tuple[complex, float]:
     """prod_k (1 - sign q^(a+km)) with relative cutoff error below eps."""
     val = 1.0 + 0.0j
-    qm = abs(qpow(tau, m))
-    x = qpow(tau, a)
+    x = -sign * qpow(tau, a)
     ax = abs(x)
     step = qpow(tau, m)
-    guard = 0
-    while True:
-        tail = ax / max(1.0 - qm, 1e-12)
+    qm = abs(step)
+    gap = max(1.0 - qm, 1e-12)
+    for _ in range(100001):
+        tail = ax / gap
         if tail < eps and tail < 0.5:
-            rel = math.expm1(tail / max(1.0 - ax, 0.5))
-            return val, rel
-        val *= (1.0 - sign * x)
+            return val, math.expm1(tail / max(1.0 - ax, 0.5))
+        val *= 1.0 + x
         x *= step
         ax *= qm
-        guard += 1
-        if guard > 100000:
-            raise TailTooLarge("product ladder failed to converge")
+    raise TailTooLarge("product ladder failed to converge")
 
 
-def _theta_triple(tau: complex, m: Fraction, zexp: Fraction, base_sign: int,
+def _theta_series(tau: complex, quad: tuple[int, int, int, int],
+                  signs: tuple[int, ...], eps: float) -> tuple[complex, float]:
+    """Sum over n in Z of signs[n % 4] q^((A n^2 + B n + C)/D), quad = (A, B,
+    C, D) integers with A, D > 0, and its cutoff error.
+
+    Each direction walks outward from the vertex v, the integer nearest
+    -B/2A: up from v and down from v - 1.  A term is the previous one times
+    r = q^(inc/D), where inc = e(n + step) - e(n) grows by 2A per step, so r
+    is itself multiplied by q^(2A/D): five exps per call in all.  From this
+    start every increment is positive, so a direction stops at the first
+    term below eps with |r| < 0.99; a geometric series with ratio |r| then
+    dominates the rest and the error is |term|/(1 - |r|).
+    """
+    a, b, c, d = quad
+    unit = 2j * cmath.pi * tau / d
+    growth = cmath.exp(unit * (2 * a))
+    vertex = (a - b) // (2 * a)
+    total = 0.0 + 0.0j
+    err = 0.0
+    for step in (1, -1):
+        n = vertex if step == 1 else vertex - 1
+        t = cmath.exp(unit * (a * n * n + b * n + c))
+        r = cmath.exp(unit * (a * (2 * n * step + 1) + b * step))
+        while True:
+            at = abs(t)
+            if at < eps:
+                ratio = abs(r)
+                if ratio < 0.99:
+                    err += at / (1.0 - ratio)
+                    break
+            total += signs[n % 4] * t
+            t *= r
+            r *= growth
+            n += step
+    return total, err
+
+
+def _one_den(*coeffs: Fraction) -> tuple[int, ...]:
+    """The numerators of coeffs over their least common denominator, then it."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return (*(int(c * den) for c in coeffs), den)
+
+
+_PLAIN = (1, 1, 1, 1)
+_ALTERNATING = (1, -1, 1, -1)
+
+
+@lru_cache(maxsize=256)
+def _theta_quad(j: Rat, m: Rat) -> tuple[int, int, int, int]:
+    """m (n + j/2m)^2 = m n^2 + j n + j^2/4m over one denominator."""
+    j, m = Fraction(j), Fraction(m)
+    if m <= 0:
+        raise ValueError(f"theta series need m > 0, got {m}")
+    return _one_den(m, j, j * j / (4 * m))
+
+
+@lru_cache(maxsize=256)
+def _triple_form(m: Rat, zexp: Rat, base_sign: int, z_sign: int) -> tuple:
+    """(quad, signs) for m n(n-1)/2 + zexp n = (m/2) n^2 + (zexp - m/2) n and
+    the sign (-1)^n base_sign^C(n,2) z_sign^n, which has period 4 in n."""
+    half = Fraction(m) / 2
+    signs = tuple((-z_sign) ** n * base_sign ** (n * (n - 1) // 2) for n in range(4))
+    return _one_den(half, zexp - half, Fraction(0)), signs
+
+
+def _theta_triple(tau: complex, m: Rat, zexp: Rat, base_sign: int,
                   z_sign: int, eps: float) -> tuple[complex, float]:
     """Bilateral sum over n of (-1)^n base_sign^C(n,2) z_sign^n q^(m n(n-1)/2 + zexp n)."""
-    m = Fraction(m)
-    zexp = Fraction(zexp)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        while True:
-            e = m * n * (n - 1) / 2 + zexp * n
-            t = qpow(tau, e)
-            at = abs(t)
-            # exponent increment of the next step in this direction
-            inc = m * n + zexp if direction == 1 else -(m * (n - 1) + zexp)
-            if at < eps and inc > 0:
-                # increments only grow past the vertex: geometric remainder
-                ratio = abs(qpow(tau, inc))
-                if ratio < 0.99:
-                    err += at / (1.0 - ratio)
-                    break
-            sign = -1.0 if n % 2 else 1.0
-            if base_sign == -1 and (n * (n - 1) // 2) % 2:
-                sign = -sign
-            if z_sign == -1 and n % 2:
-                sign = -sign
-            total += sign * t
-            n += direction
-    return total, err
+    quad, signs = _triple_form(m, zexp, base_sign, z_sign)
+    return _theta_series(tau, quad, signs, eps)
 
 
-def _theta_sum(tau: complex, j: Fraction, m: Fraction, eps: float,
+def _theta_sum(tau: complex, j: Rat, m: Rat, eps: float,
                alternating: bool) -> tuple[complex, float]:
-    j = Fraction(j)
-    m = Fraction(m)
-    total = 0.0 + 0.0j
-    err = 0.0
-    x = j / (2 * m)
-    for direction in (1, -1):
-        k = 0 if direction == 1 else -1
-        while True:
-            e = m * (k + x) * (k + x)
-            t = qpow(tau, e)
-            at = abs(t)
-            # Gaussian-tail comparison: past the vertex the exponent gains at
-            # least m*(2|k+x|+1) per step, so a geometric series dominates
-            inc = direction * m * (2 * (k + x) + direction)
-            if at < eps and inc > 0:
-                ratio = abs(qpow(tau, inc))
-                if ratio < 0.99:
-                    err += at / (1.0 - ratio)
-                    break
-            total += -t if (alternating and k % 2) else t
-            k += direction
-    return total, err
-
-
-def _theta_h(tau, j, m, eps):
-    return _theta_sum(tau, j, m, eps, alternating=False)
-
-
-def _theta_g(tau, j, m, eps):
-    return _theta_sum(tau, j, m, eps, alternating=True)
+    """Sum over k of q^(m (k + j/2m)^2), with sign (-1)^k if alternating."""
+    return _theta_series(tau, _theta_quad(j, m),
+                         _ALTERNATING if alternating else _PLAIN, eps)
 
 
 def eval_h(j: Rat, m: Rat, tau: complex, eps: float = 1e-16) -> complex:
     """h_(j,m): sum over k of q^(m (k + j/2m)^2)."""
-    _check_tau(tau)
-    return _theta_h(tau, Fraction(j), Fraction(m), eps)[0]
+    _check_eps(eps)
+    return _theta_sum(_check_tau(tau), j, m, eps, alternating=False)[0]
 
 
 def eval_g(j: Rat, m: Rat, tau: complex, eps: float = 1e-16) -> complex:
     """g_(j,m): the alternating-sign companion of h_(j,m)."""
-    _check_tau(tau)
-    return _theta_g(tau, Fraction(j), Fraction(m), eps)[0]
+    _check_eps(eps)
+    return _theta_sum(_check_tau(tau), j, m, eps, alternating=True)[0]
+
+
+def _scaled_ladder(tau: complex, eps: float, pre: float, sign: int,
+                   a: float) -> complex:
+    """q^pre prod_k (1 - sign q^(a+k))."""
+    tau = _check_tau(tau)
+    _check_eps(eps)
+    return qpow(tau, pre) * _ladder(tau, sign, a, 1, eps)[0]
 
 
 def eval_eta(tau: complex, eps: float = 1e-16) -> complex:
     """q^(1/24) (q; q)_inf."""
-    _check_tau(tau)
-    val, _ = _ladder(tau, 1, Fraction(1), Fraction(1), eps)
-    return qpow(tau, Fraction(1, 24)) * val
+    return _scaled_ladder(tau, eps, 1 / 24, 1, 1)
 
 
 def eval_weber_f(tau: complex, eps: float = 1e-16) -> complex:
     """q^(-1/48) (-q^(1/2); q)_inf."""
-    _check_tau(tau)
-    val, _ = _ladder(tau, -1, Fraction(1, 2), Fraction(1), eps)
-    return qpow(tau, Fraction(-1, 48)) * val
+    return _scaled_ladder(tau, eps, -1 / 48, -1, 0.5)
 
 
 def eval_weber_f1(tau: complex, eps: float = 1e-16) -> complex:
     """q^(-1/48) (q^(1/2); q)_inf."""
-    _check_tau(tau)
-    val, _ = _ladder(tau, 1, Fraction(1, 2), Fraction(1), eps)
-    return qpow(tau, Fraction(-1, 48)) * val
+    return _scaled_ladder(tau, eps, -1 / 48, 1, 0.5)
 
 
 def eval_weber_f2(tau: complex, eps: float = 1e-16) -> complex:
     """q^(1/24) (-q; q)_inf."""
-    _check_tau(tau)
-    val, _ = _ladder(tau, -1, Fraction(1), Fraction(1), eps)
-    return qpow(tau, Fraction(1, 24)) * val
+    return _scaled_ladder(tau, eps, 1 / 24, -1, 1)
 
 
 # ---------------------------------------------------------------------------
 # truncated-series evaluation with a rigorous tail model
 # ---------------------------------------------------------------------------
 
-def _growth(n: float) -> float:
+def _growth(n):
     """Dominating coefficient model (n+2)^3 exp(pi sqrt(2n/3)) for the
-    vector components: a theta factor contributes at most O(sqrt n) unit
-    terms per exponent and the remaining quotient has coefficients bounded
-    by partition counts."""
-    return (n + 2.0) ** 3 * math.exp(math.pi * math.sqrt(2.0 * max(n, 0.0) / 3.0))
+    vector components, elementwise on arrays: a theta factor contributes at
+    most O(sqrt n) unit terms per exponent and the remaining quotient has
+    coefficients bounded by partition counts."""
+    return (n + 2.0) ** 3 * np.exp(np.pi * np.sqrt(2.0 * np.maximum(n, 0.0) / 3.0))
 
 
 def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
@@ -299,18 +327,20 @@ def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
     The tail bound uses the dominating growth model above, scaled by the
     largest observed ratio of a stored coefficient to the model, so a series
     that genuinely grows faster than the model is not silently undersold.
+    The model's step ratio exceeds |q| at every n, so the bound needs
+    |q| < 0.9; otherwise TailTooLarge is raised.
     """
-    _check_tau(tau)
-    w = cmath.exp(2j * cmath.pi * tau / s.den)
-    value = 0.0 + 0.0j
-    scale = 1.0
-    for k, v in s.coeffs.items():
-        value += (v.numerator / v.denominator if isinstance(v, Fraction) else v) * w ** k
-        scale = max(scale, abs(v) / _growth(k / s.den))
+    tau = _check_tau(tau)
     absq = abs(qpow(tau, 1))
+    if absq >= 0.9:
+        raise TailTooLarge(f"series tail bound needs |q| < 0.9, got |q| = {absq:.4g}")
+    ks = np.fromiter(s.coeffs, dtype=float, count=len(s.coeffs))
+    vs = np.fromiter(map(float, s.coeffs.values()), dtype=float, count=len(s.coeffs))
+    value = complex((vs * np.exp((2j * np.pi * tau / s.den) * ks)).sum())
+    scale = float(np.max(np.abs(vs) / _growth(ks / s.den), initial=1.0))
     n = float(s.order)
     tail = 0.0
-    term = scale * _growth(n) * absq ** n
+    term = scale * float(_growth(n)) * absq ** n
     while True:
         tail += term
         ratio = absq * math.exp(math.pi * math.sqrt(2.0 / 3.0) *
@@ -318,6 +348,10 @@ def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
             ((n + 3.0) / (n + 2.0)) ** 3
         if ratio < 0.9:
             tail += term * ratio / (1.0 - ratio)
+            break
+        # ratio falls with n, so every later addend is below 2 term/(1 - ratio);
+        # once that no longer changes tail, neither does the rest of the loop
+        if ratio < 1.0 and tail + 2.0 * term / (1.0 - ratio) == tail:
             break
         n += 1.0
         term *= ratio
@@ -370,6 +404,12 @@ def component_series_v(idx: int, order: int) -> tuple[Fraction, QSeries]:
     return pre, s.subst_neg()
 
 
+def _component(vec: str):
+    """The exact-series component function of vector "u" or "v", looked up
+    when called so that wrappers installed on this module take effect."""
+    return component_series_u if vec == "u" else component_series_v
+
+
 def _eval_vec_series(component, tau: complex, order: int) -> tuple[np.ndarray, float]:
     vals = np.zeros(6, dtype=complex)
     tail = 0.0
@@ -385,92 +425,97 @@ def _eval_vec_series(component, tau: complex, order: int) -> tuple[np.ndarray, f
 # product/theta shapes of the six components: U uses the parity product
 # forms, V the eta/Weber-times-theta closed forms.
 _U_PRODUCT_DATA = (
-    # (prefactor, poch (sign, a, m), triple (m, zexp, base_sign, z_sign))
-    (Fraction(-3, 56), (-1, 1, 2), (28, 12, 1, 1)),
-    (Fraction(29, 56), (-1, 1, 2), (28, 8, 1, 1)),
-    (Fraction(93, 56), (-1, 1, 2), (28, 4, 1, 1)),
-    (Fraction(25, 56), (-1, 2, 2), (7, 1, -1, -1)),
-    (Fraction(1, 56), (-1, 2, 2), (7, 3, -1, -1)),
-    (Fraction(9, 56), (-1, 2, 2), (7, 2, -1, 1)),
+    # (prefactor exponent, poch (sign, a, m), triple (m, zexp, base_sign, z_sign))
+    (-3 / 56, (-1, 1, 2), (28, 12, 1, 1)),
+    (29 / 56, (-1, 1, 2), (28, 8, 1, 1)),
+    (93 / 56, (-1, 1, 2), (28, 4, 1, 1)),
+    (25 / 56, (-1, 2, 2), (7, 1, -1, -1)),
+    (1 / 56, (-1, 2, 2), (7, 3, -1, -1)),
+    (9 / 56, (-1, 2, 2), (7, 2, -1, 1)),
 )
 
 
 def _eval_u_products(tau: complex, eps: float) -> tuple[np.ndarray, float]:
     vals = np.zeros(6, dtype=complex)
     err = 0.0
-    den, dre = _ladder(tau, 1, Fraction(2), Fraction(2), eps)
-    for idx, (pre, (sg, a, m), (tm, tz, bs, zs)) in enumerate(_U_PRODUCT_DATA):
-        num, nre = _ladder(tau, sg, Fraction(a), Fraction(m), eps)
-        th, te = _theta_triple(tau, Fraction(tm), Fraction(tz), bs, zs, eps)
-        v = qpow(tau, pre) * num * th / den
+    den, dre = _ladder(tau, 1, 2, 2, eps)
+    # three components share each numerator ladder; evaluate each once
+    pochs = {poch: _ladder(tau, *poch, eps) for poch in {row[1] for row in _U_PRODUCT_DATA}}
+    for idx, (pre, poch, triple) in enumerate(_U_PRODUCT_DATA):
+        num, nre = pochs[poch]
+        th, te = _theta_triple(tau, *triple, eps)
+        p = qpow(tau, pre)
+        v = p * num * th / den
         vals[idx] = v
-        err += abs(v) * (nre + dre + 1e-14) + abs(qpow(tau, pre) * num / den) * te
+        err += abs(v) * (nre + dre + 1e-14) + abs(p * num / den) * te
     return vals, err
 
 
 _V_CLOSED_DATA = (
     # (weber: 1 for f1, 2 for f2; theta j; theta argument scale)
-    (1, 1, 2), (1, 3, 2), (1, 5, 2),
-    (2, 5, Fraction(1, 2)), (2, 1, Fraction(1, 2)), (2, 3, Fraction(1, 2)),
+    (1, 1, 2.0), (1, 3, 2.0), (1, 5, 2.0),
+    (2, 5, 0.5), (2, 1, 0.5), (2, 3, 0.5),
 )
 
 
 def _eval_v_products(tau: complex, eps: float) -> tuple[np.ndarray, float]:
     vals = np.zeros(6, dtype=complex)
     err = 0.0
-    eta_v, eta_re = _ladder(tau, 1, Fraction(2), Fraction(2), eps)
-    eta_full = qpow(tau, Fraction(2, 24)) * eta_v
-    f1_v, f1_re = _ladder(tau, 1, Fraction(1), Fraction(2), eps)
-    f2_v, f2_re = _ladder(tau, -1, Fraction(2), Fraction(2), eps)
-    f1_full = qpow(tau, Fraction(-2, 48)) * f1_v
-    f2_full = qpow(tau, Fraction(2, 24)) * f2_v
+    q12 = qpow(tau, 1 / 12)
+    eta_v, eta_re = _ladder(tau, 1, 2, 2, eps)
+    eta_full = q12 * eta_v
+    f1_v, f1_re = _ladder(tau, 1, 1, 2, eps)
+    f2_v, f2_re = _ladder(tau, -1, 2, 2, eps)
+    weber = {1: (qpow(tau, -1 / 24) * f1_v, f1_re), 2: (q12 * f2_v, f2_re)}
     for idx, (wf, j, sc) in enumerate(_V_CLOSED_DATA):
-        th, te = _theta_g(tau * float(sc), Fraction(j), Fraction(7), eps)
-        weber = f1_full if wf == 1 else f2_full
-        wre = f1_re if wf == 1 else f2_re
-        v = weber / eta_full * th
+        th, te = _theta_sum(tau * sc, j, 7, eps, alternating=True)
+        w, wre = weber[wf]
+        v = w / eta_full * th
         vals[idx] = v
-        err += abs(v) * (wre + eta_re + 1e-14) + abs(weber / eta_full) * te
+        err += abs(v) * (wre + eta_re + 1e-14) + abs(w / eta_full) * te
     return vals, err
 
 
-def eval_U(tau: complex, order: int = 60, eps: float = 1e-16,
+def _eval_products(vec: str, tau: complex, eps: float) -> tuple[np.ndarray, float]:
+    return _eval_u_products(tau, eps) if vec == "u" else _eval_v_products(tau, eps)
+
+
+_ROUTE_ORDER = 60
+
+
+def _eval_vector(vec: str, tau: complex, order: int, eps: float,
+                 check_routes: bool) -> tuple[np.ndarray, float]:
+    tau = _check_tau(tau)
+    _check_eps(eps)
+    pvals, perr = _eval_products(vec, tau, eps)
+    if check_routes:
+        svals, stail = _eval_vec_series(_component(vec), tau, order)
+        dev = float(np.max(np.abs(svals - pvals)))
+        allowance = stail + perr + 5e-11 * float(np.max(np.abs(pvals)) + 1.0)
+        if dev > allowance:
+            raise TailTooLarge(
+                f"series and product pipelines disagree by {dev:.3g} "
+                f"(allowed {allowance:.3g})")
+    return pvals, perr
+
+
+def eval_U(tau: complex, order: int = _ROUTE_ORDER, eps: float = 1e-16,
            check_routes: bool = True) -> tuple[np.ndarray, float]:
     """Evaluate the first vector both ways and return (values, error bound)."""
-    tau = _check_tau(tau)
-    pvals, perr = _eval_u_products(tau, eps)
-    if check_routes:
-        svals, stail = _eval_vec_series(component_series_u, tau, order)
-        dev = float(np.max(np.abs(svals - pvals)))
-        allowance = stail + perr + 5e-11 * float(np.max(np.abs(pvals)) + 1.0)
-        if dev > allowance:
-            raise TailTooLarge(
-                f"series and product pipelines disagree by {dev:.3g} "
-                f"(allowed {allowance:.3g})")
-    return pvals, perr
+    return _eval_vector("u", tau, order, eps, check_routes)
 
 
-def eval_V(tau: complex, order: int = 60, eps: float = 1e-16,
+def eval_V(tau: complex, order: int = _ROUTE_ORDER, eps: float = 1e-16,
            check_routes: bool = True) -> tuple[np.ndarray, float]:
     """Evaluate the second vector both ways and return (values, error bound)."""
-    tau = _check_tau(tau)
-    pvals, perr = _eval_v_products(tau, eps)
-    if check_routes:
-        svals, stail = _eval_vec_series(component_series_v, tau, order)
-        dev = float(np.max(np.abs(svals - pvals)))
-        allowance = stail + perr + 5e-11 * float(np.max(np.abs(pvals)) + 1.0)
-        if dev > allowance:
-            raise TailTooLarge(
-                f"series and product pipelines disagree by {dev:.3g} "
-                f"(allowed {allowance:.3g})")
-    return pvals, perr
+    return _eval_vector("v", tau, order, eps, check_routes)
 
 
 # ---------------------------------------------------------------------------
 # transformation checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModularReport:
     theorem: str
     tau: complex
@@ -486,95 +531,33 @@ class ModularReport:
                 "pass": self.passed}
 
 
-def _u(tau, eps):
-    return _eval_u_products(_check_tau(tau), eps)
+def _same(tau):
+    return tau
 
 
-def _v(tau, eps):
-    return _eval_v_products(_check_tau(tau), eps)
-
-
-def _rel_conj11(tau, eps):
-    lhs, e1 = _u(-1 / tau, eps)
-    base, e2 = _u(tau / 2, eps)
-    return lhs, inversion_block_s() @ base, e1 + e2
-
-
-def _rel_u_m_transform(tau, eps):
-    lhs, e1 = _u(-1 / (4 * tau), eps)
-    base, e2 = _u(2 * tau, eps)
-    m = matrix_m()
-    rhs = np.concatenate([m @ (base[:3] + base[3:]), m @ (base[:3] - base[3:])])
-    return lhs, rhs, e1 + e2
-
-
-def _rel_u_translation(tau, eps):
-    lhs, e1 = _u(tau + 1, eps)
-    base, e2 = _u(tau, eps)
-    return lhs, translation_diag() @ base, e1 + e2
-
-
-def _rel_u_translation2(tau, eps):
-    lhs, e1 = _u(tau + 2, eps)
-    base, e2 = _u(tau, eps)
-    return lhs, matrix_lambda4() @ base, e1 + e2
-
-
-def _rel_u_gamma(tau, eps):
-    lhs, e1 = _u(tau / (2 * tau + 1), eps)
-    base, e2 = _u(tau, eps)
-    return lhs, gamma_block_u() @ base, e1 + e2
-
-
-def _rel_v_translation(tau, eps):
-    lhs, e1 = _v(tau + 1, eps)
-    base, e2 = _v(tau, eps)
-    return lhs, translation_diag() @ base, e1 + e2
-
-
-def _rel_v_translation2(tau, eps):
-    lhs, e1 = _v(tau + 2, eps)
-    base, e2 = _v(tau, eps)
-    return lhs, matrix_lambda4() @ base, e1 + e2
-
-
-def _rel_v_inversion(tau, eps):
-    lhs, e1 = _v(-1 / (4 * tau), eps)
-    base, e2 = _v(tau, eps)
-    return lhs, inversion_block_w() @ base, e1 + e2
-
-
-def _rel_v_gamma(tau, eps):
-    lhs, e1 = _v(tau / (4 * tau + 1), eps)
-    base, e2 = _v(tau, eps)
-    return lhs, gamma_block_v() @ base, e1 + e2
-
-
-def _rel_u_routes(tau, eps):
-    pvals, perr = _u(tau, eps)
-    svals, stail = _eval_vec_series(component_series_u, tau, 60)
-    return svals, pvals, perr + stail
-
-
-def _rel_v_routes(tau, eps):
-    pvals, perr = _v(tau, eps)
-    svals, stail = _eval_vec_series(component_series_v, tau, 60)
-    return svals, pvals, perr + stail
-
-
+# name: (vector, lhs point, base point, matrix builder).  The relation states
+# that the vector at the lhs point equals the matrix times the vector at the
+# base point, both by the product route.  A None lhs point instead compares
+# the exact-series route at tau with the product route at tau.
 RELATIONS = {
-    "conj1.1": _rel_conj11,
-    "u-m-transform": _rel_u_m_transform,
-    "u-translation": _rel_u_translation,
-    "u-translation-double": _rel_u_translation2,
-    "u-gamma": _rel_u_gamma,
-    "v-translation": _rel_v_translation,
-    "v-translation-double": _rel_v_translation2,
-    "v-inversion": _rel_v_inversion,
-    "v-gamma": _rel_v_gamma,
-    "u-routes": _rel_u_routes,
-    "v-routes": _rel_v_routes,
+    "conj1.1": ("u", lambda t: -1 / t, lambda t: t / 2, inversion_block_s),
+    "u-m-transform": ("u", lambda t: -1 / (4 * t), lambda t: 2 * t, inversion_block_s),
+    "u-translation": ("u", lambda t: t + 1, _same, translation_diag),
+    "u-translation-double": ("u", lambda t: t + 2, _same, matrix_lambda4),
+    "u-gamma": ("u", lambda t: t / (2 * t + 1), _same, gamma_block_u),
+    "v-translation": ("v", lambda t: t + 1, _same, translation_diag),
+    "v-translation-double": ("v", lambda t: t + 2, _same, matrix_lambda4),
+    "v-inversion": ("v", lambda t: -1 / (4 * t), _same, inversion_block_w),
+    "v-gamma": ("v", lambda t: t / (4 * t + 1), _same, gamma_block_v),
+    "u-routes": ("u", None, _same, None),
+    "v-routes": ("v", None, _same, None),
 }
+
+
+@lru_cache(maxsize=None)
+def _relation_matrix(theorem_id: str) -> np.ndarray:
+    """The relation's matrix, built on its first use."""
+    return RELATIONS[theorem_id][3]()
 
 
 def relations() -> list[str]:
@@ -591,9 +574,19 @@ def check_transformation(theorem_id: str, tau: complex, tol: float = 1e-9,
     if theorem_id not in RELATIONS:
         raise KeyError(f"unknown relation {theorem_id!r}; known: {relations()}")
     tau = _check_tau(tau)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if eps is None:
         eps = max(tol * 1e-6, 1e-17)
-    lhs, rhs, tail = RELATIONS[theorem_id](tau, eps)
+    _check_eps(eps)
+    vec, lhs_at, base_at, _ = RELATIONS[theorem_id]
+    rhs, rhs_err = _eval_products(vec, _check_tau(base_at(tau)), eps)
+    if lhs_at is None:
+        lhs, lhs_err = _eval_vec_series(_component(vec), tau, _ROUTE_ORDER)
+    else:
+        lhs, lhs_err = _eval_products(vec, _check_tau(lhs_at(tau)), eps)
+        rhs = np.einsum("ij,j->i", _relation_matrix(theorem_id), rhs)
+    tail = lhs_err + rhs_err
     dev = float(np.max(np.abs(lhs - rhs)))
     if tol <= 100.0 * tail:
         raise TailTooLarge(

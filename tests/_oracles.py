@@ -6,9 +6,10 @@ products by literal factor multiplication.  None of it shares code with the
 package under test.
 """
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, floor
 
 
 def partitions_from_parts(n: int, parts: tuple) -> int:
@@ -209,3 +210,46 @@ def peel_naive(coeffs: dict, order, max_n: int) -> tuple:
         arr = [sum(b * arr[i - j] for j, b in terms if j <= i)
                for i in range(n_slots)]
     return tuple(exps)
+
+
+# -- numeric theta series and products, one fresh exp per term --------------
+
+def _nome_power(tau: complex, e: Fraction) -> complex:
+    """exp(2 pi i tau e) for an exact rational e, the phase Re(tau) e reduced
+    mod 1 in exact arithmetic before the exp."""
+    size = cmath.exp(-2 * cmath.pi * tau.imag * float(e))
+    if size == 0:
+        return 0j
+    turns = Fraction(tau.real) * e
+    return size * cmath.exp(2j * cmath.pi * float(turns - floor(turns)))
+
+
+def theta_naive(tau: complex, j, m, alternating: bool, cutoff: int = 80) -> tuple:
+    """Sum over |k| <= cutoff of (-1)^k (if alternating) q^(m (k + j/2m)^2),
+    each term by its own exp; returns (value, sum of |terms|)."""
+    j, m = Fraction(j), Fraction(m)
+    terms = [(-1 if alternating and k % 2 else 1) * _nome_power(tau, m * (k + j / (2 * m)) ** 2)
+             for k in range(-cutoff, cutoff + 1)]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def triple_naive(tau: complex, m, zexp, base_sign: int, z_sign: int,
+                 cutoff: int = 80) -> tuple:
+    """Sum over |n| <= cutoff of (-1)^n base_sign^C(n,2) z_sign^n
+    q^(m n(n-1)/2 + zexp n); returns (value, sum of |terms|)."""
+    m, zexp = Fraction(m), Fraction(zexp)
+    terms = [(-1) ** n * base_sign ** (n * (n - 1) // 2) * z_sign ** n *
+             _nome_power(tau, m * n * (n - 1) / 2 + zexp * n)
+             for n in range(-cutoff, cutoff + 1)]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def ladder_naive(tau: complex, sign: int, a, m, factors: int = 1000) -> tuple:
+    """prod_{k < factors} (1 - sign q^(a+km)); returns (value, prod (1 + |q^(a+km)|))."""
+    a, m = Fraction(a), Fraction(m)
+    value, size = 1 + 0j, 1.0
+    for k in range(factors):
+        x = _nome_power(tau, a + k * m)
+        value *= 1 - sign * x
+        size *= 1 + abs(x)
+    return value, size

@@ -135,6 +135,13 @@ def test_modular_check_bad_tau_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tau", ["0,nan", "0,inf", "nan,1", "0.1,0.001"])
+def test_modular_check_unusable_tau_exit2(capsys, tau):
+    # not finite, or |q| >= 0.9 where the series tail bound does not hold
+    code, _, err = run(capsys, "modular-check", "--relation", "u-routes", "--tau", tau)
+    assert code == 2 and err.startswith("error:")
+
+
 def test_modular_check_all(capsys):
     code, out, _ = run(capsys, "modular-check", "--relation", "all",
                        "--tau", "0.3,0.8", "--json")

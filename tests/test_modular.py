@@ -11,6 +11,8 @@ from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import J, pf, poch, product, jacobi_triple
 from nahm_forge import modular as M
 
+from _oracles import ladder_naive, theta_naive, triple_naive
+
 
 def test_alpha_values():
     assert abs(M.alpha(1) - 0.23192) < 5e-6
@@ -195,3 +197,84 @@ def test_json_report_shape():
     d = rep.to_json()
     assert set(d) == {"theorem", "tau", "max_dev", "tail_bound", "pass"}
     assert d["pass"] is True
+
+
+# The numeric terms against literal per-term oracles: the default points,
+# small-Im mapped points, tau + 2, and parameters with denominators 2 and 3.
+ORACLE_POINTS = (M.TAU_DEFAULT
+                 + ((0.5 + 0.5j) / (4 * (0.5 + 0.5j) + 1), -1 / (4 * (0.5 + 0.5j)),
+                    -1 / (4 * 2j))
+                 + tuple(tau + 2 for tau in M.TAU_DEFAULT))
+THETA_CASES = ((1, 7, True), (5, 7, True), (3, 7, False), (F(1, 2), F(5, 2), False),
+               (F(2, 3), F(7, 3), True), (F(5, 3), F(1, 2), True), (11, 1, False), (7, 7, False),
+               (101, 1, False))
+TRIPLE_CASES = tuple(row[2] for row in M._U_PRODUCT_DATA) + (
+    (F(5, 2), F(1, 3), -1, 1), (F(7, 3), F(-1, 2), 1, -1))
+LADDER_CASES = ((1, 2, 2), (-1, 1, 2), (-1, 2, 2), (1, 1, 2), (1, F(1, 2), 1),
+                (-1, F(1, 3), F(5, 2)), (1, F(2, 3), F(3, 2)))
+
+
+def _close(got, err, want, size):
+    return abs(got - want) <= err + 1e-13 * max(1.0, size)
+
+
+@pytest.mark.parametrize("tau", ORACLE_POINTS)
+def test_numeric_terms_match_naive_oracles(tau):
+    for eps in (1e-15, 1e-17):
+        for j, m, alternating in THETA_CASES:
+            got, err = M._theta_sum(tau, j, m, eps, alternating)
+            assert _close(got, err, *theta_naive(tau, j, m, alternating)), (j, m)
+        for case in TRIPLE_CASES:
+            got, err = M._theta_triple(tau, *case, eps)
+            assert _close(got, err, *triple_naive(tau, *case)), case
+        for sign, a, m in LADDER_CASES:
+            got, rel = M._ladder(tau, sign, float(a), float(m), eps)
+            assert _close(got, abs(got) * rel, *ladder_naive(tau, sign, a, m)), (sign, a, m)
+
+
+def test_eval_series_rejects_large_nome():
+    # |q| >= 0.9 used to spin in the tail loop; just below it the loop ends
+    with pytest.raises(TailTooLarge):
+        M.eval_series_at(QSeries.const(2, 10), 0.016j)
+    with pytest.raises(TailTooLarge):
+        M.check_transformation("u-routes", 0.1 + 0.001j)
+    tau = 1j * math.log(1 / 0.8999) / (2 * math.pi)
+    value, tail = M.eval_series_at(QSeries.const(2, 10), tau)
+    assert value == 2 and math.isfinite(tail)
+
+
+@pytest.mark.parametrize("call", [
+    lambda eps: M.eval_h(1, 7, 1j, eps=eps),
+    lambda eps: M.eval_g(1, 7, 1j, eps=eps),
+    lambda eps: M.eval_eta(1j, eps=eps),
+    lambda eps: M.eval_U(1j, eps=eps),
+    lambda eps: M.check_transformation("conj1.1", 1j, eps=eps),
+])
+def test_rejects_nonpositive_or_nonfinite_eps(call):
+    for eps in (0, 0.0, -1e-16, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            call(eps)
+
+
+def test_rejects_nonfinite_tau():
+    for tau in (complex(0, math.nan), complex(0, math.inf), complex(math.nan, 1),
+                complex(math.inf, 1)):
+        with pytest.raises(ValueError):
+            M.check_transformation("conj1.1", tau)
+        with pytest.raises(ValueError):
+            M.eval_eta(tau)
+
+
+def test_check_transformation_rejects_nonfinite_tol():
+    # inf used to pass vacuously with max_dev 0; nan ended in a ladder error
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            M.check_transformation("conj1.1", 1j, tol=tol)
+
+
+def test_theta_rejects_nonpositive_m():
+    # the series diverge there; this used to end in ZeroDivisionError or
+    # OverflowError from deep inside the term loop
+    for m in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError):
+            M.eval_h(1, m, 1j)
