@@ -3,12 +3,18 @@ formal parameters, and the duality transform.
 
 The sum runs over lattice points n in N^r of
     q^( (1/2) n^T A D n + n^T b + c ) / prod_i (q^{d_i}; q^{d_i})_{n_i},
-where D = diag(d) and A*D is symmetric positive definite.  Enumeration is
-made provably complete by a rational lower bound on the smallest eigenvalue
-of A*D: since every eigenvalue is at most the trace, lambda := det/trace^(r-1)
-satisfies 0 < lambda <= lambda_min, giving the box bound
-    ||n|| <= (||b||_1 + sqrt(||b||_1^2 + 2*lambda*(order - c))) / lambda,
-inside which points are filtered exactly.
+where D = diag(d) and A*D is symmetric positive definite.
+
+Enumeration completes the squares of E(n) = (1/2) n^T A D n + n^T b exactly,
+from the last coordinate down:
+    E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2,   h_k > 0.
+Square k involves only n_0..n_k, so for a prefix n_0..n_{k-1} the partial
+sum S is the exact minimum of E over all real completions of that prefix.
+A point with E(n) < B := order - c therefore has |n_k + mu| < sqrt((B-S)/h_k)
+at every depth, and the walk tries exactly those n_k >= 0, filtering each
+by S + h_k (n_k + mu)^2 < B.  That makes it complete with no box radius, and
+points come out in lexicographic order.  The sum walks those points once,
+keeping one denominator row per depth.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
+from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
+from .products import div_binom
 from .series import ParamSeries, QSeries
 
 Rat = Union[int, Fraction]
@@ -171,179 +179,133 @@ def _ceil_sqrt(x: Fraction) -> Fraction:
 
 def box_radius(quad: NahmQuadruple, bound: Fraction) -> int:
     """Integer R with E(n) >= bound whenever some n_i > R."""
-    if bound <= 0:
-        return 0
     lam = quad.lambda_bound()
     l1 = sum(abs(x) for x in quad.b)
     s = _ceil_sqrt(l1 * l1 + 2 * lam * bound)
     return int((l1 + s) / lam)
 
 
-def _quad_value(ad, b, n) -> Fraction:
-    r = len(n)
-    e = Fraction(0)
-    for i in range(r):
-        if n[i]:
-            e += ad[i][i] * n[i] * n[i] / 2 + b[i] * n[i]
-            for j in range(i + 1, r):
-                if n[j]:
-                    e += ad[i][j] * n[i] * n[j]
-    return e
+def _completed_squares(quad: NahmQuadruple):
+    """(C, h, L, t) with E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2.
+
+    Squares are completed from the last coordinate down, so square k only
+    involves n_0..n_k; each h_k is a pivot of the positive definite A*D
+    (halved), hence positive.
+    """
+    m = quad.symmetrized()
+    b = list(quad.b)
+    r = quad.rank
+    const = Fraction(0)
+    h, L, t = [None] * r, [None] * r, [None] * r
+    for k in range(r - 1, -1, -1):
+        piv = m[k][k]
+        h[k] = piv / 2
+        L[k] = [m[k][j] / piv for j in range(k)]
+        t[k] = b[k] / piv
+        const -= b[k] * t[k] / 2
+        for i in range(k):
+            b[i] -= m[i][k] * t[k]
+            for j in range(k):
+                m[i][j] -= m[i][k] * L[k][j]
+    return const, h, L, t
 
 
 def enumerate_lattice(quad: NahmQuadruple, order: Rat,
                       mask: Optional[ParityMask] = None
                       ) -> Iterator[tuple[tuple, Fraction]]:
-    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c.
-
-    Points come out in lexicographic order; the box bound plus exact filtering
-    guarantees completeness.
+    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c,
+    in lexicographic order.  See the module docstring for completeness.
     """
     order = _frac(order)
-    if mask is not None:
-        check_parity_mask(mask, quad.rank)
-    bound = order - quad.c
-    ad = quad.symmetrized()
-    b = quad.b
     r = quad.rank
-    R = box_radius(quad, bound)
-    if r == 1:
-        alpha = ad[0][0] / 2
-        for n in range(R + 1):
-            e = alpha * n * n + b[0] * n
-            if e < bound and _mask_ok(mask, (n,)):
-                yield (n,), e
-        return
-    if r == 2:
-        alpha = ad[0][0] / 2
-        beta = ad[0][1]
-        gamma = ad[1][1] / 2
-        for i in range(R + 1):
-            ci = alpha * i * i + b[0] * i
-            li = beta * i + b[1]
-            vertex = -li / (2 * gamma)
-            emitted_row = False
-            for j in range(R + 1):
-                e = ci + li * j + gamma * j * j
-                if e < bound:
-                    emitted_row = True
-                    if _mask_ok(mask, (i, j)):
-                        yield (i, j), e
-                elif j >= vertex:
-                    break
-            # stop the outer loop once even the real-j minimum stays >= bound
-            if not emitted_row and ci - li * li / (4 * gamma) >= bound and \
-                    2 * alpha * i + b[0] - beta * li / (2 * gamma) >= 0:
-                break
-        return
-    # generic rank: plain box filter
-    def rec(prefix):
-        depth = len(prefix)
-        if depth == r:
-            e = _quad_value(ad, b, prefix)
-            if e < bound and _mask_ok(mask, prefix):
-                yield tuple(prefix), e
-            return
-        for n in range(R + 1):
-            yield from rec(prefix + [n])
-    yield from rec([])
+    if mask is None:
+        mask = (None,) * r
+    check_parity_mask(mask, r)
+    bound = order - quad.c
+    const, h, L, t = _completed_squares(quad)
+    n = [0] * r
+
+    def walk(k: int, s: Fraction):
+        # s is the least value of E over real completions of n_0..n_{k-1}
+        mu = t[k] + sum(L[k][j] * n[j] for j in range(k))
+        rho = _ceil_sqrt((bound - s) / h[k])
+        lo = max(0, ceil(-mu - rho))
+        p = mask[k]
+        if p is not None and lo % 2 != p:
+            lo += 1
+        for x in range(lo, floor(rho - mu) + 1, 1 if p is None else 2):
+            e = s + h[k] * (x + mu) ** 2
+            if e < bound:
+                n[k] = x
+                if k + 1 < r:
+                    yield from walk(k + 1, e)
+                else:
+                    yield tuple(n), e
+
+    yield from walk(0, const)
 
 
-def _den_of_points(pts) -> int:
+def _ladder_walk(points, d: Sequence[int], length: int):
+    """Yield (n, e, row) for lexicographically ascending points (n, e), where
+    row holds 1/prod_i (q^{d_i}; q^{d_i})_{n_i} on `length` integer slots.
+
+    Row k of the walk holds the product over i <= k.  A point whose first
+    changed coordinate is k advances row k by its new rungs and recopies
+    every deeper row from its parent.  The yielded row is shared: read only.
+    """
+    r = len(d)
+    unit = [0] * length
+    if length:
+        unit[0] = 1
+    rows = [unit[:] for _ in range(r)]
+    cur = [0] * r
+    for n, e in points:
+        k = next((i for i in range(r) if n[i] != cur[i]), r)
+        for i in range(k, r):
+            if i > k:
+                rows[i] = rows[i - 1][:]
+                cur[i] = 0
+            for step in range(cur[i] + 1, n[i] + 1):
+                div_binom(rows[i], d[i] * step, 1)
+            cur[i] = n[i]
+        yield n, e, rows[-1]
+
+
+def _window(quad: NahmQuadruple, order: Fraction):
+    """All points below `order` (mask-free, so the window does not depend on
+    the mask) and their dense window: (points, den, lo, slots, row length)."""
+    bound = order - quad.c
+    pts = list(enumerate_lattice(quad, order))
+    if not pts:
+        return pts, 1, 0, 0, 0
+    emin = min(e for _, e in pts)
     den = 1
     for _, e in pts:
         den = lcm(den, e.denominator)
-    return den
+    lo = floor(emin * den)
+    return pts, den, lo, ceil(bound * den) - lo, ceil(bound - emin) + 1
 
 
-def _phase_row(length: int) -> list:
-    """Dense coefficients of 1/(q^d; q^d)_0 = 1 on `length` slots."""
-    row = [0] * length
-    if length:
-        row[0] = 1
-    return row
-
-
-def _div_binom_int(arr: list, step: int):
-    """arr *= 1/(1 - q^step) on an integer-exponent dense array."""
-    for k in range(step, len(arr)):
-        if arr[k - step]:
-            arr[k] += arr[k - step]
+def _accumulate(acc: list, base: int, den: int, row: list):
+    """acc[base + den*k] += row[k] for every k that lands inside acc."""
+    m = min(len(row), (len(acc) - base + den - 1) // den)
+    window = slice(base, base + den * m, den)
+    acc[window] = map(add, acc[window], row[:m])
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,
              mask: Optional[ParityMask] = None) -> QSeries:
     """Exact expansion of the generalized Nahm sum below `order`."""
     order = _frac(order)
-    bound = order - quad.c
-    pts = list(enumerate_lattice(quad, order, mask=None))
+    pts, den, lo, slots, length = _window(quad, order)
     if not pts:
         return QSeries({}, 1, order)
-    emin = min(e for _, e in pts)
-    den = _den_of_points(pts)
-    lo = floor(emin * den)
-    acc = [0] * (ceil(bound * den) - lo)
-    lr = max(0, ceil(bound - emin)) + 1
-    r = quad.rank
-    d = quad.d
-
-    if r <= 2:
-        pts_by_row: dict = {}
-        for n, e in pts:
-            pts_by_row.setdefault(n[0], []).append((n, e))
-        rows = sorted(pts_by_row)
-        outer = _phase_row(lr)
-        prev_i = 0
-        for i in rows:
-            while prev_i < i:
-                prev_i += 1
-                _div_binom_int(outer, d[0] * prev_i)
-            if mask is not None and mask[0] is not None and i % 2 != mask[0]:
-                continue
-            if r == 1:
-                _, e = pts_by_row[i][0]
-                _accumulate(acc, lo, den, e, outer, bound)
-            else:
-                inner = outer[:]
-                prev_j = 0
-                for n, e in pts_by_row[i]:
-                    j = n[1]
-                    while prev_j < j:
-                        prev_j += 1
-                        _div_binom_int(inner, d[1] * prev_j)
-                    if mask is not None and mask[1] is not None and j % 2 != mask[1]:
-                        continue
-                    _accumulate(acc, lo, den, e, inner, bound)
-    else:
-        from .products import pf, product
-        for n, e in pts:
-            if not _mask_ok(mask, n):
-                continue
-            factors = tuple(pf(1, di, di, ni, -1) for di, ni in zip(d, n) if ni)
-            term = product(factors, bound - e)
-            for exp, cv in term.items():
-                k = int((e + exp) * den)
-                if k - lo < len(acc):
-                    acc[k - lo] += cv
-
-    out = {}
-    top = ceil(bound * den)
-    for idx, v in enumerate(acc):
-        if v and lo + idx < top:
-            out[lo + idx] = v
-    return QSeries(out, den, bound).shift(quad.c).reduce()
-
-
-def _accumulate(acc, lo, den, e: Fraction, row: list, bound: Fraction):
-    base = int(e * den) - lo
-    top = len(acc)
-    kmax = min(len(row), (top - base + den - 1) // den if den else len(row))
-    idx = base
-    for k in range(max(0, kmax)):
-        v = row[k]
-        if v and idx < top:
-            acc[idx] += v
-        idx += den
+    acc = [0] * slots
+    kept = (p for p in pts if _mask_ok(mask, p[0]))
+    for n, e, row in _ladder_walk(kept, quad.d, length):
+        _accumulate(acc, int(e * den) - lo, den, row)
+    out = {lo + i: v for i, v in enumerate(acc) if v}
+    return QSeries(out, den, order - quad.c).shift(quad.c).reduce()
 
 
 def nahm_sum_param(quad: NahmQuadruple, order: Rat, udeg: int, vdeg: int,
@@ -355,51 +317,40 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, udeg: int, vdeg: int,
     by alpha*uweights + beta*vweights.
     """
     order = _frac(order)
-    bound = order - quad.c
     if len(uweights) != quad.rank or len(vweights) != quad.rank:
         raise ValueError("weight vectors must match the rank")
     if any(w < 0 for w in uweights) or any(w < 0 for w in vweights):
         raise ValueError("parameter weights must be nonnegative")
-    pts = list(enumerate_lattice(quad, order))
-    coeffs: dict = {}
+
+    def monomial(n) -> tuple:
+        return (sum(w * x for w, x in zip(uweights, n)),
+                sum(w * x for w, x in zip(vweights, n)))
+
+    pts, den, lo, slots, length = _window(quad, order)
     udrop = vdrop = None
-    if pts:
-        den = _den_of_points(pts)
-        d = quad.d
-        from .products import pf, product
-
-        def denom_row(n, e) -> QSeries:
-            factors = tuple(pf(1, di, di, ni, -1) for di, ni in zip(d, n) if ni)
-            return product(factors, bound - e)
-
-        for n, e in pts:
-            if not _mask_ok(mask, n):
-                continue
-            ua = sum(w * x for w, x in zip(uweights, n))
-            vb = sum(w * x for w, x in zip(vweights, n))
-            if ua > udeg:
-                udrop = e if udrop is None else min(udrop, e)
-                continue
-            if vb > vdeg:
-                vdrop = e if vdrop is None else min(vdrop, e)
-                continue
-            row = denom_row(n, e)
-            for exp, cv in row.items():
-                tot = e + exp
-                if tot >= bound:
-                    break
-                k = int(tot * den)
-                tgt = coeffs.setdefault(k, {})
-                m = (ua, vb)
-                w = tgt.get(m, 0) + cv
-                if w:
-                    tgt[m] = w
-                else:
-                    del tgt[m]
-        coeffs = {k: p for k, p in coeffs.items() if p}
-    else:
-        den = 1
-    ps = ParamSeries(coeffs, den, bound, udeg, vdeg, udrop, vdrop)
+    kept = []
+    for n, e in pts:
+        if not _mask_ok(mask, n):
+            continue
+        ua, vb = monomial(n)
+        if ua > udeg:
+            udrop = e if udrop is None else min(udrop, e)
+        elif vb > vdeg:
+            vdrop = e if vdrop is None else min(vdrop, e)
+        else:
+            kept.append((n, e))
+    accs: dict = {}
+    for n, e, row in _ladder_walk(kept, quad.d, length):
+        m = monomial(n)
+        if m not in accs:
+            accs[m] = [0] * slots
+        _accumulate(accs[m], int(e * den) - lo, den, row)
+    coeffs: dict = {}
+    for m, acc in accs.items():
+        for i, v in enumerate(acc):
+            if v:
+                coeffs.setdefault(lo + i, {})[m] = v
+    ps = ParamSeries(coeffs, den, order - quad.c, udeg, vdeg, udrop, vdrop)
     return ps.shift(quad.c)
 
 

@@ -80,6 +80,42 @@ def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor
 
 
 # ---------------------------------------------------------------------------
+# Binomial-ladder kernel
+# ---------------------------------------------------------------------------
+
+def mul_binom(arr: list, e: int, sign: int):
+    """arr *= (1 - sign*q^e) in place on a dense window, e >= 0; the top
+    slots that would spill past the window are dropped."""
+    if e == 0:
+        c = 1 - sign
+        for k in range(len(arr)):
+            if arr[k]:
+                arr[k] *= c
+    elif sign == 1:
+        for k in range(len(arr) - 1, e - 1, -1):
+            if arr[k - e]:
+                arr[k] -= arr[k - e]
+    else:
+        for k in range(len(arr) - 1, e - 1, -1):
+            if arr[k - e]:
+                arr[k] += arr[k - e]
+
+
+def div_binom(arr: list, e: int, sign: int):
+    """arr /= (1 - sign*q^e) in place on a dense window; needs e > 0."""
+    if e <= 0:
+        raise ValueError("can only divide by binomials with positive exponent")
+    if sign == 1:
+        for k in range(e, len(arr)):
+            if arr[k - e]:
+                arr[k] += arr[k - e]
+    else:
+        for k in range(e, len(arr)):
+            if arr[k - e]:
+                arr[k] -= arr[k - e]
+
+
+# ---------------------------------------------------------------------------
 # Dense window engine
 # ---------------------------------------------------------------------------
 
@@ -103,25 +139,11 @@ class _Dense:
 
     def mul_binom(self, e: int, sign: int):
         """Multiply by (1 - sign*q^(e/den))."""
-        a = self.a
-        if e == 0:
-            c = 1 - sign
-            if c == 0:
-                self.a = [0] * len(a)
-            elif c != 1:
-                self.a = [x * c if x else 0 for x in a]
-            return
-        if e > 0:
-            if sign == 1:
-                for k in range(len(a) - 1, e - 1, -1):
-                    if a[k - e]:
-                        a[k] -= a[k - e]
-            else:
-                for k in range(len(a) - 1, e - 1, -1):
-                    if a[k - e]:
-                        a[k] += a[k - e]
+        if e >= 0:
+            mul_binom(self.a, e, sign)
             return
         # e < 0: the window grows downward; top stays at the truncation order
+        a = self.a
         grow = -e
         new = [0] * (len(a) + grow)
         new[grow:] = a
@@ -130,20 +152,6 @@ class _Dense:
                 new[k] -= sign * a[k]
         self.lo += e
         self.a = new
-
-    def div_binom(self, e: int, sign: int):
-        """Divide by (1 - sign*q^(e/den)); needs e > 0."""
-        if e <= 0:
-            raise ValueError("can only divide by binomials with positive exponent")
-        a = self.a
-        if sign == 1:
-            for k in range(e, len(a)):
-                if a[k - e]:
-                    a[k] += a[k - e]
-        else:
-            for k in range(e, len(a)):
-                if a[k - e]:
-                    a[k] -= a[k - e]
 
     def mul_const(self, c: Rat):
         if c == 1:
@@ -167,7 +175,7 @@ class _Dense:
                     if f.power > 0:
                         self.mul_binom(e, f.sign)
                     else:
-                        self.div_binom(e, f.sign)
+                        div_binom(self.a, e, f.sign)
                     e += m_num
             else:
                 e = a_num
@@ -179,7 +187,7 @@ class _Dense:
                             raise ValueError("cannot divide by a factor with negative exponents")
                         if e >= top:
                             break
-                        self.div_binom(e, f.sign)
+                        div_binom(self.a, e, f.sign)
                     e += m_num
 
     def to_qseries(self) -> QSeries:

@@ -28,8 +28,8 @@ from typing import Callable, Optional, Union
 from .errors import UnknownId
 from .nahm import NahmQuadruple, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors, Jm_factors, PochFactor, ProductSpec, neg_base_pair, pf, poch,
-    poch_param, product, jacobi_triple,
+    J_factors, Jm_factors, PochFactor, ProductSpec, div_binom, mul_binom,
+    neg_base_pair, pf, poch, poch_param, product, jacobi_triple,
 )
 from .series import (
     Mismatch, ParamSeries, QSeries, eq_to_order, eq_to_order_param,
@@ -156,28 +156,9 @@ def single_sum(spec: SingleSum, order: Rat) -> QSeries:
                 k = lengths[fi]
                 e = int((f0.a + k * f0.m) * den)
                 if f0.power > 0:
-                    if e == 0:
-                        c = 1 - f0.sign
-                        for i in range(len(term)):
-                            if term[i]:
-                                term[i] *= c
-                    elif f0.sign == 1:
-                        for i in range(len(term) - 1, e - 1, -1):
-                            if term[i - e]:
-                                term[i] -= term[i - e]
-                    else:
-                        for i in range(len(term) - 1, e - 1, -1):
-                            if term[i - e]:
-                                term[i] += term[i - e]
+                    mul_binom(term, e, f0.sign)
                 else:
-                    if f0.sign == 1:
-                        for i in range(e, len(term)):
-                            if term[i - e]:
-                                term[i] += term[i - e]
-                    else:
-                        for i in range(e, len(term)):
-                            if term[i - e]:
-                                term[i] -= term[i - e]
+                    div_binom(term, e, f0.sign)
                 lengths[fi] += 1
 
     n = 0

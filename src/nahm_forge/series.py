@@ -27,8 +27,7 @@ Rat = Union[int, Fraction]
 
 __all__ = [
     "QSeries", "ParamSeries", "Mismatch",
-    "align", "add", "mul", "neg", "shift", "scale", "invert",
-    "eq_to_order", "substitute_params",
+    "align", "eq_to_order", "substitute_params",
 ]
 
 
@@ -324,30 +323,6 @@ def align(s: QSeries, t: QSeries) -> tuple[QSeries, QSeries]:
         return s, t
     den = lcm(s.den, t.den)
     return s.with_den(den), t.with_den(den)
-
-
-def add(s: QSeries, t: QSeries) -> QSeries:
-    return s + t
-
-
-def mul(s: QSeries, t: QSeries) -> QSeries:
-    return s * t
-
-
-def neg(s: QSeries) -> QSeries:
-    return -s
-
-
-def shift(s: QSeries, e: Rat) -> QSeries:
-    return s.shift(e)
-
-
-def scale(s: QSeries, r: Rat) -> QSeries:
-    return s.scale(r)
-
-
-def invert(s: QSeries) -> QSeries:
-    return s.invert()
 
 
 def eq_to_order(s: QSeries, t: QSeries, order: Rat) -> Optional[Mismatch]:

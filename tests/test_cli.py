@@ -65,6 +65,17 @@ def test_nahm_parity_lowest_exponent(capsys):
     assert data["terms"][0][0] == "1/2"
 
 
+def test_nahm_terms_below_c(capsys):
+    # E(n) = -1 at n = (1, 0) and (2, 0): with c = 1 the series is 2 + O(q)
+    code, out, _ = run(capsys, "nahm", "--A", '[[1,"-1/2"],[-1,"3/2"]]',
+                       "--b", '["-3/2","5/2"]', "--d", "[1,2]", "--c", "1",
+                       "--order", "1")
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()
+            if not line.startswith("#")]
+    assert rows == [["0", "2"]]
+
+
 def test_nahm_invalid_matrix_exit2(capsys):
     code, _, err = run(capsys, "nahm", "--A", '[["1","2"],["2","1"]]',
                        "--b", '["0","0"]', "--d", "[1,2]", "--order", "5")

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import product as iproduct
+from math import sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
 from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, poch, poch_param, product
 from nahm_forge.nahm import (
-    NahmQuadruple, dual_quadruple, enumerate_lattice, nahm_sum,
+    NahmQuadruple, box_radius, dual_quadruple, enumerate_lattice, nahm_sum,
     nahm_sum_param, quadruple,
 )
 from nahm_forge.candidates import DUAL_PAIRS, FAMILIES, family
 
-from _oracles import nahm_naive, partitions_from_parts
+from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts
 
 
 RR = quadruple([[2]], [0], 0, [1])
@@ -109,6 +111,116 @@ def test_enumerate_no_duplicates_no_overweight():
 def test_enumerate_order_zero_is_empty():
     # strictly-below semantics: at order 0 even n = 0 (exponent 0) is excluded
     assert list(enumerate_lattice(RR, 0)) == []
+
+
+# exam12-1's quadruple: E(n) < 0 at (1, 0) and (2, 0), so the sum has terms
+# below q^c and orders at or below c are not empty
+EXAM12 = quadruple([[1, F(-1, 2)], [-1, F(3, 2)]], [F(-3, 2), F(5, 2)], 0, [1, 2])
+
+
+@pytest.mark.parametrize("order", [F(-1, 2), F(0)])
+def test_orders_at_or_below_c_match_naive(order):
+    got = nahm_sum(EXAM12, order)
+    want = nahm_naive(EXAM12.A, EXAM12.b, EXAM12.c, EXAM12.d, order, box=10)
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want == {F(-1): 2}
+    shifted = quadruple(EXAM12.A, EXAM12.b, 1, EXAM12.d)
+    assert nahm_sum(shifted, order + 1).coeffs == {0: 2}
+
+
+def test_box_radius_holds_for_nonpositive_bounds():
+    for bound in (F(-1, 2), F(0)):
+        R = box_radius(EXAM12, bound)
+        pts = [n for n, _ in enumerate_lattice(EXAM12, bound)]
+        assert pts and max(max(n) for n in pts) <= R
+
+
+def _gershgorin_box(M, b, bound) -> int:
+    """Box radius from lambda_min >= g := min_i (M_ii - sum_{j != i} |M_ij|):
+    E(n) >= g x^2 / 2 - ||b||_1 x with x = max_i n_i."""
+    r = len(M)
+    g = min(M[i][i] - sum(abs(M[i][j]) for j in range(r) if j != i) for i in range(r))
+    l1 = float(sum(abs(x) for x in b))
+    return int((l1 + sqrt(l1 * l1 + 2 * g * max(float(bound), 0.0))) / g) + 1
+
+
+@st.composite
+def _dominant_quadruples(draw):
+    r = draw(st.integers(1, 3))
+    off = {(i, j): draw(st.integers(-2, 2)) for i in range(r) for j in range(i + 1, r)}
+    M = [[0] * r for _ in range(r)]
+    for (i, j), v in off.items():
+        M[i][j] = M[j][i] = v
+    for i in range(r):
+        M[i][i] = sum(abs(M[i][j]) for j in range(r) if j != i) + draw(st.integers(1, 2))
+    d = [draw(st.integers(1, 3)) for _ in range(r)]
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    b = [draw(small) for _ in range(r)]
+    c = draw(st.fractions(min_value=-1, max_value=1, max_denominator=3))
+    quad = quadruple([[F(M[i][j], d[j]) for j in range(r)] for i in range(r)], b, c, d)
+    order = c + F(draw(st.integers(-2, 20)), 2)
+    mask = draw(st.one_of(st.none(), st.tuples(*[st.sampled_from([None, 0, 1])] * r)))
+    return quad, M, order, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dominant_quadruples())
+def test_enumeration_complete_against_gershgorin_box(case):
+    quad, M, order, mask = case
+    bound = order - quad.c
+    R = _gershgorin_box(M, quad.b, bound)
+    want = []
+    for n in iproduct(range(R + 1), repeat=quad.rank):   # lexicographic
+        if mask is not None and any(p is not None and x % 2 != p for p, x in zip(mask, n)):
+            continue
+        e = sum(F(M[i][j], 2) * n[i] * n[j] for i in range(quad.rank)
+                for j in range(quad.rank)) + sum(x * y for x, y in zip(quad.b, n))
+        if e < bound:
+            want.append((n, e))
+    got = list(enumerate_lattice(quad, order, mask))
+    assert got == want
+    assert all(p[0] < q[0] for p, q in zip(got, got[1:])), "not strictly lexicographic"
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominant_quadruples(), st.data())
+def test_sums_against_naive_oracles(case, data):
+    quad, M, order, mask = case
+    r = quad.rank
+    R = _gershgorin_box(M, quad.b, order - quad.c)
+    got = nahm_sum(quad, order, mask=mask)
+    want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=R, mask=mask)
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+
+    weights = st.tuples(*[st.integers(0, 2)] * r)
+    uw, vw = data.draw(weights), data.draw(weights)
+    udeg, vdeg = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    p = nahm_sum_param(quad, order, udeg, vdeg, uw, vw, mask=mask)
+    coeffs, udrop, vdrop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, R,
+                                            uw, vw, udeg, vdeg, mask=mask)
+    assert {F(k, p.den): poly for k, poly in p.coeffs.items()} == coeffs
+    assert (p.udrop, p.vdrop) == (udrop, vdrop)
+    assert p.order == order
+    # the exponent lattice comes from every point below the order, masked or not
+    assert p.den == nahm_sum_param(quad, order, udeg, vdeg, uw, vw).den
+
+
+RANK3 = [quadruple([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [F(-1, 2), 0, F(1, 2)],
+                   F(1, 3), [1, 1, 1]),
+         quadruple([[4, 1, 1], [2, 2, 1], [2, 1, 2]], [-1, 0, 1], 0, [1, 2, 2])]
+
+
+@pytest.mark.parametrize("quad", RANK3)
+@pytest.mark.parametrize("mask", [None, (0, None, None), (1, None, 0)])
+def test_rank3_sums_against_naive(quad, mask):
+    order = 8
+    got = nahm_sum(quad, order, mask=mask)
+    want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=8, mask=mask)
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+    p = nahm_sum_param(quad, order, 4, 3, (1, 0, 2), (0, 1, 1), mask=mask)
+    coeffs, udrop, vdrop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, 8,
+                                            (1, 0, 2), (0, 1, 1), 4, 3, mask=mask)
+    assert {F(k, p.den): poly for k, poly in p.coeffs.items()} == coeffs
+    assert (p.udrop, p.vdrop) == (udrop, vdrop)
 
 
 # -- parameters ----------------------------------------------------------------
