@@ -7,7 +7,7 @@ from .errors import (
     NotPositiveDefinite, OrderTooLarge, SingularMatrix, TailTooLarge,
     UnknownId, WindowOverflow, ZeroLeadingTerm,
 )
-from .series import ParamSeries, QSeries, align, eq_to_order, substitute_params
+from .series import ParamSeries, QSeries, align, eq_to_order
 from .products import (
     J, Jm, PochFactor, ProductSpec, eta_quotient, jacobi_triple, pf, poch,
     product,

@@ -1,5 +1,5 @@
 """Generalized Nahm sums for symmetrizable matrices, parity restrictions,
-formal parameters, and the duality transform.
+a formal parameter, and the duality transform.
 
 The sum runs over lattice points n in N^r of
     q^( (1/2) n^T A D n + n^T b + c ) / prod_i (q^{d_i}; q^{d_i})_{n_i},
@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
-from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import div_binom
+from .products import accumulate, div_binom
 from .series import ParamSeries, QSeries
 
 Rat = Union[int, Fraction]
@@ -286,13 +285,6 @@ def _window(quad: NahmQuadruple, order: Fraction):
     return pts, den, lo, ceil(bound * den) - lo, ceil(bound - emin) + 1
 
 
-def _accumulate(acc: list, base: int, den: int, row: list):
-    """acc[base + den*k] += row[k] for every k that lands inside acc."""
-    m = min(len(row), (len(acc) - base + den - 1) // den)
-    window = slice(base, base + den * m, den)
-    acc[window] = map(add, acc[window], row[:m])
-
-
 def nahm_sum(quad: NahmQuadruple, order: Rat,
              mask: Optional[ParityMask] = None) -> QSeries:
     """Exact expansion of the generalized Nahm sum below `order`."""
@@ -303,55 +295,43 @@ def nahm_sum(quad: NahmQuadruple, order: Rat,
     acc = [0] * slots
     kept = (p for p in pts if _mask_ok(mask, p[0]))
     for n, e, row in _ladder_walk(kept, quad.d, length):
-        _accumulate(acc, int(e * den) - lo, den, row)
+        accumulate(acc, int(e * den) - lo, den, row)
     out = {lo + i: v for i, v in enumerate(acc) if v}
     return QSeries(out, den, order - quad.c).shift(quad.c).reduce()
 
 
-def nahm_sum_param(quad: NahmQuadruple, order: Rat, udeg: int, vdeg: int,
-                   uweights: Sequence[int], vweights: Sequence[int],
+def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
+                   weights: Sequence[int],
                    mask: Optional[ParityMask] = None) -> ParamSeries:
-    """Nahm sum carrying u^(uweights . n) v^(vweights . n) on each term.
+    """Nahm sum carrying u^(weights . n) on each term, u-degree capped at deg.
 
-    Substituting u = q^alpha, v = q^beta reproduces nahm_sum with b shifted
-    by alpha*uweights + beta*vweights.
+    Substituting u = q^alpha reproduces nahm_sum with b shifted by
+    alpha*weights.
     """
     order = _frac(order)
-    if len(uweights) != quad.rank or len(vweights) != quad.rank:
-        raise ValueError("weight vectors must match the rank")
-    if any(w < 0 for w in uweights) or any(w < 0 for w in vweights):
+    if len(weights) != quad.rank:
+        raise ValueError("the weight vector must match the rank")
+    if any(w < 0 for w in weights):
         raise ValueError("parameter weights must be nonnegative")
-
-    def monomial(n) -> tuple:
-        return (sum(w * x for w, x in zip(uweights, n)),
-                sum(w * x for w, x in zip(vweights, n)))
-
     pts, den, lo, slots, length = _window(quad, order)
-    udrop = vdrop = None
+    drop = None
     kept = []
     for n, e in pts:
         if not _mask_ok(mask, n):
             continue
-        ua, vb = monomial(n)
-        if ua > udeg:
-            udrop = e if udrop is None else min(udrop, e)
-        elif vb > vdeg:
-            vdrop = e if vdrop is None else min(vdrop, e)
+        if sum(w * x for w, x in zip(weights, n)) > deg:
+            drop = e if drop is None else min(drop, e)
         else:
             kept.append((n, e))
     accs: dict = {}
     for n, e, row in _ladder_walk(kept, quad.d, length):
-        m = monomial(n)
-        if m not in accs:
-            accs[m] = [0] * slots
-        _accumulate(accs[m], int(e * den) - lo, den, row)
-    coeffs: dict = {}
-    for m, acc in accs.items():
-        for i, v in enumerate(acc):
-            if v:
-                coeffs.setdefault(lo + i, {})[m] = v
-    ps = ParamSeries(coeffs, den, order - quad.c, udeg, vdeg, udrop, vdrop)
-    return ps.shift(quad.c)
+        a = sum(w * x for w, x in zip(weights, n))
+        if a not in accs:
+            accs[a] = [0] * slots
+        accumulate(accs[a], int(e * den) - lo, den, row)
+    rows = [QSeries({lo + i: v for i, v in enumerate(accs.get(a, ())) if v},
+                    den, order - quad.c) for a in range(deg + 1)]
+    return ParamSeries(rows, drop).shift(quad.c)
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:

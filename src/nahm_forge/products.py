@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
+from operator import add, sub
 from typing import Optional, Union
 
 from .errors import Divergent
@@ -113,6 +114,13 @@ def div_binom(arr: list, e: int, sign: int):
         for k in range(e, len(arr)):
             if arr[k - e]:
                 arr[k] -= arr[k - e]
+
+
+def accumulate(acc: list, base: int, den: int, row: list):
+    """acc[base + den*k] += row[k] for every k that lands inside acc."""
+    m = min(len(row), (len(acc) - base + den - 1) // den)
+    window = slice(base, base + den * m, den)
+    acc[window] = map(add, acc[window], row[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -323,33 +331,50 @@ def eta_quotient(exps: dict, order: Rat) -> QSeries:
 # Products with a formal parameter
 # ---------------------------------------------------------------------------
 
-def poch_param(sign: int, upow: int, vpow: int, a: Rat, m: Rat,
-               order: Rat, udeg: int, vdeg: int,
+def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
                length: Optional[int] = None) -> ParamSeries:
-    """(sign * u^upow * v^vpow * q^a; q^m)_length as a ParamSeries.
+    """(sign * u^upow * q^a; q^m)_length as a ParamSeries with u-degree cap deg.
 
-    Infinite products stop once the rung exponent reaches the order; the
-    parameter monomial contributes no q-exponent, so convergence holds for
-    a >= 0 provided (upow, vpow) != (0, 0) when a = 0.
+    Each rung (1 - sign*u^upow*q^e) is one pass over dense u-rows: row
+    r - upow, shifted by e, feeds row r, from the top row down.  Infinite
+    products stop once the rung exponent reaches the order; the parameter
+    contributes no q-exponent, so convergence holds for a >= 0 provided
+    upow > 0 when a = 0.
     """
     a = _frac(a)
     m = _frac(m)
     order = _frac(order)
     if m <= 0:
         raise ValueError("step must be positive")
-    if a < 0:
-        raise ValueError("parameter products need a >= 0")
-    if length is None and a == 0 and upow == 0 and vpow == 0 and sign == 1:
+    if a < 0 or upow < 0:
+        raise ValueError("parameter products need a >= 0 and upow >= 0")
+    if length is None and a == 0 and upow == 0 and sign == 1:
         raise Divergent("infinite product with vanishing first factor")
-    out = ParamSeries.one(order, udeg, vdeg)
-    e = a
+    den = lcm(a.denominator, m.denominator)
+    n = max(ceil(order * den), 0)
+    rows = [[0] * n for _ in range(deg + 1)]
+    if n:
+        rows[0][0] = 1
+    op = sub if sign == 1 else add
+    drop = None
+    top = 0                      # rows above top are zero
+    e, step = int(a * den), int(m * den)
     k = 0
-    while (length is None and e < order) or (length is not None and k < length):
-        rung = ParamSeries.one(order, udeg, vdeg) + \
-            ParamSeries.monomial(e, upow, vpow, -sign, order, udeg, vdeg)
-        out = out * rung
-        e += m
+    while e < n and (length is None or k < length):
+        if upow == 0:
+            mul_binom(rows[0], e, sign)     # row 0 is the only nonzero row
+        else:
+            for r in range(top + upow, upow - 1, -1):
+                src = rows[r - upow]
+                if not any(src[:n - e]):
+                    continue
+                if r > deg:
+                    low = Fraction(next(i for i, v in enumerate(src) if v) + e, den)
+                    drop = low if drop is None else min(drop, low)
+                else:
+                    rows[r][e:] = map(op, rows[r][e:], src[:n - e])
+            top = min(top + upow, deg)
+        e += step
         k += 1
-        if length is None and e >= order:
-            break
-    return out
+    return ParamSeries([QSeries({i: v for i, v in enumerate(row) if v}, den, order)
+                        for row in rows], drop)

@@ -5,14 +5,14 @@ grid search over offset vectors b that flags bounded-periodic product forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import NotIntegralLattice, ZeroLeadingTerm
-from .nahm import NahmQuadruple, nahm_sum, quadruple
+from .nahm import nahm_sum, quadruple
 from .series import QSeries, _coeff
 
 Rat = Union[int, Fraction]

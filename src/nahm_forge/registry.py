@@ -6,7 +6,7 @@ Records fall into a few structural families:
 * double (or single) lattice sums against infinite-product sides,
 * Slater-style single sums with factor lengths linear in the index,
 * two-term product combinations (dissection-style right sides),
-* identities carrying one or two formal parameters,
+* identities carrying one formal parameter,
 * the closed product forms of the six parity-restricted vector components.
 
 Most sides are described by small data objects (NahmSide / SingleSide /
@@ -20,20 +20,18 @@ closures.  Conjectural entries can never report better than
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, floor, lcm
 from typing import Callable, Optional, Union
 
 from .errors import UnknownId
 from .nahm import NahmQuadruple, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors, Jm_factors, PochFactor, ProductSpec, div_binom, mul_binom,
+    J_factors, Jm_factors, PochFactor, accumulate, div_binom, mul_binom,
     neg_base_pair, pf, poch, poch_param, product, jacobi_triple,
 )
-from .series import (
-    Mismatch, ParamSeries, QSeries, eq_to_order, eq_to_order_param,
-)
+from .series import ParamSeries, QSeries, eq_to_order, eq_to_order_param
 from . import modular
 
 Rat = Union[int, Fraction]
@@ -142,12 +140,18 @@ def single_sum(spec: SingleSum, order: Rat) -> QSeries:
             raise ValueError("cannot divide by a factor with vanishing base")
         den = lcm(den, lcm(f0.a.denominator, f0.m.denominator))
 
-    top = ceil(order * den)
-    emin_off = min(0, ceil(spec.e0 * den))
-    acc = [0] * (top - emin_off)
-    term = [0] * (top - emin_off)
-    term[0] = 1
-    lengths = [f0.len0 * 0 for f0 in spec.factors]
+    def exponent(n: int) -> Fraction:
+        return spec.e2 * n * n + spec.e1 * n + spec.e0
+
+    # the window starts at the least e(n) over n >= 0, beside the vertex
+    nv = max(0, floor(-spec.e1 / (2 * spec.e2)))
+    lo = int(min(exponent(nv), exponent(nv + 1)) * den)
+    width = max(ceil(order * den) - lo, 0)
+    acc = [0] * width
+    term = [0] * width
+    if width:
+        term[0] = 1
+    lengths = [0] * len(spec.factors)
 
     def apply_rungs(n_to: int):
         for fi, f0 in enumerate(spec.factors):
@@ -163,24 +167,14 @@ def single_sum(spec: SingleSum, order: Rat) -> QSeries:
 
     n = 0
     while True:
-        e = spec.e2 * n * n + spec.e1 * n + spec.e0
+        e = exponent(n)
         if e >= order and 2 * spec.e2 * n + spec.e1 >= 0:
             break
         apply_rungs(n)
         if e < order:
-            base = int(e * den) - emin_off
-            limit = top - emin_off
-            for i, v in enumerate(term):
-                j = base + i
-                if j >= limit:
-                    break
-                if v:
-                    acc[j] += v
+            accumulate(acc, int(e * den) - lo, 1, term)
         n += 1
-    out = {}
-    for i, v in enumerate(acc):
-        if v:
-            out[i + emin_off] = v
+    out = {lo + i: v for i, v in enumerate(acc) if v}
     return QSeries(out, den, order).reduce()
 
 
@@ -266,70 +260,66 @@ def _tri_pairs(*specs):
 
 # -- parameter-carrying constructors ----------------------------------------
 
-def _lebesgue_lhs(order, udeg, vdeg):
+def _lebesgue_lhs(order, deg):
     order = _frac(order)
-    total = ParamSeries({}, 1, order, udeg, vdeg)
+    total = ParamSeries.polynomial([QSeries.zero(order)], deg)
     n = 0
     while F(n * (n + 1), 2) < order:
         e = F(n * (n + 1), 2)
-        term = poch_param(1, 1, 0, 0, 1, order - e, udeg, vdeg, length=n)
+        term = poch_param(1, 1, 0, 1, order - e, deg, length=n)
         term = term.mul_qseries(product((pf(1, 1, 1, n, -1),), order - e))
         total = total + term.shift(e)
         n += 1
     return total
 
 
-def _lebesgue_rhs(order, udeg, vdeg):
-    p = poch_param(1, 1, 0, 1, 2, order, udeg, vdeg)
+def _lebesgue_rhs(order, deg):
+    p = poch_param(1, 1, 1, 2, order, deg)
     return p.mul_qseries(product((pf(-1, 1, 1),), order))
 
 
-def _cao_wang_lhs(order, udeg, vdeg):
+def _cao_wang_lhs(order, deg):
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
-    return nahm_sum_param(quad, order, udeg, vdeg, (1, 2), (0, 0))
+    return nahm_sum_param(quad, order, deg, (1, 2))
 
 
-def _cao_wang_rhs(order, udeg, vdeg):
-    return poch_param(-1, 1, 0, 0, 1, order, udeg, vdeg)
+def _cao_wang_rhs(order, deg):
+    return poch_param(-1, 1, 0, 1, order, deg)
 
 
-def _li_wang_lhs(order, udeg, vdeg):
+def _li_wang_lhs(order, deg):
     quad = quadruple([[1, F(-1, 2)], [-1, 1]], [-1, 0], 0, [2, 4])
-    return nahm_sum_param(quad, order, udeg, vdeg, (0, 1), (0, 0))
+    return nahm_sum_param(quad, order, deg, (0, 1))
 
 
-def _li_wang_rhs(order, udeg, vdeg):
-    p = poch_param(-1, 1, 0, 0, 2, order, udeg, vdeg)
+def _li_wang_rhs(order, deg):
+    p = poch_param(-1, 1, 0, 2, order, deg)
     return p.mul_qseries(product((pf(-1, 0, 2),), order))
 
 
-def _new_exam1_lhs(order, udeg, vdeg):
+def _new_exam1_lhs(order, deg):
     quad = quadruple([[2, 1], [2, 2]], [-3, 0], 0, [2, 4])
-    return nahm_sum_param(quad, order, udeg, vdeg, (1, 2), (0, 0))
+    return nahm_sum_param(quad, order, deg, (1, 2))
 
 
-def _new_exam1_rhs(order, udeg, vdeg):
-    order = _frac(order)
-    p = poch_param(-1, 1, 0, 3, 2, order + 1, udeg, vdeg)
-    tri = ParamSeries.one(order + 1, udeg, vdeg) + \
-        ParamSeries.monomial(1, 1, 0, 1, order + 1, udeg, vdeg) + \
-        ParamSeries.monomial(-1, 1, 0, 1, order + 1, udeg, vdeg)
-    return tri * p
+def _new_exam1_rhs(order, deg):
+    order = _frac(order) + 1
+    tri = ParamSeries.polynomial(        # 1 + u*q + u*q^-1
+        [QSeries.one(order), QSeries({-1: 1, 1: 1}, 1, order)], deg)
+    return tri * poch_param(-1, 1, 3, 2, order, deg)
 
 
-def _new_exam2_lhs(order, udeg, vdeg):
+def _new_exam2_lhs(order, deg):
     quad = quadruple([[1, F(-1, 2)], [-1, 1]], [-3, 3], 0, [2, 4])
-    return nahm_sum_param(quad, order, udeg, vdeg, (0, 0), (0, 1))
+    return nahm_sum_param(quad, order, deg, (0, 1))
 
 
-def _new_exam2_rhs(order, udeg, vdeg):
-    order = _frac(order)
-    p = poch_param(-1, 0, 1, 3, 2, order + 2, udeg, vdeg)
-    tri = ParamSeries.one(order + 2, udeg, vdeg) + \
-        ParamSeries.monomial(1, 0, 1, 1, order + 2, udeg, vdeg) + \
-        ParamSeries.monomial(2, 0, 0, 1, order + 2, udeg, vdeg)
-    out = tri * p
-    out = out.mul_qseries(product((pf(-1, 2, 2),), order + 2))
+def _new_exam2_rhs(order, deg):
+    order = _frac(order) + 2
+    tri = ParamSeries.polynomial(        # 1 + u*q + q^2
+        [QSeries({0: 1, 2: 1}, 1, order), QSeries({1: 1}, 1, order)], deg)
+    out = tri * poch_param(-1, 1, 3, 2, order, deg)
+    out = out.mul_qseries(product((pf(-1, 2, 2),), order))
     return out.shift(-2).scale(2)
 
 
@@ -536,7 +526,7 @@ def _build_registry() -> list[IdentityRecord]:
     add(_prec("li-wang-param", "known", _li_wang_lhs, _li_wang_rhs,
               "Li-Wang parametrized identity", ("u",)))
     add(_prec("thm-new-exam2-param", "theorem", _new_exam2_lhs, _new_exam2_rhs,
-              "new dual companion family", ("v",)))
+              "new dual companion family", ("u",)))
 
     # -- family 3 ------------------------------------------------------------
     mod7 = [((3, 4), "Li-Wang modulus-7 identity"),
@@ -845,19 +835,12 @@ def verify(rid: str, order: int) -> VerifyReport:
     rec = get(rid)
     t0 = time.perf_counter()
     if rec.params:
-        udeg = vdeg = int(order)
-        lhs = rec.lhs(order, udeg, vdeg)
-        rhs = rec.rhs(order, udeg, vdeg)
-        mism = eq_to_order_param(lhs, rhs, _frac(order))
-        if mism is not None:
-            e, up, vp, lv, rv = mism
-            mism = (e, lv, rv)
+        deg = int(order)
+        mism = eq_to_order_param(rec.lhs(order, deg), rec.rhs(order, deg), _frac(order))
     else:
-        lhs = rec.lhs(_frac(order))
-        rhs = rec.rhs(_frac(order))
-        mism = eq_to_order(lhs, rhs, _frac(order))
-        if mism is not None:
-            mism = (mism.exponent, mism.lhs, mism.rhs)
+        mism = eq_to_order(rec.lhs(_frac(order)), rec.rhs(_frac(order)), _frac(order))
+    if mism is not None:
+        mism = (mism.exponent, mism.lhs, mism.rhs)
     ms = int((time.perf_counter() - t0) * 1000)
     if mism is not None:
         result = "fail"

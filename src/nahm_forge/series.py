@@ -10,15 +10,15 @@ Coefficients are kept as plain ``int`` whenever they are integral (the
 overwhelmingly common case) and as :class:`fractions.Fraction` otherwise;
 the two interoperate exactly.
 
-:class:`ParamSeries` extends the coefficient domain to polynomials in up to
-two formal parameters u, v with nonnegative exponents and explicit degree
-caps, supporting exact specialization u -> q^alpha, v -> q^beta.
+:class:`ParamSeries` extends the coefficient domain to polynomials in one
+formal parameter u with an explicit degree cap, stored as one QSeries per
+power of u, supporting exact specialization u -> q^alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import OrderTooLarge, ZeroLeadingTerm
@@ -27,7 +27,7 @@ Rat = Union[int, Fraction]
 
 __all__ = [
     "QSeries", "ParamSeries", "Mismatch",
-    "align", "eq_to_order", "substitute_params",
+    "align", "eq_to_order",
 ]
 
 
@@ -344,265 +344,122 @@ def eq_to_order(s: QSeries, t: QSeries, order: Rat) -> Optional[Mismatch]:
 
 
 # ---------------------------------------------------------------------------
-# Series with formal parameters
+# Series with a formal parameter
 # ---------------------------------------------------------------------------
 
-Mono = tuple[int, int]        # (u-power, v-power), both >= 0
-
-
 class ParamSeries:
-    """Truncated Puiseux series whose coefficients are polynomials in u, v.
+    """Truncated Puiseux series whose coefficients are polynomials in u.
 
-    coeffs maps integer exponent numerators to {(a, b): rational} polynomial
-    dicts with 0 <= a <= udeg, 0 <= b <= vdeg.  Monomials whose degree would
-    exceed a cap are discarded; the smallest q-exponent of any discarded
-    monomial is remembered so that substitute() can attach a sound order.
+    rows[a] is the QSeries coefficient of u^a for 0 <= a <= deg, and every
+    row has the common truncation order.  Terms of u-degree above the cap
+    deg are discarded; drop is a lower bound on the q-exponent of every
+    discarded term (None if none was), so that substitute() can attach a
+    sound order.
     """
 
-    __slots__ = ("den", "order", "udeg", "vdeg", "coeffs", "udrop", "vdrop")
+    __slots__ = ("rows", "order", "drop")
 
-    def __init__(self, coeffs: dict, den: int = 1, order: Rat = Fraction(0),
-                 udeg: int = 0, vdeg: int = 0,
-                 udrop: Optional[Fraction] = None, vdrop: Optional[Fraction] = None):
-        order = _frac(order)
-        self.den = den
+    def __init__(self, rows: list, drop: Optional[Fraction] = None):
+        order = rows[0].order
+        if any(r.order != order for r in rows):
+            raise ValueError("rows must share one truncation order")
+        self.rows = rows
         self.order = order
-        self.udeg = udeg
-        self.vdeg = vdeg
-        self.udrop = udrop
-        self.vdrop = vdrop
-        clean: dict = {}
-        for k, poly in coeffs.items():
-            if Fraction(k, den) >= order:
-                raise ValueError("monomial at or above truncation order")
-            p = {}
-            for (a, b), v in poly.items():
-                if v == 0:
-                    continue
-                if a < 0 or b < 0:
-                    raise ValueError("parameter powers must be nonnegative")
-                if a > udeg or b > vdeg:
-                    raise ValueError("parameter power above its cap")
-                p[(a, b)] = _coeff(v)
-            if p:
-                clean[k] = p
-        self.coeffs = clean
-
-    # -- constructors ------------------------------------------------------
+        self.drop = drop
 
     @classmethod
-    def from_qseries(cls, s: QSeries, udeg: int, vdeg: int) -> "ParamSeries":
-        return cls({k: {(0, 0): v} for k, v in s.coeffs.items()},
-                   s.den, s.order, udeg, vdeg)
+    def polynomial(cls, rows: list, deg: int) -> "ParamSeries":
+        """sum of rows[a] * u^a, padded with zero rows up to the cap deg."""
+        if len(rows) > deg + 1:
+            raise ValueError("more rows than the degree cap allows")
+        return cls(list(rows) + [QSeries.zero(rows[0].order)] * (deg + 1 - len(rows)))
 
-    @classmethod
-    def monomial(cls, exp: Rat, upow: int, vpow: int, coeff: Rat,
-                 order: Rat, udeg: int, vdeg: int) -> "ParamSeries":
-        exp = _frac(exp)
-        if exp >= _frac(order):
-            return cls({}, exp.denominator, order, udeg, vdeg)
-        return cls({exp.numerator: {(upow, vpow): coeff}},
-                   exp.denominator, order, udeg, vdeg)
-
-    @classmethod
-    def one(cls, order: Rat, udeg: int, vdeg: int) -> "ParamSeries":
-        return cls.monomial(0, 0, 0, 1, order, udeg, vdeg)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _caps_match(self, other: "ParamSeries"):
-        if self.udeg != other.udeg or self.vdeg != other.vdeg:
-            raise ValueError("degree caps differ")
-
-    def with_den(self, den: int) -> "ParamSeries":
-        if den == self.den:
-            return self
-        if den % self.den:
-            raise ValueError("den must be a multiple")
-        f = den // self.den
-        return ParamSeries({k * f: dict(p) for k, p in self.coeffs.items()},
-                           den, self.order, self.udeg, self.vdeg,
-                           self.udrop, self.vdrop)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lead_exponent(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return None
-        return Fraction(min(self.coeffs), self.den)
-
-    def __repr__(self):
-        n = sum(len(p) for p in self.coeffs.values())
-        return (f"ParamSeries({n} monomials; den={self.den}, "
-                f"O(q^{self.order}), udeg={self.udeg}, vdeg={self.vdeg})")
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamSeries):
-            return NotImplemented
-        if (self.order, self.udeg, self.vdeg) != (other.order, other.udeg, other.vdeg):
-            return False
-        a = self.with_den(lcm(self.den, other.den))
-        b = other.with_den(a.den)
-        return a.coeffs == b.coeffs
+    @property
+    def deg(self) -> int:
+        return len(self.rows) - 1
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "ParamSeries") -> "ParamSeries":
-        self._caps_match(other)
-        den = lcm(self.den, other.den)
-        a, b = self.with_den(den), other.with_den(den)
-        order = min(a.order, b.order)
-        bound = order * den
-        out = {k: dict(p) for k, p in a.coeffs.items() if k < bound}
-        for k, poly in b.coeffs.items():
-            if k >= bound:
-                continue
-            tgt = out.setdefault(k, {})
-            for m, v in poly.items():
-                w = tgt.get(m, 0) + v
-                if w:
-                    tgt[m] = w
-                else:
-                    tgt.pop(m, None)
-        return ParamSeries(out, den, order, a.udeg, a.vdeg,
-                           _min_drop(a.udrop, b.udrop), _min_drop(a.vdrop, b.vdrop))
-
-    def __neg__(self) -> "ParamSeries":
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
+        _common_deg(self, other)
+        order = min(self.order, other.order)
+        return ParamSeries([a + b if b.coeffs else a.truncate(order)
+                            for a, b in zip(self.rows, other.rows)],
+                           _least(self.drop, other.drop))
 
     def scale(self, r: Rat) -> "ParamSeries":
-        r = _coeff(_frac(r))
-        out = {k: {m: v * r for m, v in p.items()} for k, p in self.coeffs.items()}
-        if r == 0:
-            out = {}
-        return ParamSeries(out, self.den, self.order, self.udeg, self.vdeg,
-                           self.udrop, self.vdrop)
+        return ParamSeries([row.scale(r) for row in self.rows], self.drop)
 
     def shift(self, e: Rat) -> "ParamSeries":
+        """Multiply by q^e."""
         e = _frac(e)
-        den = lcm(self.den, e.denominator)
-        s = self.with_den(den)
-        off = int(e * den)
-        return ParamSeries({k + off: dict(p) for k, p in s.coeffs.items()},
-                           den, s.order + e, s.udeg, s.vdeg,
-                           None if s.udrop is None else s.udrop + e,
-                           None if s.vdrop is None else s.vdrop + e)
+        return ParamSeries([row.shift(e) for row in self.rows],
+                           None if self.drop is None else self.drop + e)
 
     def __mul__(self, other: "ParamSeries") -> "ParamSeries":
-        self._caps_match(other)
-        den = lcm(self.den, other.den)
-        a, b = self.with_den(den), other.with_den(den)
-        la = a.lead_exponent()
-        lb = b.lead_exponent()
-        oa = a.order + (lb if lb is not None else b.order)
-        ob = b.order + (la if la is not None else a.order)
-        order = min(oa, ob)
-        bound = order * den
-        udeg, vdeg = a.udeg, a.vdeg
-        udrop = _min_drop(a.udrop, b.udrop)
-        vdrop = _min_drop(a.vdrop, b.vdrop)
-        out: dict = {}
-        bitems = sorted(b.coeffs.items())
-        for ka, pa in a.coeffs.items():
-            for kb, pb in bitems:
-                k = ka + kb
-                if k >= bound:
-                    break
-                tgt = out.setdefault(k, {})
-                for (a1, b1), v1 in pa.items():
-                    for (a2, b2), v2 in pb.items():
-                        au, bv = a1 + a2, b1 + b2
-                        if au > udeg:
-                            udrop = _min_drop(udrop, Fraction(k, den))
-                            continue
-                        if bv > vdeg:
-                            vdrop = _min_drop(vdrop, Fraction(k, den))
-                            continue
-                        m = (au, bv)
-                        w = tgt.get(m, 0) + v1 * v2
-                        if w:
-                            tgt[m] = w
-                        else:
-                            del tgt[m]
-        out = {k: p for k, p in out.items() if p}
-        return ParamSeries(out, den, order, udeg, vdeg, udrop, vdrop)
+        deg = _common_deg(self, other)
+        a = [(i, r, r.lead()[0]) for i, r in enumerate(self.rows) if r.coeffs]
+        b = [(j, r, r.lead()[0]) for j, r in enumerate(other.rows) if r.coeffs]
+        # The global rule of QSeries.__mul__, with leads taken over all rows.
+        la = min((e for _, _, e in a), default=self.order)
+        lb = min((e for _, _, e in b), default=other.order)
+        order = min(self.order + lb, other.order + la)
+        # A discarded term of one factor meets every term of the other, kept
+        # or discarded, so it lands at or above drop + the other's least term.
+        lo_a, lo_b = _least(self.drop, la), _least(other.drop, lb)
+        drop = _least(None if self.drop is None else self.drop + lo_b,
+                      None if other.drop is None else other.drop + lo_a)
+        rows: dict = {}
+        for i, ra, ea in a:
+            for j, rb, eb in b:
+                if i + j > deg:
+                    drop = _least(drop, ea + eb)
+                else:
+                    t = (ra * rb).truncate(order)
+                    rows[i + j] = rows[i + j] + t if i + j in rows else t
+        zero = QSeries.zero(order)
+        return ParamSeries([rows.get(r, zero) for r in range(deg + 1)], drop)
 
     def mul_qseries(self, s: QSeries) -> "ParamSeries":
-        return self * ParamSeries.from_qseries(s, self.udeg, self.vdeg)
+        return self * ParamSeries.polynomial([s], self.deg)
 
     # -- specialization ------------------------------------------------------
 
-    def substitute(self, alpha: Rat, beta: Rat = 0) -> QSeries:
-        """Specialize u -> q^alpha, v -> q^beta (alpha, beta >= 0).
+    def substitute(self, alpha: Rat) -> QSeries:
+        """Specialize u -> q^alpha (alpha >= 0).
 
-        The attached order is the largest bound below which the retained
-        monomials provably determine the substituted series: the base order,
-        lowered to account for any monomials that were discarded at the
-        degree caps.
+        The attached order is the base order, lowered below the least
+        exponent q^(drop + (deg+1)*alpha) that a discarded term can reach.
         """
         alpha = _frac(alpha)
-        beta = _frac(beta)
-        if alpha < 0 or beta < 0:
-            raise ValueError("substitution exponents must be nonnegative")
+        if alpha < 0:
+            raise ValueError("substitution exponent must be nonnegative")
         order = self.order
-        if self.udrop is not None:
-            order = min(order, self.udrop + (self.udeg + 1) * alpha)
-        if self.vdrop is not None:
-            order = min(order, self.vdrop + (self.vdeg + 1) * beta)
-        den = lcm(self.den, lcm(alpha.denominator, beta.denominator))
-        bound = order * den
-        f = den // self.den
-        out: dict = {}
-        for k, poly in self.coeffs.items():
-            for (a, b), v in poly.items():
-                e = k * f + int((a * alpha + b * beta) * den)
-                if e >= bound:
-                    continue
-                w = out.get(e, 0) + v
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return QSeries(out, den, order).reduce()
+        if self.drop is not None:
+            order = min(order, self.drop + (self.deg + 1) * alpha)
+        out = QSeries.zero(order)
+        for a, row in enumerate(self.rows):
+            if row.coeffs:
+                out = out + row.shift(a * alpha)
+        return out.reduce()
 
 
-def _min_drop(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _least(*xs: Optional[Fraction]) -> Optional[Fraction]:
+    """Least of the values that are not None; None if there are none."""
+    return min((x for x in xs if x is not None), default=None)
 
 
-def substitute_params(p: ParamSeries, alpha: Rat, beta: Rat = 0) -> QSeries:
-    return p.substitute(alpha, beta)
+def _common_deg(s: ParamSeries, t: ParamSeries) -> int:
+    if s.deg != t.deg:
+        raise ValueError("degree caps differ")
+    return s.deg
 
 
-def eq_to_order_param(s: ParamSeries, t: ParamSeries, order: Rat):
-    """Compare ParamSeries coefficient polynomials below `order`.
-
-    Returns None on agreement, else (exponent, upow, vpow, lhs, rhs) of the
-    smallest mismatching monomial.
-    """
-    order = _frac(order)
-    if order > s.order or order > t.order:
-        raise OrderTooLarge(
-            f"comparison order {order} exceeds provable orders "
-            f"({s.order}, {t.order})")
-    den = lcm(s.den, t.den)
-    a, b = s.with_den(den), t.with_den(den)
-    bound = order * den
-    for k in sorted(set(a.coeffs) | set(b.coeffs)):
-        if k >= bound:
-            break
-        pa = a.coeffs.get(k, {})
-        pb = b.coeffs.get(k, {})
-        for m in sorted(set(pa) | set(pb)):
-            va, vb = pa.get(m, 0), pb.get(m, 0)
-            if va != vb:
-                return (Fraction(k, den), m[0], m[1], _frac(va), _frac(vb))
-    return None
+def eq_to_order_param(s: ParamSeries, t: ParamSeries,
+                      order: Rat) -> Optional[Mismatch]:
+    """Compare row by row below `order`; None if equal, else the mismatch of
+    least exponent, taking the lowest u-power on ties."""
+    _common_deg(s, t)
+    found = [(m.exponent, a, m) for a, (x, y) in enumerate(zip(s.rows, t.rows))
+             if (m := eq_to_order(x, y, order)) is not None]
+    return min(found)[2] if found else None

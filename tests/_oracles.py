@@ -183,18 +183,17 @@ def nahm_naive(A, b, c, d, order, box: int, mask=None) -> dict:
     return total
 
 
-def nahm_param_naive(A, b, c, d, order, box: int, uweights, vweights,
-                     udeg: int, vdeg: int, mask=None) -> tuple:
-    """(coeffs, udrop, vdrop) of the Nahm sum carrying u^(uweights . n)
-    v^(vweights . n), by scanning an explicit box.  coeffs maps exponents to
-    {(u-power, v-power): coefficient}; a point whose u-power exceeds udeg
-    (else whose v-power exceeds vdeg) is dropped and only the least exponent
-    among such points is kept, as udrop (vdrop)."""
+def nahm_param_naive(A, b, c, d, order, box: int, weights, deg: int,
+                     mask=None) -> tuple:
+    """(coeffs, drop) of the Nahm sum carrying u^(weights . n), by scanning an
+    explicit box.  coeffs maps exponents to {u-power: coefficient}; a point
+    whose u-power exceeds deg is dropped and only the least exponent among
+    such points is kept, as drop."""
     from itertools import product as iproduct
     r = len(d)
     order = Fraction(order)
-    by_mono = {}
-    udrop = vdrop = None
+    by_pow = {}
+    drop = None
     for n in iproduct(range(box + 1), repeat=r):
         if mask is not None and any(p is not None and ni % 2 != p
                                     for p, ni in zip(mask, n)):
@@ -206,24 +205,20 @@ def nahm_param_naive(A, b, c, d, order, box: int, uweights, vweights,
             e += Fraction(b[i]) * n[i]
         if e >= order:
             continue
-        ua = sum(w * x for w, x in zip(uweights, n))
-        vb = sum(w * x for w, x in zip(vweights, n))
-        if ua > udeg:
-            udrop = e if udrop is None else min(udrop, e)
-            continue
-        if vb > vdeg:
-            vdrop = e if vdrop is None else min(vdrop, e)
+        ua = sum(w * x for w, x in zip(weights, n))
+        if ua > deg:
+            drop = e if drop is None else min(drop, e)
             continue
         term = {e: Fraction(1)}
         for i in range(r):
             den = poch_naive(1, Fraction(d[i]), Fraction(d[i]), n[i], order - e)
             term = ser_mul(term, ser_inv(den, order - e), order)
-        by_mono[(ua, vb)] = ser_add(by_mono.get((ua, vb), {}), term)
+        by_pow[ua] = ser_add(by_pow.get(ua, {}), term)
     coeffs = {}
-    for m, ser in by_mono.items():
+    for ua, ser in by_pow.items():
         for x, v in ser.items():
-            coeffs.setdefault(x, {})[m] = v
-    return coeffs, udrop, vdrop
+            coeffs.setdefault(x, {})[ua] = v
+    return coeffs, drop
 
 
 def peel_naive(coeffs: dict, order, max_n: int) -> tuple:

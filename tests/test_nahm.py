@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
-from nahm_forge.products import pf, poch, poch_param, product
+from nahm_forge.series import eq_to_order, eq_to_order_param
+from nahm_forge.products import pf, poch_param, product
 from nahm_forge.nahm import (
-    NahmQuadruple, box_radius, dual_quadruple, enumerate_lattice, nahm_sum,
-    nahm_sum_param, quadruple,
+    box_radius, dual_quadruple, enumerate_lattice, nahm_sum, nahm_sum_param,
+    quadruple,
 )
-from nahm_forge.candidates import DUAL_PAIRS, FAMILIES, family
+from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
 
 from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts
 
@@ -191,17 +191,25 @@ def test_sums_against_naive_oracles(case, data):
     want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=R, mask=mask)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
 
-    weights = st.tuples(*[st.integers(0, 2)] * r)
-    uw, vw = data.draw(weights), data.draw(weights)
-    udeg, vdeg = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    p = nahm_sum_param(quad, order, udeg, vdeg, uw, vw, mask=mask)
-    coeffs, udrop, vdrop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, R,
-                                            uw, vw, udeg, vdeg, mask=mask)
-    assert {F(k, p.den): poly for k, poly in p.coeffs.items()} == coeffs
-    assert (p.udrop, p.vdrop) == (udrop, vdrop)
+    w = data.draw(st.tuples(*[st.integers(0, 2)] * r))
+    deg = data.draw(st.integers(0, 4))
+    p = nahm_sum_param(quad, order, deg, w, mask=mask)
+    coeffs, drop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, R,
+                                    w, deg, mask=mask)
+    assert _param_coeffs(p) == coeffs
+    assert p.drop == drop
     assert p.order == order
     # the exponent lattice comes from every point below the order, masked or not
-    assert p.den == nahm_sum_param(quad, order, udeg, vdeg, uw, vw).den
+    assert [x.den for x in p.rows] == [x.den for x in nahm_sum_param(quad, order, deg, w).rows]
+
+
+def _param_coeffs(p) -> dict:
+    """{exponent: {u-power: coefficient}} of a ParamSeries."""
+    out = {}
+    for a, row in enumerate(p.rows):
+        for e, v in row.items():
+            out.setdefault(e, {})[a] = F(v)
+    return out
 
 
 RANK3 = [quadruple([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [F(-1, 2), 0, F(1, 2)],
@@ -216,26 +224,26 @@ def test_rank3_sums_against_naive(quad, mask):
     got = nahm_sum(quad, order, mask=mask)
     want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=8, mask=mask)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
-    p = nahm_sum_param(quad, order, 4, 3, (1, 0, 2), (0, 1, 1), mask=mask)
-    coeffs, udrop, vdrop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, 8,
-                                            (1, 0, 2), (0, 1, 1), 4, 3, mask=mask)
-    assert {F(k, p.den): poly for k, poly in p.coeffs.items()} == coeffs
-    assert (p.udrop, p.vdrop) == (udrop, vdrop)
+    p = nahm_sum_param(quad, order, 4, (1, 0, 2), mask=mask)
+    coeffs, drop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, 8,
+                                    (1, 0, 2), 4, mask=mask)
+    assert _param_coeffs(p) == coeffs
+    assert p.drop == drop
 
 
 # -- parameters ----------------------------------------------------------------
 
 def test_param_sum_cao_wang():
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
-    lhs = nahm_sum_param(quad, 25, 25, 0, (1, 2), (0, 0))
-    rhs = poch_param(-1, 1, 0, 0, 1, 25, 25, 0)
+    lhs = nahm_sum_param(quad, 25, 25, (1, 2))
+    rhs = poch_param(-1, 1, 0, 1, 25, 25)
     assert eq_to_order_param(lhs, rhs, 25) is None
 
 
 def test_param_substitution_matches_shifted_quadruple():
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
-    p = nahm_sum_param(quad, 25, 30, 0, (1, 2), (0, 0))
-    got = p.substitute(1, 0)
+    p = nahm_sum_param(quad, 25, 30, (1, 2))
+    got = p.substitute(1)
     shifted = quadruple([[2, 1], [2, 2]], [0, 1], 0, [1, 2])
     want = nahm_sum(shifted, got.order)
     assert eq_to_order(got, want, got.order) is None
@@ -243,10 +251,9 @@ def test_param_substitution_matches_shifted_quadruple():
 
 def test_param_degree_zero_slice():
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
-    p = nahm_sum_param(quad, 12, 25, 0, (1, 2), (0, 0))
+    p = nahm_sum_param(quad, 12, 25, (1, 2))
     # u-degree 0 means n = (0, 0): the constant series 1
-    const = {k: poly[(0, 0)] for k, poly in p.coeffs.items() if (0, 0) in poly}
-    assert const == {0: 1}
+    assert p.rows[0].coeffs == {0: 1}
 
 
 # -- duality -------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, Jm, PochFactor, ProductSpec, eta_quotient, jacobi_triple, neg_base_pair,
-    pf, poch, poch_param, product,
+    J, Jm, ProductSpec, eta_quotient, jacobi_triple, neg_base_pair, pf, poch,
+    poch_param, product,
 )
 
 from _oracles import (
@@ -169,9 +169,16 @@ def test_product_spec_empty_factors():
 
 
 def test_poch_param_matches_specialization():
-    p = poch_param(-1, 1, 0, 0, 1, 20, 20, 0)   # (-u; q)_inf
+    p = poch_param(-1, 1, 0, 1, 20, 20)   # (-u; q)_inf
     for a in (1, 2, 3):
-        got = p.substitute(a, 0)
+        got = p.substitute(a)
         want = poch(pf(-1, a, 1), got.order)
         n = min(got.order, want.order)
         assert eq_to_order(got.truncate(n), want.truncate(n), n) is None
+    # (u^2 q; q)_4 at cap 3 discards u^4 q^3 from the second rung on, so
+    # u = q is exact below q^7; upow 0 is the plain product
+    for upow, deg, length, alpha, order in ((2, 3, 4, 1, 7), (0, 2, None, 5, 30)):
+        got = poch_param(1, upow, 1, 1, 30, deg, length).substitute(alpha)
+        assert got.order == order
+        want = poch(pf(1, 1 + upow * alpha, 1, length), order)
+        assert eq_to_order(got, want, order) is None

@@ -6,11 +6,11 @@ import pytest
 
 from nahm_forge.errors import UnknownId
 from nahm_forge.series import QSeries, eq_to_order
-from nahm_forge.products import pf, product
+from nahm_forge.products import product
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge import registry as R
 
-from _naive import naive_side
+from _naive import naive_side, naive_single_sum
 
 
 def test_registry_shape():
@@ -147,6 +147,15 @@ def test_naive_recomputation_sample():
         got = rec.lhs(F(20))
         got_map = {F(k, got.den): F(v) for k, v in got.coeffs.items()}
         assert got_map == want_l, f"pipeline deviates from oracle for {rec.id}"
+
+
+def test_single_sum_window_starts_at_least_exponent():
+    # e(n) = n^2 - 3n dips to -2 at n = 1, 2, below e(0) = 0
+    spec = R.SingleSum(F(1), F(-3), F(0), ())
+    got = R.single_sum(spec, F(12))
+    want = {F(-2): 2, F(0): 2, F(4): 1, F(10): 1}
+    assert naive_single_sum(spec, 12) == want
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
 
 
 def test_single_sum_cutoff_is_complete():

@@ -1,16 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nahm_forge.errors import OrderTooLarge, ZeroLeadingTerm
 from nahm_forge.series import (
     ParamSeries, QSeries, align, eq_to_order, eq_to_order_param,
-    substitute_params,
 )
-from nahm_forge.products import pf, product
-from nahm_forge.nahm import nahm_sum, quadruple
+from nahm_forge.products import pf, poch_param, product
+from nahm_forge.nahm import nahm_sum, nahm_sum_param, quadruple
 
 from _oracles import partitions_from_parts, partitions_gap2
 
@@ -141,31 +140,63 @@ def test_subst_neg_and_dissection():
 
 # -- ParamSeries -------------------------------------------------------------
 
+def ps(rows, deg, order=10):
+    """ParamSeries from {exponent numerator: coefficient} dicts, one per u-power."""
+    return ParamSeries.polynomial([QSeries(r, 1, order) for r in rows], deg)
+
+
 def test_substitute_simple():
-    p = ParamSeries({0: {(0, 0): 1}, 1: {(1, 0): 1}}, 1, 10, 5, 5)
-    s = p.substitute(1, 0)
+    p = ps([{0: 1}, {1: 1}], 5)
+    s = p.substitute(1)
     assert s.coeffs == {0: 1, 2: 1}
 
 
 def test_substitute_zero_sums_coefficients():
-    p = ParamSeries({1: {(0, 0): 2, (1, 0): 3, (2, 1): -1}}, 1, 10, 5, 5)
-    s = p.substitute(0, 0)
+    p = ps([{1: 2}, {1: 3}, {1: -1}], 5)
+    s = p.substitute(0)
     assert s.coeffs == {1: 4}
 
 
 def test_substitute_tracks_degree_drops():
-    a = ParamSeries.monomial(0, 1, 0, 1, 10, 1, 0)   # u
-    b = ParamSeries.monomial(3, 1, 0, 1, 10, 1, 0)   # u q^3
-    prod = a * b                                     # u^2 q^3 dropped at cap 1
-    assert prod.is_zero()
-    s = prod.substitute(2, 0)
+    a = ps([{}, {0: 1}], 1)        # u
+    b = ps([{}, {3: 1}], 1)        # u q^3
+    prod = a * b                   # u^2 q^3 dropped at cap 1
+    assert all(r.is_zero() for r in prod.rows)
+    s = prod.substitute(2)
     # dropped monomial would land at exponent 3 + 2*2 = 7
     assert s.order == 7
 
 
+def test_drop_follows_the_other_factors_lead():
+    # q^-1 * (u * u q^3 at cap 1): the discarded u^2 q^2 lands at q^6 under
+    # u = q^2, so the product is exact only below q^6
+    inv_q = ps([{-1: 1}], 1)
+    prod = inv_q * (ps([{}, {0: 1}], 1) * ps([{}, {3: 1}], 1))
+    assert prod.drop == 2
+    assert prod.substitute(2).order == 6
+
+
 def test_param_requires_nonnegative_powers():
+    quad = quadruple([[2]], [0], 0, [1])
     with pytest.raises(ValueError):
-        ParamSeries({0: {(-1, 0): 1}}, 1, 5, 3, 3)
+        nahm_sum_param(quad, 5, 3, (-1,))
+    with pytest.raises(ValueError):
+        poch_param(-1, -1, 0, 1, 5, 3)
+
+
+def test_param_rows_share_one_order_and_cap():
+    with pytest.raises(ValueError):
+        ParamSeries([QSeries.one(5), QSeries.one(6)])
+    with pytest.raises(ValueError):
+        ps([{0: 1}], 1) + ps([{0: 1}], 2)
+
+
+def test_eq_to_order_param_least_exponent_then_lowest_power():
+    s = ps([{3: 1}, {3: 1}, {1: 1}], 2)
+    t = ps([{3: 2}, {3: 5}, {1: 1}], 2)
+    m = eq_to_order_param(s, t, 10)
+    assert (m.exponent, m.lhs, m.rhs) == (3, 1, 2)
+    assert eq_to_order_param(s, s, 10) is None
 
 
 # -- hypothesis: ring laws ----------------------------------------------------
@@ -232,29 +263,28 @@ def test_invert_two_sided(s):
 @st.composite
 def param_series_st(draw):
     order = F(draw(st.integers(min_value=4, max_value=20)))
-    n = draw(st.integers(min_value=0, max_value=5))
-    out = {}
-    for _ in range(n):
-        k = draw(st.integers(min_value=0, max_value=int(order) - 1))
-        a = draw(st.integers(min_value=0, max_value=3))
-        b = draw(st.integers(min_value=0, max_value=3))
+    rows = [{}, {}, {}]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        k = draw(st.integers(min_value=-3, max_value=int(order) - 1))
         c = draw(coeffs_st)
         if c:
-            out.setdefault(k, {})[(a, b)] = c
-    return ParamSeries(out, 1, order, 8, 8)
+            rows[draw(st.integers(min_value=0, max_value=2))][k] = c
+    return ps(rows, 2, order)
+
+
+def _agree(s, t):
+    n = min(s.order, t.order)
+    assert eq_to_order(s.truncate(n), t.truncate(n), n) is None
 
 
 @settings(max_examples=100, deadline=None)
-@given(param_series_st(), param_series_st(), st.integers(0, 3), st.integers(0, 3))
-def test_substitution_commutes_with_ring_ops(p, r, alpha, beta):
-    s = (p + r).substitute(alpha, beta)
-    t = p.substitute(alpha, beta) + r.substitute(alpha, beta)
-    n = min(s.order, t.order)
-    assert eq_to_order(s.truncate(n), t.truncate(n), n) is None
-    s = (p * r).substitute(alpha, beta)
-    t = p.substitute(alpha, beta) * r.substitute(alpha, beta)
-    n = min(s.order, t.order)
-    assert eq_to_order(s.truncate(n), t.truncate(n), n) is None
+@given(param_series_st(), param_series_st(), param_series_st(), st.integers(0, 3))
+@example(ps([{}, {}, {0: 1}], 2), ps([{}, {3: 1}], 2), ps([{-1: 1}], 2), 2)
+def test_substitution_commutes_with_ring_ops(p, r, w, alpha):
+    _agree((p + r).substitute(alpha), p.substitute(alpha) + r.substitute(alpha))
+    _agree((p * r).substitute(alpha), p.substitute(alpha) * r.substitute(alpha))
+    _agree((p * r * w).substitute(alpha),
+           p.substitute(alpha) * r.substitute(alpha) * w.substitute(alpha))
 
 
 # -- Euler's q-exponential identities -----------------------------------------
