@@ -361,19 +361,16 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     e, step = int(a * den), int(m * den)
     k = 0
     while e < n and (length is None or k < length):
-        if upow == 0:
-            mul_binom(rows[0], e, sign)     # row 0 is the only nonzero row
-        else:
-            for r in range(top + upow, upow - 1, -1):
-                src = rows[r - upow]
-                if not any(src[:n - e]):
-                    continue
-                if r > deg:
-                    low = Fraction(next(i for i, v in enumerate(src) if v) + e, den)
-                    drop = low if drop is None else min(drop, low)
-                else:
-                    rows[r][e:] = map(op, rows[r][e:], src[:n - e])
-            top = min(top + upow, deg)
+        for r in range(top + upow, upow - 1, -1):
+            src = rows[r - upow]
+            if not any(src[:n - e]):
+                continue
+            if r > deg:
+                low = Fraction(next(i for i, v in enumerate(src) if v) + e, den)
+                drop = low if drop is None else min(drop, low)
+            else:
+                rows[r][e:] = map(op, rows[r][e:], src[:n - e])
+        top = min(top + upow, deg)
         e += step
         k += 1
     return ParamSeries([QSeries({i: v for i, v in enumerate(row) if v}, den, order)

@@ -382,9 +382,7 @@ class ParamSeries:
 
     def __add__(self, other: "ParamSeries") -> "ParamSeries":
         _common_deg(self, other)
-        order = min(self.order, other.order)
-        return ParamSeries([a + b if b.coeffs else a.truncate(order)
-                            for a, b in zip(self.rows, other.rows)],
+        return ParamSeries([a + b for a, b in zip(self.rows, other.rows)],
                            _least(self.drop, other.drop))
 
     def scale(self, r: Rat) -> "ParamSeries":
