@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import NahmForgeError, TailTooLarge, UnknownId
+from .errors import NahmForgeError
 from .nahm import NahmQuadruple, dual_quadruple, nahm_sum, quadruple
 from .recognizer import hunt
 from .series import QSeries
@@ -247,13 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownId, TailTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NahmForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NahmForgeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

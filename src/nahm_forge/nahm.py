@@ -25,7 +25,7 @@ from math import ceil, floor, isqrt, lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import accumulate, div_binom
+from .products import accumulate, stream
 from .series import ParamSeries, QSeries
 
 Rat = Union[int, Fraction]
@@ -244,30 +244,42 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
     yield from walk(0, const)
 
 
-def _ladder_walk(points, d: Sequence[int], length: int):
+def _ladder_walk(points, ladders: Sequence, length: int):
     """Yield (n, e, row) for lexicographically ascending points (n, e), where
-    row holds 1/prod_i (q^{d_i}; q^{d_i})_{n_i} on `length` integer slots.
+    row holds, on `length` integer slots, the product over coordinates k of
+    (sign q^a; q^m)^power of length len0 + len1*n_k (infinite when len0 is
+    None) for every ladder (sign, a, m, power, len0, len1) in ladders[k].
 
-    Row k of the walk holds the product over i <= k.  A point whose first
-    changed coordinate is k advances row k by its new rungs and recopies
-    every deeper row from its parent.  The yielded row is shared: read only.
+    Row k of the walk holds the product over coordinates i <= k.  A point
+    whose first changed coordinate is k advances row k by its new rungs and
+    rebuilds every deeper row from its parent.  The yielded row is shared:
+    read only.
     """
-    r = len(d)
+    r = len(ladders)
     unit = [0] * length
     if length:
         unit[0] = 1
-    rows = [unit[:] for _ in range(r)]
-    cur = [0] * r
+    rows = [None] * r
+    cur = [None] * r
     for n, e in points:
         k = next((i for i in range(r) if n[i] != cur[i]), r)
         for i in range(k, r):
-            if i > k:
-                rows[i] = rows[i - 1][:]
-                cur[i] = 0
-            for step in range(cur[i] + 1, n[i] + 1):
-                div_binom(rows[i], d[i] * step, 1)
+            old = cur[i] if i == k else None
+            if old is None:
+                rows[i] = (rows[i - 1] if i else unit)[:]
+            for sign, a, m, power, len0, len1 in ladders[i]:
+                stop = None if len0 is None else len0 + len1 * n[i]
+                if old is None:
+                    stream(rows[i], sign, a, m, power, 0, stop)
+                elif stop is not None:
+                    stream(rows[i], sign, a, m, power, len0 + len1 * old, stop)
             cur[i] = n[i]
         yield n, e, rows[-1]
+
+
+def _denominators(quad: NahmQuadruple) -> list:
+    """The ladders of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
+    return [[(1, d, d, -1, 0, 1)] for d in quad.d]
 
 
 def _window(quad: NahmQuadruple, order: Fraction):
@@ -288,13 +300,20 @@ def _window(quad: NahmQuadruple, order: Fraction):
 def nahm_sum(quad: NahmQuadruple, order: Rat,
              mask: Optional[ParityMask] = None) -> QSeries:
     """Exact expansion of the generalized Nahm sum below `order`."""
+    return ladder_sum(quad, order, _denominators(quad), mask)
+
+
+def ladder_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
+               mask: Optional[ParityMask] = None) -> QSeries:
+    """Sum below `order` of q^(E(n) + c) times the ladders of each coordinate
+    (see _ladder_walk) over the lattice points n of quad."""
     order = _frac(order)
     pts, den, lo, slots, length = _window(quad, order)
     if not pts:
         return QSeries({}, 1, order)
     acc = [0] * slots
     kept = (p for p in pts if _mask_ok(mask, p[0]))
-    for n, e, row in _ladder_walk(kept, quad.d, length):
+    for n, e, row in _ladder_walk(kept, ladders, length):
         accumulate(acc, int(e * den) - lo, den, row)
     out = {lo + i: v for i, v in enumerate(acc) if v}
     return QSeries(out, den, order - quad.c).shift(quad.c).reduce()
@@ -324,7 +343,7 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
         else:
             kept.append((n, e))
     accs: dict = {}
-    for n, e, row in _ladder_walk(kept, quad.d, length):
+    for n, e, row in _ladder_walk(kept, _denominators(quad), length):
         a = sum(w * x for w, x in zip(weights, n))
         if a not in accs:
             accs[a] = [0] * slots

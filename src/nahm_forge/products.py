@@ -9,6 +9,7 @@ general series multiplication.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
@@ -84,36 +85,36 @@ def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor
 # Binomial-ladder kernel
 # ---------------------------------------------------------------------------
 
-def mul_binom(arr: list, e: int, sign: int):
-    """arr *= (1 - sign*q^e) in place on a dense window, e >= 0; the top
-    slots that would spill past the window are dropped."""
-    if e == 0:
-        c = 1 - sign
-        for k in range(len(arr)):
-            if arr[k]:
-                arr[k] *= c
-    elif sign == 1:
-        for k in range(len(arr) - 1, e - 1, -1):
-            if arr[k - e]:
-                arr[k] -= arr[k - e]
-    else:
-        for k in range(len(arr) - 1, e - 1, -1):
-            if arr[k - e]:
-                arr[k] += arr[k - e]
+def stream(arr: list, sign: int, a: int, m: int, power: int,
+           start: int = 0, stop: Optional[int] = None):
+    """arr *= prod over rungs start <= k < stop of (1 - sign*q^(a+k*m))^power,
+    in place on a dense window whose slot i holds q^i; stop None means the
+    infinite product.
 
-
-def div_binom(arr: list, e: int, sign: int):
-    """arr /= (1 - sign*q^e) in place on a dense window; needs e > 0."""
-    if e <= 0:
-        raise ValueError("can only divide by binomials with positive exponent")
-    if sign == 1:
-        for k in range(e, len(arr)):
-            if arr[k - e]:
-                arr[k] += arr[k - e]
-    else:
-        for k in range(e, len(arr)):
-            if arr[k - e]:
-                arr[k] -= arr[k - e]
+    Needs m > 0 and the first rung's exponent >= 0 (> 0 when dividing).  A
+    rung at or past the top of the window is 1 there, so the stream stops
+    at the top.  Dividing by (1 - q^e) is a running sum along each residue
+    class mod e, and 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e)).
+    """
+    n = len(arr)
+    first = a + start * m
+    end = n if stop is None else min(n, a + stop * m)
+    if first < end and (first < 0 or first == 0 and power < 0):
+        raise ValueError("rung exponents must be nonnegative, positive to divide")
+    for _ in range(abs(power)):
+        for e in range(first, end, m):
+            if power > 0:
+                arr[e:] = map(sub if sign == 1 else add, arr[e:], arr[:n - e])
+                continue
+            if sign == -1:
+                arr[e:] = map(sub, arr[e:], arr[:n - e])
+                e *= 2
+            if e * e < n:
+                for r in range(e):
+                    arr[r::e] = itertools.accumulate(arr[r::e])
+            else:
+                for j in range(e, n, e):
+                    arr[j:j + e] = map(add, arr[j:j + e], arr[j - e:j])
 
 
 def accumulate(acc: list, base: int, den: int, row: list):
@@ -121,91 +122,6 @@ def accumulate(acc: list, base: int, den: int, row: list):
     m = min(len(row), (len(acc) - base + den - 1) // den)
     window = slice(base, base + den * m, den)
     acc[window] = map(add, acc[window], row[:m])
-
-
-# ---------------------------------------------------------------------------
-# Dense window engine
-# ---------------------------------------------------------------------------
-
-class _Dense:
-    """Mutable dense window over exponents (lo+i)/den for 0 <= i < len(a),
-    always covering everything below the truncation order."""
-
-    __slots__ = ("den", "lo", "order", "a")
-
-    def __init__(self, order: Fraction, den: int):
-        self.den = den
-        self.lo = 0
-        self.order = order
-        n = max(ceil(order * den), 0)
-        self.a = [0] * n
-        if n:
-            self.a[0] = 1
-
-    def _top(self) -> int:
-        return ceil(self.order * self.den)
-
-    def mul_binom(self, e: int, sign: int):
-        """Multiply by (1 - sign*q^(e/den))."""
-        if e >= 0:
-            mul_binom(self.a, e, sign)
-            return
-        # e < 0: the window grows downward; top stays at the truncation order
-        a = self.a
-        grow = -e
-        new = [0] * (len(a) + grow)
-        new[grow:] = a
-        for k in range(len(a)):
-            if a[k]:
-                new[k] -= sign * a[k]
-        self.lo += e
-        self.a = new
-
-    def mul_const(self, c: Rat):
-        if c == 1:
-            return
-        self.a = [x * c if x else 0 for x in self.a]
-
-    def apply(self, f: PochFactor):
-        """Stream one PochFactor into the window."""
-        f.check_convergent()
-        den = self.den
-        a_num = f.a * den
-        m_num = f.m * den
-        if a_num.denominator != 1 or m_num.denominator != 1:
-            raise ValueError("factor lattice does not divide the window lattice")
-        a_num, m_num = int(a_num), int(m_num)
-        top = self._top() - min(0, self.lo)
-        for _ in range(abs(f.power)):
-            if f.length is None:
-                e = a_num
-                while e < top:
-                    if f.power > 0:
-                        self.mul_binom(e, f.sign)
-                    else:
-                        div_binom(self.a, e, f.sign)
-                    e += m_num
-            else:
-                e = a_num
-                for _k in range(f.length):
-                    if f.power > 0:
-                        self.mul_binom(e, f.sign)
-                    else:
-                        if e < 0:
-                            raise ValueError("cannot divide by a factor with negative exponents")
-                        if e >= top:
-                            break
-                        div_binom(self.a, e, f.sign)
-                    e += m_num
-
-    def to_qseries(self) -> QSeries:
-        top = self._top()
-        out = {}
-        for i, v in enumerate(self.a):
-            k = self.lo + i
-            if v and k < top:
-                out[k] = v
-        return QSeries(out, self.den, self.order).reduce()
 
 
 def _lattice_den(factors) -> int:
@@ -221,12 +137,32 @@ def poch(f: PochFactor, order: Rat) -> QSeries:
 
 
 def product(factors, order: Rat) -> QSeries:
-    """Expand a product of Pochhammer symbols to the given order."""
+    """Expand a product of Pochhammer symbols to the given order.
+
+    A finite factor's rungs with negative exponent e fold out by
+    1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one shift, so
+    the window holds the exponents from 0 up to the order less that shift
+    and every factor streams into it with nonnegative exponents.
+    """
     order = _frac(order)
-    w = _Dense(order, _lattice_den(factors))
+    den = _lattice_den(factors)
+    const, shift, ladders = 1, 0, []
     for f in factors:
-        w.apply(f)
-    return w.to_qseries()
+        f.check_convergent()
+        s, a, m, p = f.sign, int(f.a * den), int(f.m * den), f.power
+        k = 0 if f.length is None else min(f.length, max(0, -(a // m)))
+        if k:
+            const *= (-s) ** (k * abs(p))
+            shift += p * (k * a + m * k * (k - 1) // 2)
+            ladders.append((s, -(a + (k - 1) * m), m, p, 0, k))
+        ladders.append((s, a, m, p, k, f.length))
+    arr = [0] * max(ceil(order * den) - shift, 0)
+    if arr:
+        arr[0] = 1
+    for ladder in ladders:
+        stream(arr, *ladder)
+    out = {shift + i: const * v for i, v in enumerate(arr) if v}
+    return QSeries(out, den, order).reduce()
 
 
 @dataclass(frozen=True)

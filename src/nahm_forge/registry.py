@@ -9,11 +9,10 @@ Records fall into a few structural families:
 * identities carrying one formal parameter,
 * the closed product forms of the six parity-restricted vector components.
 
-Most sides are described by small data objects (NahmSide / SingleSide /
-ComboSide) interpreted by generic builders; the test suite recomputes a
-random sample of those with an independent naive evaluator.  Irregular sides
-(parameter identities, the vector components) are plain constructor
-closures.  Conjectural entries can never report better than
+Most sides are described by small data objects (NahmSide / SingleSum /
+ComboSide) interpreted by generic builders; the test suite recomputes those
+with an independent naive evaluator.  Irregular sides (parameter identities,
+the vector components' left sides) are plain constructor closures.  Conjectural entries can never report better than
 "conjecture_pass" no matter how far they are checked.
 """
 
@@ -22,14 +21,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil
 from typing import Callable, Optional, Union
 
 from .errors import UnknownId
-from .nahm import NahmQuadruple, nahm_sum, nahm_sum_param, quadruple
+from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors, Jm_factors, PochFactor, accumulate, div_binom, mul_binom,
-    neg_base_pair, pf, poch, poch_param, product, jacobi_triple,
+    J_factors as Jf, Jm_factors as Jmf, neg_base_pair, pf, poch_param, product,
 )
 from .series import ParamSeries, QSeries, eq_to_order, eq_to_order_param
 from . import modular
@@ -101,9 +99,10 @@ class ComboSide:
         order = _frac(order)
         total = QSeries.zero(order)
         for t in self.terms:
-            part = product(t.factors, order - t.shift)
-            if t.body is not None:
-                part = part * single_sum(t.body, order - t.shift)
+            if t.body is None:
+                part = product(t.factors, order - t.shift)
+            else:
+                part = single_sum(t.body, order - t.shift, t.factors)
             total = total + part.shift(t.shift).scale(t.coeff)
         return total
 
@@ -120,62 +119,25 @@ def combo(*terms) -> ComboSide:
     return ComboSide(tuple(out))
 
 
-def single_sum(spec: SingleSum, order: Rat) -> QSeries:
-    """Evaluate a Slater-style single sum with a provable cutoff.
+def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
+    """sum over n >= 0 of q^e(n) * prod(spec.factors), times the fixed
+    product of the PochFactors `factors`, below `order`.
 
-    Factor bases satisfy a >= 0, so every term's lowest exponent is e(n);
-    e2 > 0 makes e(n) eventually increasing and the walk stops as soon as
-    e(n) >= order past the vertex.
+    This is the rank-one Nahm walk of ((2*e2), (e1), e0, (1)): it enumerates
+    exactly the n with e(n) < order and streams every factor as a ladder, so
+    factor bases and steps must be integers with a >= 0.
     """
-    order = _frac(order)
     if spec.e2 <= 0:
         raise ValueError("single sums need quadratic exponent growth")
-    den = 1
-    for x in (spec.e2, spec.e1, spec.e0):
-        den = lcm(den, x.denominator)
-    for f0 in spec.factors:
-        if f0.a < 0:
-            raise ValueError("single-sum factors need a >= 0")
-        if f0.power < 0 and f0.a == 0:
-            raise ValueError("cannot divide by a factor with vanishing base")
-        den = lcm(den, lcm(f0.a.denominator, f0.m.denominator))
-
-    def exponent(n: int) -> Fraction:
-        return spec.e2 * n * n + spec.e1 * n + spec.e0
-
-    # the window starts at the least e(n) over n >= 0, beside the vertex
-    nv = max(0, floor(-spec.e1 / (2 * spec.e2)))
-    lo = int(min(exponent(nv), exponent(nv + 1)) * den)
-    width = max(ceil(order * den) - lo, 0)
-    acc = [0] * width
-    term = [0] * width
-    if width:
-        term[0] = 1
-    lengths = [0] * len(spec.factors)
-
-    def apply_rungs(n_to: int):
-        for fi, f0 in enumerate(spec.factors):
-            target = f0.len1 * n_to + f0.len0
-            while lengths[fi] < target:
-                k = lengths[fi]
-                e = int((f0.a + k * f0.m) * den)
-                if f0.power > 0:
-                    mul_binom(term, e, f0.sign)
-                else:
-                    div_binom(term, e, f0.sign)
-                lengths[fi] += 1
-
-    n = 0
-    while True:
-        e = exponent(n)
-        if e >= order and 2 * spec.e2 * n + spec.e1 >= 0:
-            break
-        apply_rungs(n)
-        if e < order:
-            accumulate(acc, int(e * den) - lo, 1, term)
-        n += 1
-    out = {lo + i: v for i, v in enumerate(acc) if v}
-    return QSeries(out, den, order).reduce()
+    for f in factors:
+        f.check_convergent()
+    ladders = [(f.sign, f.a, f.m, f.power, f.len0, f.len1) for f in spec.factors]
+    ladders += [(f.sign, f.a, f.m, f.power, f.length, 0) for f in factors]
+    if any(a.denominator != 1 or m.denominator != 1 for _, a, m, *rest in ladders):
+        raise ValueError("single-sum factors need integer a and m")
+    ladders = [(sign, int(a), int(m), *rest) for sign, a, m, *rest in ladders]
+    quad = NahmQuadruple(((2 * spec.e2,),), (spec.e1,), spec.e0, (1,))
+    return ladder_sum(quad, order, [ladders])
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +197,6 @@ def _eta(exps: dict) -> ComboSide:
     for m, e in sorted(exps.items()):
         factors.append(pf(1, m, m, None, e))
     return combo((1, 0, tuple(factors)))
-
-
-def _inv(*factors):
-    return tuple(PochFactor(f0.sign, f0.a, f0.m, f0.length, -f0.power)
-                 for f0 in factors)
-
-
-def Jf(a, m, power=1):
-    return J_factors(a, m, power)
-
-
-def Jmf(m, power=1):
-    return Jm_factors(m, power)
 
 
 def _tri_pairs(*specs):
@@ -323,34 +272,26 @@ def _new_exam2_rhs(order, deg):
     return out.shift(-2).scale(2)
 
 
+# (sign, a, m), zexp, tm, pre: component idx of the second vector is
+# q^pre (sign q^a; q^m)_inf J(zexp, tm) / (q^2; q^2)_inf
+_V_CLOSED = (
+    ((1, 1, 2), 16, 28, F(-3, 56)), ((1, 1, 2), 20, 28, F(29, 56)),
+    ((1, 1, 2), 24, 28, F(93, 56)), ((-1, 2, 2), 6, 7, F(25, 56)),
+    ((-1, 2, 2), 4, 7, F(1, 56)), ((-1, 2, 2), 5, 7, F(9, 56)),
+)
+
+
 def _v_component_lhs(idx):
     def build(order):
         order = _frac(order)
-        pre, _ = modular.component_series_v(idx, 8)
-        m = ceil(order - pre) + 2
-        pre, body = modular.component_series_v(idx, m)
+        pre, body = modular.component_series_v(idx, ceil(order - _V_CLOSED[idx][3]) + 2)
         return body.shift(pre).truncate(order)
     return build
 
 
-_V_RHS_DATA = (
-    ((1, 1, 2), 16, 28), ((1, 1, 2), 20, 28), ((1, 1, 2), 24, 28),
-    ((-1, 2, 2), 6, 7), ((-1, 2, 2), 4, 7), ((-1, 2, 2), 5, 7),
-)
-_V_PRE = (F(-3, 56), F(29, 56), F(93, 56), F(25, 56), F(1, 56), F(9, 56))
-
-
-def _v_component_rhs(idx):
-    def build(order):
-        order = _frac(order)
-        pre = _V_PRE[idx]
-        (sg, a, m), zexp, tm = _V_RHS_DATA[idx]
-        body_order = order - pre
-        body = poch(pf(sg, a, m), body_order) * \
-            jacobi_triple(zexp, 1, tm, body_order) * \
-            poch(pf(1, 2, 2), body_order).invert()
-        return body.shift(pre).truncate(order)
-    return build
+def _v_component_rhs(idx) -> ComboSide:
+    (sg, a, m), zexp, tm, pre = _V_CLOSED[idx]
+    return combo((1, pre, (pf(sg, a, m), *Jf(zexp, tm), pf(1, 2, 2, None, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +514,10 @@ def _build_registry() -> list[IdentityRecord]:
 
     # -- vector-component closed forms (exact Puiseux identities) -------------
     for idx in range(6):
-        add(_prec(f"v-closed-{idx + 1}", "theorem",
-                  _v_component_lhs(idx), _v_component_rhs(idx),
-                  "signed-nome component closed form", ()))
+        rhs = _v_component_rhs(idx)
+        add(IdentityRecord(f"v-closed-{idx + 1}", "theorem", _v_component_lhs(idx),
+                           rhs.build, "signed-nome component closed form",
+                           rhs_data=rhs))
 
     # -- family 4: two expressions per sum, plus single-sum splits ------------
     exam4_b = [(0, 0), (-1, 2), (1, 0)]

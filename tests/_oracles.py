@@ -147,7 +147,7 @@ def poch_naive(sign: int, a: Fraction, m: Fraction, length, order: Fraction) -> 
     m = Fraction(m)
     while (length is None and a + k * m < order) or (length is not None and k < length):
         e = a + k * m
-        out = ser_mul(out, {Fraction(0): Fraction(1), e: Fraction(-sign)}, order)
+        out = ser_mul(out, ser_add({Fraction(0): Fraction(1)}, {e: Fraction(-sign)}), order)
         k += 1
         if length is None and a + k * m >= order:
             break

@@ -10,6 +10,7 @@ from nahm_forge.products import (
     poch_param, product,
 )
 
+from _naive import naive_factor
 from _oracles import (
     partition_count, partitions_distinct_from_parts, pentagonal_coeffs,
     poch_naive, ser_mul, triple_product_coeffs,
@@ -50,6 +51,30 @@ def test_negative_exponent_finite_poch():
     # (-q^-1; q^2)_2 = (1 + q^-1)(1 + q) = q^-1 + 2 + q
     s = poch(pf(-1, -1, 2, 2), 5)
     assert s.coeffs == {-1: 1, 0: 2, 1: 1}
+
+
+def test_product_with_negative_finite_factor_in_any_position():
+    # the oracle expands every factor 30 past the order, so that no factor's
+    # negative exponents pull a term it truncated back below the order
+    order, top = F(10), F(40)
+    cases = [(pf(1, -3, 1, 2), (pf(1, 1, 1),)),
+             (pf(-1, F(-5, 2), 1, 4, 2), (pf(1, F(1, 3), 1, None, -1),)),
+             (pf(-1, -1, 2, 3), (pf(1, 1, 2, None, -1), pf(-1, 2, 3),
+                                 pf(1, 1, 1, 3, -1)))]
+    for neg, others in cases:
+        for i in range(len(others) + 1):
+            factors = (*others[:i], neg, *others[i:])
+            want = {F(0): F(1)}
+            for f in factors:
+                want = ser_mul(want, naive_factor(f, top), top)
+            got = product(factors, order)
+            assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == \
+                {e: v for e, v in want.items() if e < order}, factors
+
+
+def test_naive_poch_keeps_a_zero_rung():
+    # (-1; q)_3 = (1 + 1)(1 + q)(1 + q^2)
+    assert poch_naive(-1, F(0), F(1), 3, F(10)) == {F(k): 2 for k in range(4)}
 
 
 def test_J_against_bilateral_oracle():

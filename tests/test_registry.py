@@ -6,7 +6,7 @@ import pytest
 
 from nahm_forge.errors import UnknownId
 from nahm_forge.series import QSeries, eq_to_order
-from nahm_forge.products import product
+from nahm_forge.products import pf, product
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge import registry as R
 
@@ -164,3 +164,21 @@ def test_single_sum_cutoff_is_complete():
     got = rec.lhs(F(80))
     want = naive_side(rec.lhs_data, 80)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+
+
+def test_single_sum_needs_integer_factor_lattice():
+    with pytest.raises(ValueError):
+        R.single_sum(R.SingleSum(F(1), F(0), F(0), (R.sf(1, F(1, 2), 1, 0, 1, -1),)), 10)
+    with pytest.raises(ValueError):
+        R.single_sum(R.SingleSum(F(1), F(0), F(0), ()), 10, (pf(1, 1, F(3, 2)),))
+
+
+def test_every_non_lattice_data_side_against_naive():
+    # every product and single-sum side given as data, at order 20
+    for rec in R.registry():
+        for data, build in ((rec.lhs_data, rec.lhs), (rec.rhs_data, rec.rhs)):
+            if data is None or isinstance(data, R.NahmSide):
+                continue
+            got = build(F(20))
+            want = naive_side(data, 20)
+            assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want, rec.id
