@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,24 +53,27 @@ def _parse_parity(text: str, rank: int):
     return tuple(mask) if any(p is not None for p in mask) else None
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str):
-    """Per-coordinate ranges lo:hi:step joined by ';', inclusive ends."""
+    """Per-coordinate ranges lo:hi:step joined by ';', inclusive ends.  The
+    points are counted before any is built, and a grid of more than
+    MAX_GRID_POINTS is refused."""
     axes = []
     for part in text.split(";"):
         lo_s, hi_s, step_s = part.split(":")
         lo, hi, step = _frac(lo_s), _frac(hi_s), _frac(step_s)
         if step <= 0 or hi < lo:
             raise ValueError("grid ranges need lo <= hi and step > 0")
-        vals = []
-        x = lo
-        while x <= hi:
-            vals.append(x)
-            x += step
-        axes.append(vals)
-    grid = [[]]
-    for axis in axes:
-        grid = [g + [v] for g in grid for v in axis]
-    return [tuple(g) for g in grid]
+        axes.append((lo, step, (hi - lo) // step + 1))
+    size = math.prod(n for _, _, n in axes)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {size} points, more than {MAX_GRID_POINTS}")
+    grid = [()]
+    for lo, step, n in axes:
+        grid = [g + (lo + i * step,) for g in grid for i in range(n)]
+    return grid
 
 
 def _load_quadruple(args) -> tuple[NahmQuadruple, tuple | None]:

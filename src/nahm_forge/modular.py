@@ -33,15 +33,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import TailTooLarge
 from .nahm import nahm_sum, quadruple
-from .series import QSeries
+from .series import QSeries, Rat
 
-Rat = Union[int, Fraction]
 
 TAU_DEFAULT = (1j, 2j, 0.25 + 0.5j, 0.2 + 1.0j, 0.3 + 0.8j)
 

@@ -22,18 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
-from typing import Iterator, Optional, Sequence, Union
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
 from .products import accumulate, stream
-from .series import ParamSeries, QSeries
+from .series import ParamSeries, QSeries, Rat, _frac
 
-Rat = Union[int, Fraction]
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -282,19 +278,38 @@ def _denominators(quad: NahmQuadruple) -> list:
     return [[(1, d, d, -1, 0, 1)] for d in quad.d]
 
 
-def _window(quad: NahmQuadruple, order: Fraction):
-    """All points below `order` (mask-free, so the window does not depend on
-    the mask) and their dense window: (points, den, lo, slots, row length)."""
+def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
+                mask: Optional[ParityMask] = None, grade=None, cap: int = 0):
+    """Rows 0..cap of the sum below `order` of q^(E(n) + c) times the ladders
+    of each coordinate (see _ladder_walk) over the lattice points n of quad,
+    point n going to row grade(n) (row 0 when grade is None).
+
+    Returns (rows, drop), drop being the least E(n) + c of a point whose
+    grade is above cap (None if there is none).  The dense window is sized
+    from every point below `order`, mask or no mask, so it does not depend
+    on the mask.
+    """
+    order = _frac(order)
     bound = order - quad.c
     pts = list(enumerate_lattice(quad, order))
-    if not pts:
-        return pts, 1, 0, 0, 0
-    emin = min(e for _, e in pts)
-    den = 1
-    for _, e in pts:
-        den = lcm(den, e.denominator)
-    lo = floor(emin * den)
-    return pts, den, lo, ceil(bound * den) - lo, ceil(bound - emin) + 1
+    den, lo, slots, length = 1, 0, 0, 0
+    if pts:
+        emin = min(e for _, e in pts)
+        for _, e in pts:
+            den = lcm(den, e.denominator)
+        lo = floor(emin * den)
+        slots, length = ceil(bound * den) - lo, ceil(bound - emin) + 1
+    kept = [p for p in pts if _mask_ok(mask, p[0])]
+    drop = None
+    if grade is not None:
+        drop = min((e + quad.c for n, e in kept if grade(n) > cap), default=None)
+        kept = [p for p in kept if grade(p[0]) <= cap]
+    accs = [[0] * slots for _ in range(cap + 1)]
+    for n, e, row in _ladder_walk(kept, ladders, length):
+        accumulate(accs[grade(n) if grade else 0], int(e * den) - lo, den, row)
+    rows = [QSeries({lo + i: v for i, v in enumerate(acc) if v}, den, bound)
+            .shift(quad.c) for acc in accs]
+    return rows, drop
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,
@@ -307,16 +322,7 @@ def ladder_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
                mask: Optional[ParityMask] = None) -> QSeries:
     """Sum below `order` of q^(E(n) + c) times the ladders of each coordinate
     (see _ladder_walk) over the lattice points n of quad."""
-    order = _frac(order)
-    pts, den, lo, slots, length = _window(quad, order)
-    if not pts:
-        return QSeries({}, 1, order)
-    acc = [0] * slots
-    kept = (p for p in pts if _mask_ok(mask, p[0]))
-    for n, e, row in _ladder_walk(kept, ladders, length):
-        accumulate(acc, int(e * den) - lo, den, row)
-    out = {lo + i: v for i, v in enumerate(acc) if v}
-    return QSeries(out, den, order - quad.c).shift(quad.c).reduce()
+    return _graded_sum(quad, order, ladders, mask)[0][0].reduce()
 
 
 def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
@@ -327,30 +333,13 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
     Substituting u = q^alpha reproduces nahm_sum with b shifted by
     alpha*weights.
     """
-    order = _frac(order)
     if len(weights) != quad.rank:
         raise ValueError("the weight vector must match the rank")
     if any(w < 0 for w in weights):
         raise ValueError("parameter weights must be nonnegative")
-    pts, den, lo, slots, length = _window(quad, order)
-    drop = None
-    kept = []
-    for n, e in pts:
-        if not _mask_ok(mask, n):
-            continue
-        if sum(w * x for w, x in zip(weights, n)) > deg:
-            drop = e if drop is None else min(drop, e)
-        else:
-            kept.append((n, e))
-    accs: dict = {}
-    for n, e, row in _ladder_walk(kept, _denominators(quad), length):
-        a = sum(w * x for w, x in zip(weights, n))
-        if a not in accs:
-            accs[a] = [0] * slots
-        accumulate(accs[a], int(e * den) - lo, den, row)
-    rows = [QSeries({lo + i: v for i, v in enumerate(accs.get(a, ())) if v},
-                    den, order - quad.c) for a in range(deg + 1)]
-    return ParamSeries(rows, drop).shift(quad.c)
+    rows, drop = _graded_sum(quad, order, _denominators(quad), mask,
+                             lambda n: sum(map(mul, weights, n)), deg)
+    return ParamSeries(rows, drop)
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:

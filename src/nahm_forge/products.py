@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from operator import add, sub
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import Divergent
-from .series import ParamSeries, QSeries
-
-Rat = Union[int, Fraction]
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .series import ParamSeries, QSeries, Rat, _frac
 
 
 @dataclass(frozen=True)
@@ -268,46 +262,39 @@ def eta_quotient(exps: dict, order: Rat) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
-               length: Optional[int] = None) -> ParamSeries:
-    """(sign * u^upow * q^a; q^m)_length as a ParamSeries with u-degree cap deg.
+               length: Optional[int] = None, factors=()) -> ParamSeries:
+    """(sign * u^upow * q^a; q^m)_length times the fixed product of the
+    PochFactors `factors`, as a ParamSeries with u-degree cap deg.
 
-    Each rung (1 - sign*u^upow*q^e) is one pass over dense u-rows: row
-    r - upow, shifted by e, feeds row r, from the top row down.  Infinite
-    products stop once the rung exponent reaches the order; the parameter
-    contributes no q-exponent, so convergence holds for a >= 0 provided
-    upow > 0 when a = 0.
+    By the q-binomial theorem (Andrews, The Theory of Partitions, Thm 2.1,
+    Cor. 2.2 and Thm 3.3) the u^(upow*k) row of the symbol is
+        (-sign)^k q^(a*k + m*k(k-1)/2) [length, k],
+    with [L, k] = (q^(m(L-k+1)); q^m)_k / (q^m; q^m)_k and
+    [inf, k] = 1/(q^m; q^m)_k, so each row is one product() call.  The
+    parameter contributes no q-exponent, so convergence holds for a >= 0
+    provided upow > 0 when a = 0.  The first row past the cap,
+    k0 = deg//upow + 1, starts at q^(a*k0 + m*k0(k0-1)/2); as `factors`
+    must have nonnegative rungs, that exponent is drop.
     """
     a = _frac(a)
     m = _frac(m)
     order = _frac(order)
     if m <= 0:
         raise ValueError("step must be positive")
-    if a < 0 or upow < 0:
-        raise ValueError("parameter products need a >= 0 and upow >= 0")
+    if a < 0 or upow < 0 or any(f.a < 0 for f in factors):
+        raise ValueError("parameter products need a >= 0 and upow >= 0, "
+                         "and factors with a >= 0")
     if length is None and a == 0 and upow == 0 and sign == 1:
         raise Divergent("infinite product with vanishing first factor")
-    den = lcm(a.denominator, m.denominator)
-    n = max(ceil(order * den), 0)
-    rows = [[0] * n for _ in range(deg + 1)]
-    if n:
-        rows[0][0] = 1
-    op = sub if sign == 1 else add
-    drop = None
-    top = 0                      # rows above top are zero
-    e, step = int(a * den), int(m * den)
-    k = 0
-    while e < n and (length is None or k < length):
-        for r in range(top + upow, upow - 1, -1):
-            src = rows[r - upow]
-            if not any(src[:n - e]):
-                continue
-            if r > deg:
-                low = Fraction(next(i for i, v in enumerate(src) if v) + e, den)
-                drop = low if drop is None else min(drop, low)
-            else:
-                rows[r][e:] = map(op, rows[r][e:], src[:n - e])
-        top = min(top + upow, deg)
-        e += step
-        k += 1
-    return ParamSeries([QSeries({i: v for i, v in enumerate(row) if v}, den, order)
-                        for row in rows], drop)
+    rows = [QSeries.zero(order)] * (deg + 1)
+    last = length                # the last k to build; None: up to the order
+    if upow and (length is None or deg // upow < length):
+        last = deg // upow       # rows past the cap are dropped
+    k, e = 0, Fraction(0)
+    while e < order and (last is None or k <= last):
+        top = () if length is None else (pf(1, m * (length - k + 1), m, k),)
+        row = product((*top, pf(1, m, m, k, -1), *factors), order - e)
+        r = upow * k
+        rows[r] = rows[r] + row.shift(e).scale((-sign) ** k)
+        k, e = k + 1, e + a + m * k
+    return ParamSeries(rows, e if last != length and e < order else None)

@@ -9,17 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import NotIntegralLattice, ZeroLeadingTerm
 from .nahm import nahm_sum, quadruple
-from .series import QSeries, _coeff
-
-Rat = Union[int, Fraction]
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .series import QSeries, Rat, _coeff, _frac
 
 
 @dataclass(frozen=True)

@@ -22,22 +22,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import UnknownId
 from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
     J_factors as Jf, Jm_factors as Jmf, neg_base_pair, pf, poch_param, product,
 )
-from .series import ParamSeries, QSeries, eq_to_order, eq_to_order_param
+from .series import (
+    ParamSeries, QSeries, Rat, _frac, eq_to_order, eq_to_order_param,
+)
 from . import modular
 
-Rat = Union[int, Fraction]
 F = Fraction
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +207,25 @@ def _tri_pairs(*specs):
 # -- parameter-carrying constructors ----------------------------------------
 
 def _lebesgue_lhs(order, deg):
+    """sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n row by row: by the q-binomial
+    theorem its u^k row is (-1)^k q^(k(k-1)/2)/(q;q)_k times
+    sum_j q^((j+k)(j+k+1)/2)/(q;q)_j, which starts at q^(k^2)."""
     order = _frac(order)
-    total = ParamSeries.polynomial([QSeries.zero(order)], deg)
-    n = 0
-    while F(n * (n + 1), 2) < order:
-        e = F(n * (n + 1), 2)
-        term = poch_param(1, 1, 0, 1, order - e, deg, length=n)
-        term = term.mul_qseries(product((pf(1, 1, 1, n, -1),), order - e))
-        total = total + term.shift(e)
-        n += 1
-    return total
+    rows = [QSeries.zero(order)] * (deg + 1)
+    k = 0
+    while k * k < order and k <= deg:
+        e = F(k * (k - 1), 2)
+        body = SingleSum(F(1, 2), k + F(1, 2), F(k * (k + 1), 2),
+                         (sf(1, 1, 1, 0, 1, -1),))
+        row = single_sum(body, order - e, (pf(1, 1, 1, k, -1),))
+        rows[k] = row.shift(e).scale((-1) ** k)
+        k += 1
+    drop = (deg + 1) ** 2
+    return ParamSeries(rows, drop if drop < order else None)
 
 
 def _lebesgue_rhs(order, deg):
-    p = poch_param(1, 1, 1, 2, order, deg)
-    return p.mul_qseries(product((pf(-1, 1, 1),), order))
+    return poch_param(1, 1, 1, 2, order, deg, factors=(pf(-1, 1, 1),))
 
 
 def _cao_wang_lhs(order, deg):
@@ -242,8 +243,7 @@ def _li_wang_lhs(order, deg):
 
 
 def _li_wang_rhs(order, deg):
-    p = poch_param(-1, 1, 0, 2, order, deg)
-    return p.mul_qseries(product((pf(-1, 0, 2),), order))
+    return poch_param(-1, 1, 0, 2, order, deg, factors=(pf(-1, 0, 2),))
 
 
 def _new_exam1_lhs(order, deg):
@@ -264,12 +264,10 @@ def _new_exam2_lhs(order, deg):
 
 
 def _new_exam2_rhs(order, deg):
-    order = _frac(order) + 2
-    tri = ParamSeries.polynomial(        # 1 + u*q + q^2
-        [QSeries({0: 1, 2: 1}, 1, order), QSeries({1: 1}, 1, order)], deg)
-    out = tri * poch_param(-1, 1, 3, 2, order, deg)
-    out = out.mul_qseries(product((pf(-1, 2, 2),), order))
-    return out.shift(-2).scale(2)
+    order = _frac(order)
+    tri = ParamSeries.polynomial(        # 2*q^-2 * (1 + u*q + q^2)
+        [QSeries({-2: 2, 0: 2}, 1, order), QSeries({-1: 2}, 1, order)], deg)
+    return tri * poch_param(-1, 1, 3, 2, order + 2, deg, factors=(pf(-1, 2, 2),))
 
 
 # (sign, a, m), zexp, tm, pre: component idx of the second vector is

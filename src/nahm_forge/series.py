@@ -385,15 +385,6 @@ class ParamSeries:
         return ParamSeries([a + b for a, b in zip(self.rows, other.rows)],
                            _least(self.drop, other.drop))
 
-    def scale(self, r: Rat) -> "ParamSeries":
-        return ParamSeries([row.scale(r) for row in self.rows], self.drop)
-
-    def shift(self, e: Rat) -> "ParamSeries":
-        """Multiply by q^e."""
-        e = _frac(e)
-        return ParamSeries([row.shift(e) for row in self.rows],
-                           None if self.drop is None else self.drop + e)
-
     def __mul__(self, other: "ParamSeries") -> "ParamSeries":
         deg = _common_deg(self, other)
         a = [(i, r, r.lead()[0]) for i, r in enumerate(self.rows) if r.coeffs]
@@ -417,9 +408,6 @@ class ParamSeries:
                     rows[i + j] = rows[i + j] + t if i + j in rows else t
         zero = QSeries.zero(order)
         return ParamSeries([rows.get(r, zero) for r in range(deg + 1)], drop)
-
-    def mul_qseries(self, s: QSeries) -> "ParamSeries":
-        return self * ParamSeries.polynomial([s], self.deg)
 
     # -- specialization ------------------------------------------------------
 

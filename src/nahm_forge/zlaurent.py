@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, isfinite, isqrt
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import WindowOverflow
 from .products import pf, poch
-from .series import QSeries
-
-Rat = Union[int, Fraction]
+from .series import QSeries, Rat
 
 
 def _ct_window(order: int) -> int:

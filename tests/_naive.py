@@ -24,6 +24,14 @@ def naive_factor(f, order):
     return out
 
 
+def negative_size(f):
+    """|power| times the sum of |a + k*m| over the negative rungs of a
+    finite PochFactor (an infinite one has none)."""
+    if f.length is None:
+        return 0
+    return abs(f.power) * sum(max(0, -(f.a + k * f.m)) for k in range(f.length))
+
+
 def naive_single_sum(spec: SingleSum, order, nmax=60):
     total = {}
     for n in range(nmax):
@@ -53,13 +61,17 @@ def naive_side(side, order, box=90):
     if isinstance(side, ComboSide):
         total = {}
         for t in side.terms:
+            # A factor's terms reach the product lowered by at most the
+            # negative rung exponents of the other factors, so expanding
+            # every factor by the total of all of them, and truncating the
+            # product afterwards, loses nothing below the order.
+            top = order - t.shift + sum(negative_size(f) for f in t.factors)
             part = {F(0): F(1)}
             for f in t.factors:
-                part = ser_mul(part, naive_factor(f, order - t.shift), order - t.shift)
+                part = ser_mul(part, naive_factor(f, top), top)
             if t.body is not None:
-                part = ser_mul(part, naive_single_sum(t.body, order - t.shift),
-                               order - t.shift)
-            part = {e + t.shift: v for e, v in part.items()}
+                part = ser_mul(part, naive_single_sum(t.body, top), top)
+            part = {e + t.shift: v for e, v in part.items() if e < order - t.shift}
             total = ser_add(total, ser_scale(part, t.coeff))
         return total
     raise TypeError(f"no naive interpretation for {type(side).__name__}")

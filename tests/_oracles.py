@@ -154,6 +154,32 @@ def poch_naive(sign: int, a: Fraction, m: Fraction, length, order: Fraction) -> 
     return out
 
 
+def poch_param_naive(sign: int, upow: int, a, m, length, order, deg: int) -> tuple:
+    """(coeffs, drop) of (sign u^upow q^a; q^m)_length by literal
+    multiplication of the binomials (1 - sign u^upow q^e).  coeffs maps
+    (u-power, exponent) to a coefficient; a term of u-power above deg is
+    discarded, and drop is the least exponent below `order` among the
+    discarded terms (None if there is none)."""
+    a, m, order = Fraction(a), Fraction(m), Fraction(order)
+    out = {(0, Fraction(0)): Fraction(1)} if order > 0 else {}
+    drop = None
+    k = 0
+    while (length is None or k < length) and a + k * m < order:
+        e = a + k * m
+        nxt = dict(out)
+        for (p, x), v in out.items():
+            if x + e >= order:
+                continue
+            if p + upow > deg:
+                drop = x + e if drop is None else min(drop, x + e)
+                continue
+            key = (p + upow, x + e)
+            nxt[key] = nxt.get(key, 0) - sign * v
+        out = {key: v for key, v in nxt.items() if v}
+        k += 1
+    return out, drop
+
+
 def nahm_naive(A, b, c, d, order, box: int, mask=None) -> dict:
     """Nahm sum by scanning an explicit box, fully naive arithmetic."""
     from itertools import product as iproduct

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,15 @@ def test_grid_parser():
     grid = _parse_grid("-1:1:1/2;0:1:1")
     assert (F(-1), F(0)) in grid and (F(1, 2), F(1)) in grid
     assert len(grid) == 10
+
+
+def test_oversized_grid_refused_before_it_is_built(capsys):
+    # 1,000,001 points: counted from the ranges, refused with exit code 2
+    t0 = time.perf_counter()
+    code = main(HUNT_ARGS[:5] + ["--b-grid=0:1000000:1", "--order", "40"])
+    assert code == 2 and time.perf_counter() - t0 < 1
+    assert "more than 100000" in capsys.readouterr().err
+    assert len(_parse_grid("0:1:1/2;0:4:1/4;0:100:1")) == 3 * 17 * 101
 
 
 def test_jobs_env_default(monkeypatch):

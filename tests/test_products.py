@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ from nahm_forge.products import (
 from _naive import naive_factor
 from _oracles import (
     partition_count, partitions_distinct_from_parts, pentagonal_coeffs,
-    poch_naive, ser_mul, triple_product_coeffs,
+    poch_naive, poch_param_naive, ser_mul, triple_product_coeffs,
 )
 
 
@@ -207,3 +208,30 @@ def test_poch_param_matches_specialization():
         assert got.order == order
         want = poch(pf(1, 1 + upow * alpha, 1, length), order)
         assert eq_to_order(got, want, order) is None
+
+
+def test_poch_param_matches_literal_binomials():
+    # every row and drop against the binomials multiplied out one by one
+    grid = itertools.product((1, -1), range(4), (0, 1, F(1, 2), 3), (1, 2, F(3, 2)),
+                             (None, 0, 1, 4), (0, 1, 3, 6), (0, 7, F(29, 2)))
+    for sign, upow, a, m, length, deg, order in grid:
+        if length is None and a == 0 and upow == 0 and sign == 1:
+            continue   # (1; q^m)_inf, divergent
+        p = poch_param(sign, upow, a, m, order, deg, length)
+        got = {(r, F(k, row.den)): v
+               for r, row in enumerate(p.rows) for k, v in row.coeffs.items()}
+        assert [row.order for row in p.rows] == [order] * (deg + 1)
+        assert (got, p.drop) == poch_param_naive(sign, upow, a, m, length, order, deg), \
+            (sign, upow, a, m, length, deg, order)
+
+
+def test_poch_param_fixed_factors_go_into_every_row():
+    # (-u q; q^2)_inf (-q; q)_inf row by row against the rows times the product
+    plain = poch_param(-1, 1, 1, 2, 20, 6)
+    both = poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(-1, 1, 1),))
+    extra = product((pf(-1, 1, 1),), 20)
+    assert both.drop == plain.drop
+    for r, row in zip(plain.rows, both.rows):
+        assert eq_to_order(r * extra, row, 20) is None
+    with pytest.raises(ValueError):
+        poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))

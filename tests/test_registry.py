@@ -11,6 +11,7 @@ from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge import registry as R
 
 from _naive import naive_side, naive_single_sum
+from _oracles import poch_naive, poch_param_naive, ser_add, ser_inv, ser_mul
 
 
 def test_registry_shape():
@@ -182,3 +183,34 @@ def test_every_non_lattice_data_side_against_naive():
             got = build(F(20))
             want = naive_side(data, 20)
             assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want, rec.id
+
+
+def test_naive_side_expands_past_negative_rungs():
+    # (q^-3; q)_2 lowers the terms of (q; q)_inf by up to 5, so the oracle
+    # must expand (q; q)_inf past the order to keep q^7 and q^9
+    side = R.combo((1, 0, (pf(1, 1, 1), pf(1, -3, 1, 2))))
+    got = product((pf(1, 1, 1), pf(1, -3, 1, 2)), 10)
+    assert naive_side(side, 10) == {e: F(v) for e, v in got.items()}
+
+
+@pytest.mark.parametrize("deg", [0, 2, 30])
+def test_lebesgue_lhs_against_literal_sum(deg):
+    # sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n term by term, u kept formal
+    order = F(30)
+    rows, drop = {}, None
+    n = 0
+    while n * (n + 1) // 2 < order:
+        e = F(n * (n + 1), 2)
+        poch, low = poch_param_naive(1, 1, 0, 1, n, order - e, deg)
+        inv = ser_inv(poch_naive(1, F(1), F(1), n, order - e), order - e)
+        for r in range(deg + 1):
+            row = {x + e: v for (p, x), v in poch.items() if p == r}
+            rows[r] = ser_add(rows.get(r, {}), ser_mul(row, inv, order))
+        if low is not None:
+            drop = low + e if drop is None else min(drop, low + e)
+        n += 1
+    lhs = R.get("lebesgue-param").lhs(order, deg)
+    assert lhs.drop == drop
+    for r, row in enumerate(lhs.rows):
+        assert row.order == order
+        assert {e: F(v) for e, v in row.items()} == rows.get(r, {}), r
