@@ -24,7 +24,7 @@ def main():
                                    jobs=args.jobs, param_order=args.param_order)
     reports += registry.verify_all(args.conjecture_order,
                                    status_filter="conjecture", jobs=args.jobs)
-    fails = [r for r in reports if r.result == "fail"]
+    fails = [r for r in reports if r.result in ("fail", "error")]
     for r in reports:
         print(f"{r.id:24s} {r.status:10s} order {r.order:4d} "
               f"{r.result:15s} {r.ms:6d} ms")

@@ -119,8 +119,9 @@ def cmd_verify_all(args) -> int:
     reports = registry.verify_all(args.order, status_filter=args.status_filter,
                                   jobs=args.jobs, param_order=args.param_order)
     payload = [r.to_json() for r in reports]
-    lines = [f"{r.id}: {r.result} (order {r.order}, {r.ms} ms)" for r in reports]
-    n_fail = sum(1 for r in reports if r.result == "fail")
+    lines = [f"{r.id}: {r.result} (order {r.order}, {r.ms} ms)"
+             + (f"; {r.error}" if r.error else "") for r in reports]
+    n_fail = sum(1 for r in reports if r.result in ("fail", "error"))
     lines.append(f"# {len(reports)} records, {n_fail} failures")
     _emit(args, payload, "\n".join(lines))
     return 1 if n_fail else 0

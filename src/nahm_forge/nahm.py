@@ -240,37 +240,46 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
     yield from walk(0, const)
 
 
-def _ladder_walk(points, ladders: Sequence, length: int):
-    """Yield (n, e, row) for lexicographically ascending points (n, e), where
-    row holds, on `length` integer slots, the product over coordinates k of
-    (sign q^a; q^m)^power of length len0 + len1*n_k (infinite when len0 is
-    None) for every ladder (sign, a, m, power, len0, len1) in ladders[k].
+def _ladder_walk(points: Sequence, reads: Sequence, ladders: Sequence):
+    """Yield, for each of the lexicographically ascending points n, the
+    product over coordinates k of (sign q^a; q^m)^power of length
+    len0 + len1*n_k (infinite when len0 is None) for every ladder
+    (sign, a, m, power, len0, len1) in ladders[k], exact on at least its
+    first reads[j] integer slots for the j-th point.
 
     Row k of the walk holds the product over coordinates i <= k.  A point
     whose first changed coordinate is k advances row k by its new rungs and
-    rebuilds every deeper row from its parent.  The yielded row is shared:
-    read only.
+    rebuilds every deeper row from its parent.  Row k only serves the
+    points from here on that share n_0..n_(k-1), so it is cut to the most
+    slots one of those reads, which never grows along the walk.  The
+    yielded row is shared: read only.
     """
     r = len(ladders)
-    unit = [0] * length
-    if length:
-        unit[0] = 1
-    rows = [None] * r
-    cur = [None] * r
-    for n, e in points:
-        k = next((i for i in range(r) if n[i] != cur[i]), r)
+    needs, run, later = [], [0] * r, None
+    for n, read in zip(reversed(points), reversed(reads)):
+        same = 0 if later is None else next(
+            (i for i in range(r) if n[i] != later[i]), r)
+        run = [max(x, read) if i <= same else read for i, x in enumerate(run)]
+        needs.append(run)
+        later = n
+    rows, cur = [None] * r, None
+    for n, need in zip(points, reversed(needs)):
+        k = 0 if cur is None else next((i for i in range(r) if n[i] != cur[i]), r)
         for i in range(k, r):
-            old = cur[i] if i == k else None
-            if old is None:
-                rows[i] = (rows[i - 1] if i else unit)[:]
+            if i == k and cur is not None:
+                row = rows[i]
+                del row[need[i]:]
+                for sign, a, m, power, len0, len1 in ladders[i]:
+                    if len0 is not None:
+                        stream(row, sign, a, m, power, len0 + len1 * cur[i],
+                               len0 + len1 * n[i])
+                continue
+            row = rows[i] = rows[i - 1][:need[i]] if i else [1] + [0] * (need[0] - 1)
             for sign, a, m, power, len0, len1 in ladders[i]:
                 stop = None if len0 is None else len0 + len1 * n[i]
-                if old is None:
-                    stream(rows[i], sign, a, m, power, 0, stop)
-                elif stop is not None:
-                    stream(rows[i], sign, a, m, power, len0 + len1 * old, stop)
-            cur[i] = n[i]
-        yield n, e, rows[-1]
+                stream(row, sign, a, m, power, 0, stop)
+        cur = n
+        yield rows[-1]
 
 
 def _denominators(quad: NahmQuadruple) -> list:
@@ -292,21 +301,24 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
     order = _frac(order)
     bound = order - quad.c
     pts = list(enumerate_lattice(quad, order))
-    den, lo, slots, length = 1, 0, 0, 0
+    den, lo, slots = 1, 0, 0
     if pts:
-        emin = min(e for _, e in pts)
         for _, e in pts:
             den = lcm(den, e.denominator)
-        lo = floor(emin * den)
-        slots, length = ceil(bound * den) - lo, ceil(bound - emin) + 1
+        lo = floor(min(e for _, e in pts) * den)
+        slots = ceil(bound * den) - lo
     kept = [p for p in pts if _mask_ok(mask, p[0])]
     drop = None
     if grade is not None:
         drop = min((e + quad.c for n, e in kept if grade(n) > cap), default=None)
         kept = [p for p in kept if grade(p[0]) <= cap]
     accs = [[0] * slots for _ in range(cap + 1)]
-    for n, e, row in _ladder_walk(kept, ladders, length):
-        accumulate(accs[grade(n) if grade else 0], int(e * den) - lo, den, row)
+    points = [n for n, _ in kept]
+    bases = [int(e * den) - lo for _, e in kept]
+    # point n reads the slots base + den*j < slots of its row
+    reads = [(slots - base + den - 1) // den for base in bases]
+    for n, base, row in zip(points, bases, _ladder_walk(points, reads, ladders)):
+        accumulate(accs[grade(n) if grade else 0], base, den, row)
     rows = [QSeries({lo + i: v for i, v in enumerate(acc) if v}, den, bound)
             .shift(quad.c) for acc in accs]
     return rows, drop

@@ -4,7 +4,9 @@ and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 Every factor is a ladder of binomials (1 - sign*q^(a+k*m)); multiplying or
 dividing a dense coefficient window by one binomial is a single O(length)
 pass, so whole products are expanded by streaming binomials instead of
-general series multiplication.
+general series multiplication.  Infinite products of many rungs are built
+instead from their exponents by the log-derivative recurrence, when that
+costs fewer passes (see product).
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import Divergent
-from .series import ParamSeries, QSeries, Rat, _frac
+from .series import ParamSeries, QSeries, Rat, _coeff, _frac
 
 
 @dataclass(frozen=True)
@@ -130,29 +132,94 @@ def poch(f: PochFactor, order: Rat) -> QSeries:
     return product([f], order)
 
 
+def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
+    """The first n coefficients of prod over e >= 1 of (1 - q^e)^exps[e].
+
+    This is the log-derivative recurrence of prodmake (Andrews, q-Series,
+    CBMS 66, 1986, section 10.7) run forwards: q f'/f = sum_k g_k q^k with
+    g_k = -sum_(e|k) e*exps[e], so c_0 = 1 and j c_j = sum_(k=1..j) g_k c_(j-k),
+    about n^2/2 multiply-adds in all.  With integral exponents every c_j is
+    an integer and each division is exact; otherwise the c_j are Fractions.
+    """
+    g = [0] * n
+    for e, p in exps.items():
+        if p and e < n:
+            for k in range(e, n, e):
+                g[k] -= e * p
+    c = [1] if n else []
+    for j in range(1, n):
+        s = sum(map(mul, g[1:j + 1], c[::-1]))
+        if integral:
+            cj, r = divmod(s, j)
+            assert not r, "log-derivative recurrence: inexact division"
+        else:
+            cj = _coeff(Fraction(s, j))
+        c.append(cj)
+    return c
+
+
+def _by_ladder(infinite, n: int) -> list:
+    """prod (sign q^a; q^m)_inf^power over (sign, a, m, power) in infinite,
+    on n integer slots, one rung pass at a time."""
+    arr = [0] * n
+    if n:
+        arr[0] = 1
+    for sign, a, m, power in infinite:
+        stream(arr, sign, a, m, power)
+    return arr
+
+
+def _by_recurrence(infinite, n: int) -> list:
+    """The same product as _by_ladder, from its exponent map by
+    exponent_product; 1 + q^e = (1 - q^(2e)) / (1 - q^e) turns a rung of
+    sign -1 into two."""
+    exps: dict = {}
+    for sign, a, m, power in infinite:
+        for e in range(a, n, m):
+            exps[e] = exps.get(e, 0) + sign * power
+            if sign == -1:
+                exps[2 * e] = exps.get(2 * e, 0) + power
+    return exponent_product(exps, n)
+
+
+def _rung_passes(infinite, n: int) -> int:
+    """The dense passes _by_ladder makes over a window of n slots."""
+    return sum(abs(power) * len(range(a, n, m)) for _, a, m, power in infinite)
+
+
 def product(factors, order: Rat) -> QSeries:
     """Expand a product of Pochhammer symbols to the given order.
 
-    A finite factor's rungs with negative exponent e fold out by
-    1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one shift, so
-    the window holds the exponents from 0 up to the order less that shift
-    and every factor streams into it with nonnegative exponents.
+    The infinite factors with a > 0 are one product of (1 - q^e)^(p_e).  A
+    rung pass of the ladder and a step of exponent_product each cost about
+    one dense pass over the window, so the recurrence builds them when the
+    ladder would make more rung passes than the window has slots, and the
+    ladder otherwise.  The a = 0 factor and the finite factors then stream
+    into that window.  A finite factor's rungs with negative exponent e fold
+    out by 1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one
+    shift, so the window holds the exponents from 0 up to the order less
+    that shift and every factor streams into it with nonnegative exponents.
     """
     order = _frac(order)
     den = _lattice_den(factors)
-    const, shift, ladders = 1, 0, []
+    const, shift, infinite, ladders = 1, 0, [], []
     for f in factors:
         f.check_convergent()
         s, a, m, p = f.sign, int(f.a * den), int(f.m * den), f.power
+        if f.length is None and a > 0:
+            infinite.append((s, a, m, p))
+            continue
         k = 0 if f.length is None else min(f.length, max(0, -(a // m)))
         if k:
             const *= (-s) ** (k * abs(p))
             shift += p * (k * a + m * k * (k - 1) // 2)
             ladders.append((s, -(a + (k - 1) * m), m, p, 0, k))
         ladders.append((s, a, m, p, k, f.length))
-    arr = [0] * max(ceil(order * den) - shift, 0)
-    if arr:
-        arr[0] = 1
+    n = max(ceil(order * den) - shift, 0)
+    if _rung_passes(infinite, n) > n:
+        arr = _by_recurrence(infinite, n)
+    else:
+        arr = _by_ladder(infinite, n)
     for ladder in ladders:
         stream(arr, *ladder)
     out = {shift + i: const * v for i, v in enumerate(arr) if v}

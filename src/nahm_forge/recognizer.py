@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import NotIntegralLattice, ZeroLeadingTerm
 from .nahm import nahm_sum, quadruple
+from .products import exponent_product
 from .series import QSeries, Rat, _coeff, _frac
 
 
@@ -56,20 +57,12 @@ class ExponentProfile:
 
         Exact below min(order, delta + len(a) + 1): the scanned exponents
         determine nothing beyond the last peeled index.  This is the peel's
-        recurrence run backwards: g_m = -sum_(d|m) d a_d, c_0 = 1 and
-        m c_m = sum_(k=1..m) g_k c_(m-k).
+        recurrence run backwards (products.exponent_product).
         """
         order = _frac(order)
         arr_order = min(order - self.delta, Fraction(len(self.a) + 1))
-        n_slots = max(ceil(arr_order), 0)
-        g = [0] * n_slots
-        for d in range(1, n_slots):
-            for m in range(d, n_slots, d):
-                g[m] -= d * self.a[d - 1]
-        g = [_coeff(_frac(x)) for x in g]   # integral profiles stay in ints
-        c = [1] if n_slots else []
-        for m in range(1, n_slots):
-            c.append(_coeff(Fraction(sum(map(mul, g[1:m + 1], c[::-1])), m)))
+        exps = {d: _coeff(_frac(x)) for d, x in enumerate(self.a, 1)}
+        c = exponent_product(exps, max(ceil(arr_order), 0), self.is_integral())
         out = {k: v for k, v in enumerate(c) if v}
         return QSeries(out, 1, arr_order).shift(self.delta).scale(self.const)
 

@@ -159,17 +159,21 @@ class VerifyReport:
     id: str
     status: str
     order: int
-    result: str                # "pass" | "fail" | "conjecture_pass"
+    result: str                # "pass" | "fail" | "conjecture_pass" | "error"
     first_mismatch: Optional[tuple]
     ms: int
+    error: Optional[str] = None    # the exception, when result is "error"
 
     def to_json(self) -> dict:
         fm = None
         if self.first_mismatch is not None:
             e, lhs, rhs = self.first_mismatch
             fm = {"exp": str(e), "lhs": str(lhs), "rhs": str(rhs)}
-        return {"id": self.id, "status": self.status, "order": self.order,
-                "result": self.result, "first_mismatch": fm, "ms": self.ms}
+        out = {"id": self.id, "status": self.status, "order": self.order,
+               "result": self.result, "first_mismatch": fm, "ms": self.ms}
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _rec(rid, status, lhs_data, rhs_data, anchor, note="") -> IdentityRecord:
@@ -790,8 +794,16 @@ def verify(rid: str, order: int) -> VerifyReport:
 
 
 def _verify_worker(args) -> VerifyReport:
+    """verify() one (id, order) task; an exception becomes a report with
+    result "error", so one bad record cannot abort a sweep."""
     rid, order = args
-    return verify(rid, order)
+    t0 = time.perf_counter()
+    try:
+        return verify(rid, order)
+    except Exception as exc:
+        ms = int((time.perf_counter() - t0) * 1000)
+        return VerifyReport(rid, get(rid).status, int(order), "error", None, ms,
+                            f"{type(exc).__name__}: {exc}")
 
 
 def verify_all(order: int, status_filter: Optional[str] = None,

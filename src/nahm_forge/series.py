@@ -58,11 +58,12 @@ class QSeries:
         if den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
         order = _frac(order)
+        top = ceil(order * den)     # integer keys k lie below order iff k < top
         clean = {}
         for k, v in coeffs.items():
             if v == 0:
                 continue
-            if Fraction(k, den) >= order:
+            if k >= top:
                 raise ValueError(
                     f"coefficient at q^{Fraction(k, den)} is at or above order {order}")
             clean[k] = _coeff(v)
@@ -170,8 +171,8 @@ class QSeries:
             raise OrderTooLarge(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        bound = order * self.den
-        return QSeries({k: v for k, v in self.coeffs.items() if k < bound},
+        top = ceil(order * self.den)
+        return QSeries({k: v for k, v in self.coeffs.items() if k < top},
                        self.den, order)
 
     # -- ring ops ----------------------------------------------------------
@@ -179,7 +180,7 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         a, b = align(self, other)
         order = min(a.order, b.order)
-        bound = order * a.den
+        top = ceil(order * a.den)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
             w = out.get(k, 0) + v
@@ -187,7 +188,7 @@ class QSeries:
                 out[k] = w
             else:
                 out.pop(k, None)
-        return QSeries({k: v for k, v in out.items() if k < bound}, a.den, order)
+        return QSeries({k: v for k, v in out.items() if k < top}, a.den, order)
 
     def __neg__(self) -> "QSeries":
         return QSeries({k: -v for k, v in self.coeffs.items()}, self.den, self.order)
@@ -204,7 +205,7 @@ class QSeries:
         oa = a.order + (lb[0] if lb else b.order)
         ob = b.order + (la[0] if la else a.order)
         order = min(oa, ob)
-        bound = order * a.den
+        top = ceil(order * a.den)
         out: dict = {}
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
@@ -212,7 +213,7 @@ class QSeries:
         for ka, va in a.coeffs.items():
             for kb, vb in bitems:
                 k = ka + kb
-                if k >= bound:
+                if k >= top:
                     break
                 w = out.get(k, 0) + va * vb
                 if w:
@@ -263,11 +264,11 @@ class QSeries:
                 t[i] = -acc
         inv_c = _coeff(Fraction(1, 1) / _frac(c))
         out = {}
-        bound = order * s.den
+        top = ceil(order * s.den)
         for i, v in enumerate(t):
             if v:
                 k = i - base
-                if k < bound:
+                if k < top:
                     out[k] = _coeff(v * inv_c)
         return QSeries(out, s.den, order)
 
@@ -333,9 +334,9 @@ def eq_to_order(s: QSeries, t: QSeries, order: Rat) -> Optional[Mismatch]:
             f"comparison order {order} exceeds provable orders "
             f"({s.order}, {t.order})")
     a, b = align(s, t)
-    bound = order * a.den
+    top = ceil(order * a.den)
     diff = [k for k in set(a.coeffs) | set(b.coeffs)
-            if k < bound and a.coeffs.get(k, 0) != b.coeffs.get(k, 0)]
+            if k < top and a.coeffs.get(k, 0) != b.coeffs.get(k, 0)]
     if not diff:
         return None
     k = min(diff)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
-from math import sqrt
+from math import ceil, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
 from nahm_forge.series import eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, poch_param, product
+from nahm_forge import nahm
 from nahm_forge.nahm import (
     box_radius, dual_quadruple, enumerate_lattice, nahm_sum, nahm_sum_param,
     quadruple,
@@ -229,6 +230,40 @@ def test_rank3_sums_against_naive(quad, mask):
                                     (1, 0, 2), 4, mask=mask)
     assert _param_coeffs(p) == coeffs
     assert p.drop == drop
+
+
+# Its first prefix n_0 = 0 reaches no point of least E, so row 0 must keep
+# the slots that the later prefix n_0 = 1 reads after advancing in place.
+DIPPED = quadruple([[4, 2], [6, 4]], [-3, -2], 0, [1, 3])
+
+
+def test_dipped_first_prefix_lies_above_the_minimum():
+    pts = list(enumerate_lattice(DIPPED, 12))
+    assert min(e for n, e in pts if n[0] == 0) == 0
+    assert min(e for _, e in pts) == -1
+
+
+@pytest.mark.parametrize("quad", [DIPPED, *RANK3])
+def test_walk_rows_never_grow_and_are_trimmed(quad, monkeypatch):
+    order = 12
+    emin = min(e for _, e in enumerate_lattice(quad, order))
+    lengths = {}          # id(row) -> (row, its length at each stream call)
+    real = nahm.stream
+
+    def spy(row, *args):
+        lengths.setdefault(id(row), (row, []))[1].append(len(row))
+        real(row, *args)
+
+    monkeypatch.setattr(nahm, "stream", spy)
+    got = nahm_sum(quad, order)
+    assert lengths
+    for _, seen in lengths.values():
+        assert seen == sorted(seen, reverse=True), "a walk row grew"
+    # rows under a prefix whose points all lie above emin are cut short
+    full = ceil(order - quad.c - emin)
+    assert min(seen[-1] for _, seen in lengths.values()) < full
+    want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=12)
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
 
 
 # -- parameters ----------------------------------------------------------------

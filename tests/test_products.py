@@ -3,12 +3,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nahm_forge import products
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, Jm, ProductSpec, eta_quotient, jacobi_triple, neg_base_pair, pf, poch,
-    poch_param, product,
+    J, Jm, ProductSpec, _by_ladder, _by_recurrence, _rung_passes, eta_quotient,
+    exponent_product, jacobi_triple, neg_base_pair, pf, poch, poch_param, product,
 )
 
 from _naive import naive_factor
@@ -235,3 +238,71 @@ def test_poch_param_fixed_factors_go_into_every_row():
         assert eq_to_order(r * extra, row, 20) is None
     with pytest.raises(ValueError):
         poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
+
+
+# -- the planner: recurrence or ladder for the infinite factors -----------------
+
+def _routed(factors, order, passes):
+    """product() with the planner's cost replaced, to force one route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "_rung_passes", lambda infinite, n: passes)
+        return product(factors, order)
+
+
+@st.composite
+def _factor_sets(draw):
+    fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from((1, -1)))
+        power = draw(st.integers(-6, 6))
+        m = draw(fracs.filter(lambda x: x > 0))
+        kind = draw(st.sampled_from(("infinite", "finite", "zero")))
+        if kind == "infinite":
+            factors.append(pf(sign, draw(fracs.filter(lambda x: x > 0)), m, None, power))
+        elif kind == "zero":                     # (-1; q^m)_inf = 2 (-q^m; q^m)_inf
+            factors.append(pf(-1, 0, m, None, abs(power) or 1))
+        else:                                    # may have negative rungs
+            a, length = draw(fracs), draw(st.integers(0, 4))
+            if power < 0 and any(a + k * m == 0 for k in range(length)):
+                power = -power                   # no division by a zero rung
+            factors.append(pf(sign, a, m, length, power))
+    return tuple(factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factor_sets(), st.fractions(min_value=0, max_value=12, max_denominator=2))
+def test_planned_product_equals_pure_ladder(factors, order):
+    ladder = _routed(factors, order, -1)
+    assert product(factors, order) == ladder
+    assert _routed(factors, order, float("inf")) == ladder
+
+
+def test_routes_agree_on_both_sides_of_the_cost_boundary():
+    n = 40
+    sets = [((1, 1, 1, 1),), ((1, 1, 1, 2),),                  # 39 and 78 passes
+            ((-1, 2, 2, -1), (1, 3, 2, 1)),                    # 19 + 19
+            ((-1, 2, 2, -1), (1, 3, 2, 2)),                    # 19 + 38
+            ((1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)),     # 1/J(1,5): 23
+            ((1, 4, 4, 14), (1, 2, 2, -14))]                   # 126 + 266
+    sides = set()
+    for infinite in sets:
+        sides.add(_rung_passes(infinite, n) > n)
+        assert _by_recurrence(infinite, n) == _by_ladder(infinite, n)
+    assert sides == {True, False}
+
+
+def test_planner_routes_of_registry_products():
+    # 1/J(1,5) at order 400 stays on the ladder; j1-four's
+    # (q^4;q^4)^14 / (q^2;q^2)^14 takes the recurrence
+    n = 400
+    assert _rung_passes([(1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)], n) <= n
+    assert _rung_passes([(1, 4, 4, 14), (1, 2, 2, -14)], n) > n
+
+
+def test_exponent_product_euler_and_square_root():
+    assert dict(enumerate(exponent_product({e: 1 for e in range(1, 40)}, 40))) \
+        == {k: pentagonal_coeffs(40).get(k, 0) for k in range(40)}
+    half = exponent_product({1: F(1, 2)}, 12, integral=False)
+    assert ser_mul(dict(enumerate(half)), dict(enumerate(half)), F(12)) == {0: 1, 1: -1}
+    assert exponent_product({}, 0) == [] and exponent_product({3: 5}, 1) == [1]

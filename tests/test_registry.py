@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 import random
 from fractions import Fraction as F
 
@@ -214,3 +216,65 @@ def test_lebesgue_lhs_against_literal_sum(deg):
     for r, row in enumerate(lhs.rows):
         assert row.order == order
         assert {e: F(v) for e, v in row.items()} == rows.get(r, {}), r
+
+
+def _side_fails(order, *deg):
+    raise ZeroDivisionError("side failed")
+
+
+@pytest.fixture
+def bad_record(monkeypatch):
+    """A conjectural record whose right side raises, added to the registry."""
+    rec = R.IdentityRecord("bad-side", "conjecture", R.get("rr-1").lhs,
+                           _side_fails, "test")
+    monkeypatch.setattr(R, "_REGISTRY", [*R.registry(), rec])
+    monkeypatch.setattr(R, "_BY_ID", {**R._BY_ID, rec.id: rec})
+    return rec
+
+
+def test_verify_all_reports_a_raising_record(bad_record):
+    with pytest.raises(ZeroDivisionError):
+        R.verify(bad_record.id, 20)            # verify itself still raises
+    seq = R.verify_all(20, status_filter="conjecture")
+    assert [r.id for r in seq][-1] == bad_record.id
+    err = seq[-1]
+    assert err.result == "error" and err.first_mismatch is None
+    assert err.error == "ZeroDivisionError: side failed"
+    assert err.to_json()["error"] == err.error
+    assert all(r.result == "conjecture_pass" for r in seq[:-1])
+    assert "error" not in seq[0].to_json()
+    if multiprocessing.get_start_method() == "fork":   # workers see the record
+        par = R.verify_all(20, status_filter="conjecture", jobs=2)
+        assert [(r.id, r.result, r.error) for r in par] == \
+            [(r.id, r.result, r.error) for r in seq]
+
+
+def test_verify_all_cli_counts_errors_as_failures(bad_record, capsys):
+    from nahm_forge.cli import main
+    code = main(["verify-all", "--order", "20", "--status-filter", "conjecture"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "bad-side: error (order 20" in out and "ZeroDivisionError" in out
+    assert "# 14 records, 1 failures" in out
+
+
+# sha256 over both sides of every record: the 89 without a parameter at
+# order 200, the 5 with one at order 60 and degree 60 (their drop included);
+# each series as (den, order, sorted (key, coefficient) pairs).
+PINNED_SIDES = "78419c247b360b83791eeb00f4fb53aefbd3d01108db333b230c525fa173e6a7"
+
+
+def test_outputs_pinned():
+    def canon(s):
+        return (s.den, str(s.order), sorted((k, str(v)) for k, v in s.coeffs.items()))
+
+    h = hashlib.sha256()
+    for rec in R.registry():
+        if rec.params:
+            for s in (rec.lhs(60, 60), rec.rhs(60, 60)):
+                h.update(repr((rec.id, str(s.drop), [canon(r) for r in s.rows])).encode())
+        else:
+            for s in (rec.lhs(F(200)), rec.rhs(F(200))):
+                h.update(repr((rec.id, canon(s))).encode())
+    assert sum(1 for r in R.registry() if r.params) == 5
+    assert h.hexdigest() == PINNED_SIDES
