@@ -9,8 +9,7 @@ from .errors import (
 )
 from .series import ParamSeries, QSeries, align, eq_to_order
 from .products import (
-    J, Jm, PochFactor, ProductSpec, eta_quotient, jacobi_triple, pf, poch,
-    product,
+    J, Jm, PochFactor, eta_quotient, jacobi_triple, pf, poch, product,
 )
 from .nahm import (
     NahmQuadruple, dual_quadruple, enumerate_lattice, nahm_sum,

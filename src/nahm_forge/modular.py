@@ -13,7 +13,9 @@ Andrews, The Theory of Partitions, 1976, ch. 2).
 The vectors are evaluated along two independent pipelines: (i) exact
 truncated series from the lattice-sum engine evaluated with a rigorous tail
 bound, and (ii) direct numeric infinite products and theta sums with
-computed cutoff errors.  Transformation checks drive pipeline (ii) on both
+computed cutoff errors.  Pipeline (ii) evaluates both vectors from one table
+of product forms, PRODUCT_FORMS, from which the registry also builds its
+exact component records.  Transformation checks drive pipeline (ii) on both
 sides (its cutoffs adapt to the mapped point); pipeline agreement is itself
 a named check run at the default sample points.
 
@@ -388,12 +390,12 @@ def component_series_u(idx: int, order: int) -> tuple[Fraction, QSeries]:
 
 @lru_cache(maxsize=64)
 def component_series_v(idx: int, order: int) -> tuple[Fraction, QSeries]:
-    """Same data with q -> -q folded in; the root-of-unity prefactors of the
-    second vector cancel against the half-integer exponents, leaving exact
-    rational series."""
-    sigma, b, pre = _COMPONENT_DATA[idx]
-    quad = quadruple(_BASE_QUAD, b, 0, (1, 2))
-    s = nahm_sum(quad, order, mask=(sigma, None)).reduce()
+    """The idx-th component of the first vector with q -> -q folded in; the
+    root-of-unity prefactors of the second vector cancel against the
+    half-integer exponents, leaving exact rational series."""
+    pre, s = component_series_u(idx, order)
+    s = s.reduce()
+    sigma, b, _ = _COMPONENT_DATA[idx]
     if sigma == 1:
         # odd-slot exponents live in shift + Z; the defined root-of-unity
         # prefactor exactly cancels exp(pi i shift), leaving a rational series
@@ -421,26 +423,38 @@ def _eval_vec_series(component, tau: complex, order: int) -> tuple[np.ndarray, f
     return vals, tail
 
 
-# product/theta shapes of the six components: U uses the parity product
-# forms, V the eta/Weber-times-theta closed forms.
-_U_PRODUCT_DATA = (
-    # (prefactor exponent, poch (sign, a, m), triple (m, zexp, base_sign, z_sign))
-    (-3 / 56, (-1, 1, 2), (28, 12, 1, 1)),
-    (29 / 56, (-1, 1, 2), (28, 8, 1, 1)),
-    (93 / 56, (-1, 1, 2), (28, 4, 1, 1)),
-    (25 / 56, (-1, 2, 2), (7, 1, -1, -1)),
-    (1 / 56, (-1, 2, 2), (7, 3, -1, -1)),
-    (9 / 56, (-1, 2, 2), (7, 2, -1, 1)),
-)
+# The product forms of the twelve components: component idx of vector vec is
+# q^pre (sign q^a; q^m)_inf T / (q^2; q^2)_inf, with (pre, (sign, a, m),
+# triple) = PRODUCT_FORMS[vec][idx] and T the bilateral sum _theta_triple.
+PRODUCT_FORMS = {
+    "u": (
+        # (prefactor exponent, poch (sign, a, m), triple (m, zexp, base_sign, z_sign))
+        (Fraction(-3, 56), (-1, 1, 2), (28, 12, 1, 1)),
+        (Fraction(29, 56), (-1, 1, 2), (28, 8, 1, 1)),
+        (Fraction(93, 56), (-1, 1, 2), (28, 4, 1, 1)),
+        (Fraction(25, 56), (-1, 2, 2), (7, 1, -1, -1)),
+        (Fraction(1, 56), (-1, 2, 2), (7, 3, -1, -1)),
+        (Fraction(9, 56), (-1, 2, 2), (7, 2, -1, 1)),
+    ),
+    "v": (
+        (Fraction(-3, 56), (1, 1, 2), (28, 16, 1, 1)),
+        (Fraction(29, 56), (1, 1, 2), (28, 20, 1, 1)),
+        (Fraction(93, 56), (1, 1, 2), (28, 24, 1, 1)),
+        (Fraction(25, 56), (-1, 2, 2), (7, 6, 1, 1)),
+        (Fraction(1, 56), (-1, 2, 2), (7, 4, 1, 1)),
+        (Fraction(9, 56), (-1, 2, 2), (7, 5, 1, 1)),
+    ),
+}
 
 
-def _eval_u_products(tau: complex, eps: float) -> tuple[np.ndarray, float]:
+def _eval_products(vec: str, tau: complex, eps: float) -> tuple[np.ndarray, float]:
+    rows = PRODUCT_FORMS[vec]
     vals = np.zeros(6, dtype=complex)
     err = 0.0
     den, dre = _ladder(tau, 1, 2, 2, eps)
     # three components share each numerator ladder; evaluate each once
-    pochs = {poch: _ladder(tau, *poch, eps) for poch in {row[1] for row in _U_PRODUCT_DATA}}
-    for idx, (pre, poch, triple) in enumerate(_U_PRODUCT_DATA):
+    pochs = {poch: _ladder(tau, *poch, eps) for poch in {row[1] for row in rows}}
+    for idx, (pre, poch, triple) in enumerate(rows):
         num, nre = pochs[poch]
         th, te = _theta_triple(tau, *triple, eps)
         p = qpow(tau, pre)
@@ -448,35 +462,6 @@ def _eval_u_products(tau: complex, eps: float) -> tuple[np.ndarray, float]:
         vals[idx] = v
         err += abs(v) * (nre + dre + 1e-14) + abs(p * num / den) * te
     return vals, err
-
-
-_V_CLOSED_DATA = (
-    # (weber: 1 for f1, 2 for f2; theta j; theta argument scale)
-    (1, 1, 2.0), (1, 3, 2.0), (1, 5, 2.0),
-    (2, 5, 0.5), (2, 1, 0.5), (2, 3, 0.5),
-)
-
-
-def _eval_v_products(tau: complex, eps: float) -> tuple[np.ndarray, float]:
-    vals = np.zeros(6, dtype=complex)
-    err = 0.0
-    q12 = qpow(tau, 1 / 12)
-    eta_v, eta_re = _ladder(tau, 1, 2, 2, eps)
-    eta_full = q12 * eta_v
-    f1_v, f1_re = _ladder(tau, 1, 1, 2, eps)
-    f2_v, f2_re = _ladder(tau, -1, 2, 2, eps)
-    weber = {1: (qpow(tau, -1 / 24) * f1_v, f1_re), 2: (q12 * f2_v, f2_re)}
-    for idx, (wf, j, sc) in enumerate(_V_CLOSED_DATA):
-        th, te = _theta_sum(tau * sc, j, 7, eps, alternating=True)
-        w, wre = weber[wf]
-        v = w / eta_full * th
-        vals[idx] = v
-        err += abs(v) * (wre + eta_re + 1e-14) + abs(w / eta_full) * te
-    return vals, err
-
-
-def _eval_products(vec: str, tau: complex, eps: float) -> tuple[np.ndarray, float]:
-    return _eval_u_products(tau, eps) if vec == "u" else _eval_v_products(tau, eps)
 
 
 _ROUTE_ORDER = 60

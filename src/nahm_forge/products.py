@@ -48,17 +48,6 @@ class PochFactor:
         if self.a < 0 or (self.a == 0 and self.sign == 1):
             raise Divergent(f"infinite product with base {self.sign}*q^{self.a}")
 
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "a": str(self.a), "m": str(self.m),
-                "len": "inf" if self.length is None else self.length,
-                "pow": self.power}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PochFactor":
-        ln = d["len"]
-        return cls(int(d["sign"]), Fraction(d["a"]), Fraction(d["m"]),
-                   None if ln == "inf" else int(ln), int(d["pow"]))
-
 
 def pf(sign: int, a: Rat, m: Rat, length: Optional[int] = None,
        power: int = 1) -> PochFactor:
@@ -226,36 +215,6 @@ def product(factors, order: Rat) -> QSeries:
     return QSeries(out, den, order).reduce()
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Normal form of a product side: const * q^delta * prod(factors)."""
-    delta: Fraction = Fraction(0)
-    const: Fraction = Fraction(1)
-    factors: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", _frac(self.delta))
-        object.__setattr__(self, "const", _frac(self.const))
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    def evaluate(self, order: Rat) -> QSeries:
-        order = _frac(order)
-        body = product(self.factors, order - self.delta)
-        out = body.shift(self.delta)
-        if self.const != 1:
-            out = out.scale(self.const)
-        return out
-
-    def to_json(self) -> dict:
-        return {"delta": str(self.delta), "const": str(self.const),
-                "factors": [f.to_json() for f in self.factors]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ProductSpec":
-        return cls(Fraction(d["delta"]), Fraction(d["const"]),
-                   tuple(PochFactor.from_json(x) for x in d["factors"]))
-
-
 # ---------------------------------------------------------------------------
 # Named products
 # ---------------------------------------------------------------------------
@@ -329,19 +288,18 @@ def eta_quotient(exps: dict, order: Rat) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
-               length: Optional[int] = None, factors=()) -> ParamSeries:
-    """(sign * u^upow * q^a; q^m)_length times the fixed product of the
+               factors=()) -> ParamSeries:
+    """(sign * u^upow * q^a; q^m)_inf times the fixed product of the
     PochFactors `factors`, as a ParamSeries with u-degree cap deg.
 
-    By the q-binomial theorem (Andrews, The Theory of Partitions, Thm 2.1,
-    Cor. 2.2 and Thm 3.3) the u^(upow*k) row of the symbol is
-        (-sign)^k q^(a*k + m*k(k-1)/2) [length, k],
-    with [L, k] = (q^(m(L-k+1)); q^m)_k / (q^m; q^m)_k and
-    [inf, k] = 1/(q^m; q^m)_k, so each row is one product() call.  The
-    parameter contributes no q-exponent, so convergence holds for a >= 0
-    provided upow > 0 when a = 0.  The first row past the cap,
-    k0 = deg//upow + 1, starts at q^(a*k0 + m*k0(k0-1)/2); as `factors`
-    must have nonnegative rungs, that exponent is drop.
+    By the q-binomial theorem (Andrews, The Theory of Partitions, Thm 2.1
+    and Cor. 2.2) the u^(upow*k) row of the symbol is
+        (-sign)^k q^(a*k + m*k(k-1)/2) / (q^m; q^m)_k,
+    so each row is one product() call.  The parameter contributes no
+    q-exponent, so convergence holds for a >= 0 provided upow > 0 when
+    a = 0.  The first row past the cap, k0 = deg//upow + 1, starts at
+    q^(a*k0 + m*k0(k0-1)/2); as `factors` must have nonnegative rungs, that
+    exponent is drop.
     """
     a = _frac(a)
     m = _frac(m)
@@ -351,17 +309,14 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     if a < 0 or upow < 0 or any(f.a < 0 for f in factors):
         raise ValueError("parameter products need a >= 0 and upow >= 0, "
                          "and factors with a >= 0")
-    if length is None and a == 0 and upow == 0 and sign == 1:
+    if a == 0 and upow == 0 and sign == 1:
         raise Divergent("infinite product with vanishing first factor")
     rows = [QSeries.zero(order)] * (deg + 1)
-    last = length                # the last k to build; None: up to the order
-    if upow and (length is None or deg // upow < length):
-        last = deg // upow       # rows past the cap are dropped
+    last = deg // upow if upow else None   # rows past the cap are dropped
     k, e = 0, Fraction(0)
     while e < order and (last is None or k <= last):
-        top = () if length is None else (pf(1, m * (length - k + 1), m, k),)
-        row = product((*top, pf(1, m, m, k, -1), *factors), order - e)
+        row = product((pf(1, m, m, k, -1), *factors), order - e)
         r = upow * k
         rows[r] = rows[r] + row.shift(e).scale((-sign) ** k)
         k, e = k + 1, e + a + m * k
-    return ParamSeries(rows, e if last != length and e < order else None)
+    return ParamSeries(rows, e if last is not None and e < order else None)

@@ -200,14 +200,6 @@ def _eta(exps: dict) -> ComboSide:
     return combo((1, 0, tuple(factors)))
 
 
-def _tri_pairs(*specs):
-    """Ladder pairs for a triple product over a negative base q-step."""
-    out = []
-    for sign, a, m in specs:
-        out.extend(neg_base_pair(sign, a, m))
-    return tuple(out)
-
-
 # -- parameter-carrying constructors ----------------------------------------
 
 def _lebesgue_lhs(order, deg):
@@ -274,26 +266,31 @@ def _new_exam2_rhs(order, deg):
     return tri * poch_param(-1, 1, 3, 2, order + 2, deg, factors=(pf(-1, 2, 2),))
 
 
-# (sign, a, m), zexp, tm, pre: component idx of the second vector is
-# q^pre (sign q^a; q^m)_inf J(zexp, tm) / (q^2; q^2)_inf
-_V_CLOSED = (
-    ((1, 1, 2), 16, 28, F(-3, 56)), ((1, 1, 2), 20, 28, F(29, 56)),
-    ((1, 1, 2), 24, 28, F(93, 56)), ((-1, 2, 2), 6, 7, F(25, 56)),
-    ((-1, 2, 2), 4, 7, F(1, 56)), ((-1, 2, 2), 5, 7, F(9, 56)),
-)
+def _triple_factors(m, zexp, base_sign, z_sign) -> tuple:
+    """The bilateral sum of modular._theta_triple as ladders: by the Jacobi
+    triple product it is (z, Q/z, Q; Q)_inf with z = z_sign q^zexp and
+    Q = base_sign q^m, and a base of -q^m splits into two ladders over q^2m."""
+    rungs = ((z_sign, zexp), (base_sign * z_sign, m - zexp), (base_sign, m))
+    if base_sign == 1:
+        return tuple(pf(sign, a, m) for sign, a in rungs)
+    return tuple(f for sign, a in rungs for f in neg_base_pair(sign, a, m))
+
+
+def _component_rhs(vec: str, idx: int, shift: Rat) -> ComboSide:
+    """modular.PRODUCT_FORMS[vec][idx] as a product side, its prefactor
+    lowered by shift."""
+    pre, (sign, a, m), triple = modular.PRODUCT_FORMS[vec][idx]
+    return combo((1, pre - shift, (pf(sign, a, m), *_triple_factors(*triple),
+                                   pf(1, 2, 2, None, -1))))
 
 
 def _v_component_lhs(idx):
     def build(order):
         order = _frac(order)
-        pre, body = modular.component_series_v(idx, ceil(order - _V_CLOSED[idx][3]) + 2)
+        pre = modular.PRODUCT_FORMS["v"][idx][0]
+        pre, body = modular.component_series_v(idx, ceil(order - pre) + 2)
         return body.shift(pre).truncate(order)
     return build
-
-
-def _v_component_rhs(idx) -> ComboSide:
-    (sg, a, m), zexp, tm, pre = _V_CLOSED[idx]
-    return combo((1, pre, (pf(sg, a, m), *Jf(zexp, tm), pf(1, 2, 2, None, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -482,41 +479,19 @@ def _build_registry() -> list[IdentityRecord]:
                         pf(1, 2, 2, None, -1)),
                  anchor))
 
-    # -- parity-restricted product forms --------------------------------------
-    add(_rec("thm-parity-r1", "theorem", _nahm(A3, (0, 0), (1, 2), (0, None)),
-             _prods(pf(-1, 1, 2), pf(1, 12, 28), pf(1, 16, 28), pf(1, 28, 28),
-                    pf(1, 2, 2, None, -1)),
-             "even-slot product form, modulus 28"))
-    add(_rec("thm-parity-r2", "theorem", _nahm(A3, (0, 0), (1, 2), (1, None)),
-             combo((1, F(1, 2),
-                    (pf(-1, 2, 2),
-                     *_tri_pairs((-1, 1, 7), (1, 6, 7), (-1, 7, 7)),
-                     pf(1, 2, 2, None, -1)))),
-             "odd-slot product form, signed modulus 7"))
-    add(_rec("thm-parity-r3", "theorem", _nahm(A3, (0, 1), (1, 2), (0, None)),
-             _prods(pf(-1, 2, 2),
-                    *_tri_pairs((-1, 3, 7), (1, 4, 7), (-1, 7, 7)),
-                    pf(1, 2, 2, None, -1)),
-             "even-slot product form, signed modulus 7"))
-    add(_rec("thm-parity-r4", "theorem", _nahm(A3, (0, 1), (1, 2), (1, None)),
-             combo((1, F(1, 2),
-                    (pf(-1, 1, 2), pf(1, 8, 28), pf(1, 20, 28), pf(1, 28, 28),
-                     pf(1, 2, 2, None, -1)))),
-             "odd-slot product form, modulus 28"))
-    add(_rec("thm-parity-r5", "theorem", _nahm(A3, (1, 1), (1, 2), (0, None)),
-             _prods(pf(-1, 2, 2),
-                    *_tri_pairs((1, 2, 7), (-1, 5, 7), (-1, 7, 7)),
-                    pf(1, 2, 2, None, -1)),
-             "even-slot product form, signed modulus 7"))
-    add(_rec("thm-parity-r6", "theorem", _nahm(A3, (1, 1), (1, 2), (1, None)),
-             combo((1, F(3, 2),
-                    (pf(-1, 1, 2), pf(1, 4, 28), pf(1, 24, 28), pf(1, 28, 28),
-                     pf(1, 2, 2, None, -1)))),
-             "odd-slot product form, modulus 28"))
-
-    # -- vector-component closed forms (exact Puiseux identities) -------------
+    # -- the twelve vector components -----------------------------------------
+    # thm-parity-r1..r6 are the masked sums of the first vector's components
+    # 0, 3, 4, 1, 5, 2 against their product forms
+    for k, idx in enumerate((0, 3, 4, 1, 5, 2), start=1):
+        sigma, b, pre = modular._COMPONENT_DATA[idx]
+        m, _, base_sign, _ = modular.PRODUCT_FORMS["u"][idx][2]
+        anchor = (f"{'odd' if sigma else 'even'}-slot product form, "
+                  f"{'signed ' if base_sign < 0 else ''}modulus {m}")
+        add(_rec(f"thm-parity-r{k}", "theorem", _nahm(A3, b, (1, 2), (sigma, None)),
+                 _component_rhs("u", idx, pre), anchor))
+    # the second vector's components as exact Puiseux identities
     for idx in range(6):
-        rhs = _v_component_rhs(idx)
+        rhs = _component_rhs("v", idx, 0)
         add(IdentityRecord(f"v-closed-{idx + 1}", "theorem", _v_component_lhs(idx),
                            rhs.build, "signed-nome component closed form",
                            rhs_data=rhs))

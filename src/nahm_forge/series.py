@@ -33,13 +33,13 @@ __all__ = [
 
 def _coeff(v: Rat) -> Rat:
     """Normalize a coefficient: integral Fractions become ints."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if type(v) is Fraction and v.denominator == 1:
         return int(v)
     return v
 
 
 def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class Mismatch(NamedTuple):
@@ -272,22 +272,7 @@ class QSeries:
                     out[k] = _coeff(v * inv_c)
         return QSeries(out, s.den, order)
 
-    def power(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.invert().power(-n)
-        if n == 0:
-            return QSeries.one(self.order)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    # -- substitutions and dissections --------------------------------------
+    # -- substitutions ------------------------------------------------------
 
     def power_substitute(self, k: int) -> "QSeries":
         """Substitute q -> q^k for a positive integer k (exponent scaling)."""
@@ -303,19 +288,6 @@ class QSeries:
             raise ValueError("q -> -q substitution needs integer exponents")
         return QSeries({k: (v if k % 2 == 0 else -v) for k, v in s.coeffs.items()},
                        1, s.order)
-
-    def even_part(self) -> "QSeries":
-        """Terms with even integer exponent (integer lattice only)."""
-        s = self.reduce()
-        if s.den != 1:
-            raise ValueError("dissection needs integer exponents")
-        return QSeries({k: v for k, v in s.coeffs.items() if k % 2 == 0}, 1, s.order)
-
-    def odd_part(self) -> "QSeries":
-        s = self.reduce()
-        if s.den != 1:
-            raise ValueError("dissection needs integer exponents")
-        return QSeries({k: v for k, v in s.coeffs.items() if k % 2 == 1}, 1, s.order)
 
 
 def align(s: QSeries, t: QSeries) -> tuple[QSeries, QSeries]:

@@ -154,6 +154,20 @@ def test_v_closed_forms_exact_to_order_40():
         assert eq_to_order(body.truncate(n), prod.truncate(n), n) is None, idx
 
 
+# The second vector's closed forms f_w(2 tau) g_(j,7)(sc tau) / eta(2 tau) in
+# Weber functions, as (w, j, sc); the product route reads PRODUCT_FORMS instead.
+V_WEBER_FORMS = ((1, 1, 2), (1, 3, 2), (1, 5, 2), (2, 5, 0.5), (2, 1, 0.5), (2, 3, 0.5))
+
+
+def test_v_products_match_weber_closed_forms():
+    weber = {1: M.eval_weber_f1, 2: M.eval_weber_f2}
+    for tau in M.TAU_DEFAULT:
+        vals, _ = M._eval_products("v", tau, 1e-16)
+        for idx, (w, j, sc) in enumerate(V_WEBER_FORMS):
+            want = weber[w](2 * tau) * M.eval_g(j, 7, sc * tau) / M.eval_eta(2 * tau)
+            assert abs(vals[idx] - want) < 1e-12, (tau, idx)
+
+
 def test_check_transformation_all_relations_all_points():
     for tau in M.TAU_DEFAULT:
         for rel in M.relations():
@@ -184,7 +198,7 @@ def test_check_transformation_rejects_lower_half_plane():
 def test_series_route_deviation_shrinks_with_order():
     # nome chosen large enough that the truncation error stays visible
     tau = 0.1 + 0.18j
-    pvals, _ = M._eval_u_products(tau, 1e-17)
+    pvals, _ = M._eval_products("u", tau, 1e-17)
     devs = []
     for order in (10, 16, 24):
         svals, _ = M._eval_vec_series(M.component_series_u, tau, order)
@@ -208,7 +222,7 @@ ORACLE_POINTS = (M.TAU_DEFAULT
 THETA_CASES = ((1, 7, True), (5, 7, True), (3, 7, False), (F(1, 2), F(5, 2), False),
                (F(2, 3), F(7, 3), True), (F(5, 3), F(1, 2), True), (11, 1, False), (7, 7, False),
                (101, 1, False))
-TRIPLE_CASES = tuple(row[2] for row in M._U_PRODUCT_DATA) + (
+TRIPLE_CASES = tuple(row[2] for rows in M.PRODUCT_FORMS.values() for row in rows) + (
     (F(5, 2), F(1, 3), -1, 1), (F(7, 3), F(-1, 2), 1, -1))
 LADDER_CASES = ((1, 2, 2), (-1, 1, 2), (-1, 2, 2), (1, 1, 2), (1, F(1, 2), 1),
                 (-1, F(1, 3), F(5, 2)), (1, F(2, 3), F(3, 2)))

@@ -10,7 +10,7 @@ from nahm_forge import products
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, Jm, ProductSpec, _by_ladder, _by_recurrence, _rung_passes, eta_quotient,
+    J, Jm, _by_ladder, _by_recurrence, _rung_passes, eta_quotient,
     exponent_product, jacobi_triple, neg_base_pair, pf, poch, poch_param, product,
 )
 
@@ -184,19 +184,6 @@ def test_neg_base_pair_splits_even_odd_rungs():
     assert {F(k): F(v) for k, v in got.coeffs.items()} == direct
 
 
-def test_product_spec_roundtrip_json():
-    spec = ProductSpec(F(-1, 2), F(2), (pf(-1, 1, 2), pf(1, 3, 4, 5, -2)))
-    again = ProductSpec.from_json(spec.to_json())
-    assert again == spec
-    assert eq_to_order(spec.evaluate(20), again.evaluate(20), 20) is None
-
-
-def test_product_spec_empty_factors():
-    spec = ProductSpec(F(2), F(3), ())
-    s = spec.evaluate(10)
-    assert s.coeffs == {2: 3}
-
-
 def test_poch_param_matches_specialization():
     p = poch_param(-1, 1, 0, 1, 20, 20)   # (-u; q)_inf
     for a in (1, 2, 3):
@@ -204,28 +191,25 @@ def test_poch_param_matches_specialization():
         want = poch(pf(-1, a, 1), got.order)
         n = min(got.order, want.order)
         assert eq_to_order(got.truncate(n), want.truncate(n), n) is None
-    # (u^2 q; q)_4 at cap 3 discards u^4 q^3 from the second rung on, so
-    # u = q is exact below q^7; upow 0 is the plain product
-    for upow, deg, length, alpha, order in ((2, 3, 4, 1, 7), (0, 2, None, 5, 30)):
-        got = poch_param(1, upow, 1, 1, 30, deg, length).substitute(alpha)
-        assert got.order == order
-        want = poch(pf(1, 1 + upow * alpha, 1, length), order)
-        assert eq_to_order(got, want, order) is None
+    # upow 0 is the plain product
+    got = poch_param(1, 0, 1, 1, 30, 2).substitute(5)
+    assert got.order == 30
+    assert eq_to_order(got, poch(pf(1, 1, 1), 30), 30) is None
 
 
 def test_poch_param_matches_literal_binomials():
     # every row and drop against the binomials multiplied out one by one
     grid = itertools.product((1, -1), range(4), (0, 1, F(1, 2), 3), (1, 2, F(3, 2)),
-                             (None, 0, 1, 4), (0, 1, 3, 6), (0, 7, F(29, 2)))
-    for sign, upow, a, m, length, deg, order in grid:
-        if length is None and a == 0 and upow == 0 and sign == 1:
+                             (0, 1, 3, 6), (0, 7, F(29, 2)))
+    for sign, upow, a, m, deg, order in grid:
+        if a == 0 and upow == 0 and sign == 1:
             continue   # (1; q^m)_inf, divergent
-        p = poch_param(sign, upow, a, m, order, deg, length)
+        p = poch_param(sign, upow, a, m, order, deg)
         got = {(r, F(k, row.den)): v
                for r, row in enumerate(p.rows) for k, v in row.coeffs.items()}
         assert [row.order for row in p.rows] == [order] * (deg + 1)
-        assert (got, p.drop) == poch_param_naive(sign, upow, a, m, length, order, deg), \
-            (sign, upow, a, m, length, deg, order)
+        assert (got, p.drop) == poch_param_naive(sign, upow, a, m, None, order, deg), \
+            (sign, upow, a, m, deg, order)
 
 
 def test_poch_param_fixed_factors_go_into_every_row():
