@@ -15,26 +15,33 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .errors import NahmForgeError
-from .nahm import NahmQuadruple, dual_quadruple, nahm_sum, quadruple
+from .nahm import NahmQuadruple, _rational, dual_quadruple, nahm_sum, quadruple
 from .recognizer import hunt
 from .series import QSeries
 from . import modular, registry
 
 
-def _frac(text) -> Fraction:
-    return Fraction(str(text))
-
-
-def _parse_matrix(text: str):
-    data = json.loads(text)
-    return tuple(tuple(_frac(x) for x in row) for row in data)
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _parse_vector(text: str):
-    return tuple(_frac(x) for x in json.loads(text))
+    data = _json(text)
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON list, e.g. [\"0\",\"1\"], got {text!r}")
+    return tuple(_rational(x) for x in data)
+
+
+def _parse_matrix(text: str):
+    data = _json(text)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError(f"expected a JSON list of rows, e.g. [[\"2\"]], got {text!r}")
+    return tuple(tuple(_rational(x) for x in row) for row in data)
 
 
 def _parse_parity(text: str, rank: int):
@@ -63,7 +70,7 @@ def _parse_grid(text: str):
     axes = []
     for part in text.split(";"):
         lo_s, hi_s, step_s = part.split(":")
-        lo, hi, step = _frac(lo_s), _frac(hi_s), _frac(step_s)
+        lo, hi, step = _rational(lo_s), _rational(hi_s), _rational(step_s)
         if step <= 0 or hi < lo:
             raise ValueError("grid ranges need lo <= hi and step > 0")
         axes.append((lo, step, (hi - lo) // step + 1))
@@ -79,13 +86,12 @@ def _parse_grid(text: str):
 def _load_quadruple(args) -> tuple[NahmQuadruple, tuple | None]:
     if args.quadruple:
         with open(args.quadruple, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        quad, mask = NahmQuadruple.from_json(data)
+            quad, mask = NahmQuadruple.from_json(_json(fh.read()))
     else:
         if not (args.A and args.b and args.d):
             raise ValueError("need either --quadruple FILE or --A, --b and --d")
         quad = quadruple(_parse_matrix(args.A), _parse_vector(args.b),
-                         _frac(args.c), [int(x) for x in json.loads(args.d)])
+                         _rational(args.c), _parse_vector(args.d))
         mask = None
     if getattr(args, "parity", None):
         mask = _parse_parity(args.parity, quad.rank)
@@ -129,7 +135,7 @@ def cmd_verify_all(args) -> int:
 
 def cmd_nahm(args) -> int:
     quad, mask = _load_quadruple(args)
-    s = nahm_sum(quad, _frac(args.order), mask=mask)
+    s = nahm_sum(quad, _rational(args.order), mask=mask)
     payload = {"den": s.den, "order": str(s.order),
                "terms": [[str(e), str(c)] for e, c in s.items()]}
     _emit(args, payload, _series_lines(s))
@@ -147,9 +153,9 @@ def cmd_dual(args) -> int:
 
 def cmd_hunt(args) -> int:
     A = _parse_matrix(args.A)
-    d = [int(x) for x in json.loads(args.d)]
+    d = _parse_vector(args.d)
     grid = _parse_grid(args.b_grid)
-    hits = hunt(A, d, grid, _frac(args.order), max_n=args.max_n,
+    hits = hunt(A, d, grid, _rational(args.order), max_n=args.max_n,
                 max_abs=args.max_exp)
     payload = [h.to_json() for h in hits]
     lines = [json.dumps(h.to_json()) for h in hits]

@@ -447,8 +447,14 @@ PRODUCT_FORMS = {
 }
 
 
+# PRODUCT_FORMS with each prefactor exponent converted to float once, for the
+# numeric route; the registry reads the exact table.
+_FLOAT_FORMS = {vec: tuple((float(pre), poch, triple) for pre, poch, triple in rows)
+                for vec, rows in PRODUCT_FORMS.items()}
+
+
 def _eval_products(vec: str, tau: complex, eps: float) -> tuple[np.ndarray, float]:
-    rows = PRODUCT_FORMS[vec]
+    rows = _FLOAT_FORMS[vec]
     vals = np.zeros(6, dtype=complex)
     err = 0.0
     den, dre = _ladder(tau, 1, 2, 2, eps)

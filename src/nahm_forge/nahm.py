@@ -7,21 +7,30 @@ where D = diag(d) and A*D is symmetric positive definite.
 
 Enumeration completes the squares of E(n) = (1/2) n^T A D n + n^T b exactly,
 from the last coordinate down:
-    E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2,   h_k > 0.
-Square k involves only n_0..n_k, so for a prefix n_0..n_{k-1} the partial
-sum S is the exact minimum of E over all real completions of that prefix.
-A point with E(n) < B := order - c therefore has |n_k + mu| < sqrt((B-S)/h_k)
-at every depth, and the walk tries exactly those n_k >= 0, filtering each
-by S + h_k (n_k + mu)^2 < B.  That makes it complete with no box radius, and
-points come out in lexicographic order.  The sum walks those points once,
-keeping one denominator row per depth.
+    E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2,   h_k > 0
+(the Fincke-Pohst scheme).  Square k involves only n_0..n_k, so for a prefix
+n_0..n_{k-1} the partial sum S is the exact minimum of E over all real
+completions of that prefix.
+
+The walk runs on integers.  P_k, the lcm of the denominators of t_k and the
+L_kj, makes u = P_k (t_k + sum_j L_kj n_j) an integer; W, the lcm of the
+denominators of C and of every h_k / P_k^2, makes H_k = W h_k / P_k^2 a
+positive integer and S' = W S an integer at every depth.  Square k adds
+H_k y^2 with y = P_k n_k + u.  Since S' + H_k y^2 is an integer, it is below
+W (order - c) exactly when it is at most top := ceil(W (order - c)) - 1,
+that is when |y| <= isqrt((top - S') // H_k).  The walk takes exactly the
+n_k >= 0 of the masked parity with such a y, so every one it tries lies
+below the bound: the enumeration is complete by proof, needs no box radius
+and no filter, and yields points in lexicographic order with E(n) = S' / W
+at the leaves.  The sum walks those points once, keeping one denominator row
+per depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, isqrt, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -84,12 +93,17 @@ class NahmQuadruple:
         A = tuple(tuple(_frac(x) for x in row) for row in self.A)
         b = tuple(_frac(x) for x in self.b)
         c = _frac(self.c)
-        d = tuple(int(x) for x in self.d)
+        d = tuple(_frac(x) for x in self.d)
+        if any(x.denominator != 1 for x in d):
+            raise ValueError("symmetrizer entries must be integers")
+        d = tuple(map(int, d))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         r = len(A)
+        if not r:
+            raise ValueError("the matrix must not be empty")
         if any(len(row) != r for row in A) or len(b) != r or len(d) != r:
             raise ValueError("inconsistent dimensions")
         if any(x < 1 for x in d):
@@ -130,17 +144,42 @@ class NahmQuadruple:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> tuple["NahmQuadruple", Optional[ParityMask]]:
-        quad = cls(tuple(tuple(Fraction(x) for x in row) for row in data["A"]),
-                   tuple(Fraction(x) for x in data["b"]),
-                   Fraction(data.get("c", 0)),
-                   tuple(int(x) for x in data["d"]))
+    def from_json(cls, data) -> tuple["NahmQuadruple", Optional[ParityMask]]:
+        """Read to_json's layout; a malformed document raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a quadruple is a JSON object with keys A, b, c, d")
+        A = _json_list(data.get("A"), "A")
+        quad = cls(tuple(tuple(map(_rational, _json_list(row, "a row of A")))
+                         for row in A),
+                   tuple(map(_rational, _json_list(data.get("b"), "b"))),
+                   _rational(data.get("c", 0)),
+                   tuple(map(_rational, _json_list(data.get("d"), "d"))))
         par = data.get("parity")
         mask = None
-        if par is not None and any(p is not None for p in par):
-            mask = tuple(None if p is None else int(p) for p in par)
+        if par is not None:
+            mask = tuple(_json_list(par, "parity"))
             check_parity_mask(mask, quad.rank)
+            mask = tuple(None if p is None else int(p) for p in mask)
+            if all(p is None for p in mask):
+                mask = None
         return quad, mask
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return x
+
+
+def _rational(x) -> Fraction:
+    """A JSON number or a rational string as a Fraction, else ValueError.
+    A float is read as the decimal it prints as, so 0.1 is 1/10, as typed."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise ValueError(f"expected a rational number, got {x!r}")
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def quadruple(A, b, c, d) -> NahmQuadruple:
@@ -181,11 +220,14 @@ def box_radius(quad: NahmQuadruple, bound: Fraction) -> int:
 
 
 def _completed_squares(quad: NahmQuadruple):
-    """(C, h, L, t) with E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2.
+    """(W, C, H, P, T, Lam), all integers, with
+        W E(n) = C + sum_k H_k (P_k n_k + sum_{j<k} Lam_kj n_j + T_k)^2.
 
-    Squares are completed from the last coordinate down, so square k only
-    involves n_0..n_k; each h_k is a pivot of the positive definite A*D
-    (halved), hence positive.
+    Squares are completed exactly from the last coordinate down, so square k
+    only involves n_0..n_k; each h_k is a pivot of the positive definite A*D
+    (halved), hence positive.  P_k clears the denominators of square k's
+    linear form, and W those of the constant and of every h_k / P_k^2, so
+    W > 0 and every H_k > 0.
     """
     m = quad.symmetrized()
     b = list(quad.b)
@@ -202,7 +244,12 @@ def _completed_squares(quad: NahmQuadruple):
             b[i] -= m[i][k] * t[k]
             for j in range(k):
                 m[i][j] -= m[i][k] * L[k][j]
-    return const, h, L, t
+    P = [lcm(t[k].denominator, *(x.denominator for x in L[k])) for k in range(r)]
+    hs = [h[k] / (P[k] * P[k]) for k in range(r)]
+    W = lcm(const.denominator, *(x.denominator for x in hs))
+    return (W, int(const * W), [int(x * W) for x in hs], P,
+            [int(t[k] * P[k]) for k in range(r)],
+            [[int(x * P[k]) for x in L[k]] for k in range(r)])
 
 
 def enumerate_lattice(quad: NahmQuadruple, order: Rat,
@@ -216,28 +263,28 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
     if mask is None:
         mask = (None,) * r
     check_parity_mask(mask, r)
-    bound = order - quad.c
-    const, h, L, t = _completed_squares(quad)
+    W, const, H, P, T, Lam = _completed_squares(quad)
+    top = ceil((order - quad.c) * W) - 1   # W E(n) < W (order - c) iff <= top
     n = [0] * r
 
-    def walk(k: int, s: Fraction):
-        # s is the least value of E over real completions of n_0..n_{k-1}
-        mu = t[k] + sum(L[k][j] * n[j] for j in range(k))
-        rho = _ceil_sqrt((bound - s) / h[k])
-        lo = max(0, ceil(-mu - rho))
-        p = mask[k]
+    def walk(k: int, s: int):
+        # s <= top is W times the least E over real completions of n_0..n_{k-1}
+        u = T[k] + sum(map(mul, Lam[k], n))
+        R = isqrt((top - s) // H[k])
+        p, hk, pk = mask[k], H[k], P[k]
+        lo = max(0, -((R + u) // pk))
         if p is not None and lo % 2 != p:
             lo += 1
-        for x in range(lo, floor(rho - mu) + 1, 1 if p is None else 2):
-            e = s + h[k] * (x + mu) ** 2
-            if e < bound:
-                n[k] = x
-                if k + 1 < r:
-                    yield from walk(k + 1, e)
-                else:
-                    yield tuple(n), e
+        for x in range(lo, (R - u) // pk + 1, 1 if p is None else 2):
+            n[k] = x
+            y = pk * x + u
+            if k + 1 < r:
+                yield from walk(k + 1, s + hk * y * y)
+            else:
+                yield tuple(n), Fraction(s + hk * y * y, W)
 
-    yield from walk(0, const)
+    if const <= top:
+        yield from walk(0, const)
 
 
 def _ladder_walk(points: Sequence, reads: Sequence, ladders: Sequence):
@@ -301,20 +348,18 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
     order = _frac(order)
     bound = order - quad.c
     pts = list(enumerate_lattice(quad, order))
-    den, lo, slots = 1, 0, 0
-    if pts:
-        for _, e in pts:
-            den = lcm(den, e.denominator)
-        lo = floor(min(e for _, e in pts) * den)
-        slots = ceil(bound * den) - lo
-    kept = [p for p in pts if _mask_ok(mask, p[0])]
+    den = lcm(*(e.denominator for _, e in pts))
+    keys = [e.numerator * (den // e.denominator) for _, e in pts]
+    lo = min(keys, default=0)
+    slots = ceil(bound * den) - lo if pts else 0
+    kept = [(n, e, key) for (n, e), key in zip(pts, keys) if _mask_ok(mask, n)]
     drop = None
     if grade is not None:
-        drop = min((e + quad.c for n, e in kept if grade(n) > cap), default=None)
+        drop = min((e + quad.c for n, e, _ in kept if grade(n) > cap), default=None)
         kept = [p for p in kept if grade(p[0]) <= cap]
     accs = [[0] * slots for _ in range(cap + 1)]
-    points = [n for n, _ in kept]
-    bases = [int(e * den) - lo for _, e in kept]
+    points = [n for n, _, _ in kept]
+    bases = [key - lo for _, _, key in kept]
     # point n reads the slots base + den*j < slots of its row
     reads = [(slots - base + den - 1) // den for base in bases]
     for n, base, row in zip(points, bases, _ladder_walk(points, reads, ladders)):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nahm_forge.cli import main, _parse_grid
 
@@ -210,3 +216,143 @@ def test_verify_failure_exit1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "mismatch at q^7" in out
+
+
+# -- bad input is a usage error, never a traceback -------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["nahm", "--A", "5", "--b", '["0"]', "--d", "[1]", "--order", "5"], "list of rows"),
+    (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1.5]", "--order", "5"],
+     "symmetrizer entries must be integers"),
+    (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1]", "--c", "1/0",
+      "--order", "5"], "zero denominator"),
+    (["nahm", "--A", "[]", "--b", "[]", "--d", "[]", "--order", "5"], "empty"),
+])
+def test_malformed_arguments_exit2(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"A": 5, "b": [0], "d": [1]}',
+                                 '{"A": [[2]], "b": [0], "d": [1], "parity": 1}',
+                                 '{"A": [[2]], "b": [0], "d": [Infinity]}', "[" * 5000])
+def test_malformed_quadruple_file_exit2(tmp_path, capsys, doc):
+    path = tmp_path / "quad.json"
+    path.write_text(doc)
+    code, _, err = run(capsys, "nahm", "--quadruple", str(path), "--order", "5")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_quadruple_file_reads_floats_as_typed(tmp_path, capsys):
+    # b = 0.1 is 1/10, as on the command line, not the binary float
+    # 3602879701896397/36028797018963968, whose window would not fit in memory
+    path = tmp_path / "quad.json"
+    path.write_text('{"A": [[2]], "b": [0.1], "c": 0.5, "d": [1]}')
+    code, from_file, _ = run(capsys, "nahm", "--quadruple", str(path), "--order", "3")
+    assert code == 0
+    code, from_args, _ = run(capsys, "nahm", "--A", "[[2]]", "--b", '["1/10"]', "--c", "1/2",
+                             "--d", "[1]", "--order", "3")
+    assert code == 0 and from_file == from_args and "8/5\t1" in from_file
+
+
+# Fuzzed values.  Text carries no decimal digits, and the numbers are small or
+# are fixed tokens: a valid but nearly singular matrix, or a large negative b,
+# is a legitimate request for astronomically many lattice points, and this
+# test looks for crashes, not for size limits.
+_NO_DIGITS = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")),
+                     max_size=6)
+_NUMBER_TOKENS = ["0", "1", "-1", "2", "3", "1/2", "-3/2", " 2 ", "1.5", "1e400",
+                  "1/0", "0/0", "nan", "-inf", "0x1", "1_0", ""]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([0.5, -1.5, 2.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(_NUMBER_TOKENS), _NO_DIGITS)
+_JSON = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["A", "b", "c", "d", "parity", ""]), kids, max_size=5),
+    max_leaves=12)
+_ARG = st.one_of(_JSON.map(json.dumps), _NO_DIGITS)
+_SMALL = st.sampled_from([0, 1, 2, 3, -1, -2, 0.5, 1.5, "1/2", "3/2", "-3/2", "2", "1/3"])
+_VALID = [([[2]], [1]), ([["1/2"]], [3]), ([[2, 1], [2, 2]], [1, 2]),
+          ([[4, 2], [6, 4]], [1, 3]), ([[1, "-1/2"], [-1, "3/2"]], [1, 2])]
+
+
+@st.composite
+def _coherent(draw):
+    """JSON (A, b, d) of one rank, often a valid quadruple, so that the fuzz
+    also reaches the sums and not only the parsers."""
+    A, d = draw(st.sampled_from(_VALID))
+    r = len(A)
+    vec = st.lists(_SMALL, min_size=r, max_size=r)
+    A = draw(st.just(A) | st.lists(vec, min_size=r, max_size=r))
+    d = draw(st.just(d) | vec)
+    return A, draw(vec), d
+
+
+_TRIPLES = st.one_of(_coherent().map(lambda t: tuple(map(json.dumps, t))),
+                     st.tuples(_ARG, _ARG, _ARG))
+_PARITY = st.one_of(st.lists(st.sampled_from(["0:1", "1:0", "2:1", "0:2", "-1:0", "x",
+                                              ":", "0:1:1", ""]),
+                             max_size=3).map(",".join), _NO_DIGITS)
+_GRID_NUM = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "x", "", "1/0", "0/1"])
+_AXIS = st.one_of(
+    st.sampled_from(["-1:1:1", "0:0:1", "-3/2:1/2:1", "1/2:1/2:1"]),
+    st.tuples(_GRID_NUM, _GRID_NUM, st.sampled_from(["1", "1/2", "0", "-1", "x"])).map(":".join),
+    st.lists(_GRID_NUM, max_size=4).map(":".join))
+_GRID = st.one_of(st.lists(_AXIS, min_size=1, max_size=2).map(";".join), _NO_DIGITS)
+
+
+def _main_exit_code(argv) -> int:
+    """main's exit code, with its output swallowed; a usage error from
+    argparse counts as 2 and any other exception propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(triple=_TRIPLES, c=_SMALL.map(str) | _ARG, parity=st.none() | _PARITY,
+       command=st.sampled_from(["nahm", "dual"]))
+def test_fuzzed_quadruple_arguments(triple, c, parity, command):
+    A, b, d = triple
+    argv = [command, f"--A={A}", f"--b={b}", f"--d={d}", f"--c={c}"]
+    if command == "nahm":
+        argv += ["--order", "3"] + ([f"--parity={parity}"] if parity is not None else [])
+    assert _main_exit_code(argv) in (0, 1, 2)
+
+
+def _documents(triple, extra):
+    A, b, d = triple
+    return {"A": A, "b": b, "d": d, **extra}
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(
+    _JSON,
+    st.builds(_documents, _coherent(), st.fixed_dictionaries(
+        {}, optional={"c": _SCALARS | _SMALL, "parity": _JSON}))),
+    raw=st.none() | st.binary(max_size=12))
+def test_fuzzed_quadruple_file(doc, raw):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw if raw is not None else json.dumps(doc).encode())
+        assert _main_exit_code(["nahm", "--quadruple", path, "--order", "3"]) in (0, 1, 2)
+        assert _main_exit_code(["dual", "--quadruple", path]) in (0, 1, 2)
+    finally:
+        os.remove(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ad=st.one_of(st.sampled_from(_VALID).map(lambda t: tuple(map(json.dumps, t))),
+                   _TRIPLES.map(lambda t: (t[0], t[2]))), grid=_GRID)
+def test_fuzzed_hunt_arguments(ad, grid):
+    A, d = ad
+    argv = ["hunt", f"--A={A}", f"--d={d}", f"--b-grid={grid}", "--order", "6",
+            "--max-n", "5"]
+    assert _main_exit_code(argv) in (0, 1, 2)

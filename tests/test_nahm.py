@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
-from math import ceil, sqrt
+from math import ceil, lcm, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from nahm_forge.nahm import (
     quadruple,
 )
 from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
+from nahm_forge.registry import NahmSide, registry
 
 from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts
 
@@ -32,6 +33,13 @@ def test_quadruple_validation():
         quadruple([[1, 2], [2, 1]], [0, 0], 0, [1, 1])
     with pytest.raises(NotPositiveDefinite):
         quadruple([[-1]], [0], 0, [1])
+    # d = 1.5 was once truncated to 1
+    for d in ([1.5], [F(3, 2)], ["3/2"]):
+        with pytest.raises(ValueError, match="integers"):
+            quadruple([[2]], [0], 0, d)
+    assert quadruple([[2]], [0], 0, ["2"]).d == (2,)
+    with pytest.raises(ValueError, match="empty"):
+        quadruple([], [], 0, [])
 
 
 def test_rr_first_seven_coefficients():
@@ -264,6 +272,53 @@ def test_walk_rows_never_grow_and_are_trimmed(quad, monkeypatch):
     assert min(seen[-1] for _, seen in lengths.values()) < full
     want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=12)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+
+
+def _registry_quadruples() -> list:
+    """Each distinct quadruple of a registry NahmSide, named by its first record."""
+    seen = {}
+    for rec in registry():
+        for side in (rec.lhs_data, rec.rhs_data):
+            if isinstance(side, NahmSide):
+                seen.setdefault(side.quad, rec.id)
+    return [pytest.param(quad, id=rid) for quad, rid in seen.items()]
+
+
+def _box_scan(quad, bound) -> list:
+    """(n, E(n)) with E(n) < bound over the box range(box_radius + 1)^r, in
+    lexicographic order, E evaluated term by term on integers scaled by D."""
+    m = quad.symmetrized()
+    r = quad.rank
+    D = lcm(*(x.denominator for x in [*quad.b, *(y / 2 for row in m for y in row)]))
+    M = [[int(m[i][j] * D / 2) for j in range(r)] for i in range(r)]
+    b = [int(x * D) for x in quad.b]
+    out = []
+    for n in iproduct(range(box_radius(quad, bound) + 1), repeat=r):
+        e = sum(M[i][j] * n[i] * n[j] for i in range(r) for j in range(r)) \
+            + sum(x * y for x, y in zip(b, n))
+        if e < bound * D:
+            out.append((n, F(e, D)))
+    return out
+
+
+@pytest.mark.parametrize("quad", [
+    *_registry_quadruples(), pytest.param(RANK3[0], id="rank3-a2"),
+    pytest.param(RANK3[1], id="rank3-b"), pytest.param(EXAM12, id="exam12"),
+    pytest.param(DIPPED, id="dipped")])
+def test_enumeration_matches_box_scan_on_real_matrices(quad):
+    """The matrices in use, not only diagonally dominant ones as in the
+    Hypothesis test: every registry Nahm side and the hand-made cases, at
+    order c + 30 and at orders c + E for attained values E, where a point
+    with E(n) equal to the bound must be left out.  The scan at bound 30
+    serves the lower bounds too, as their boxes lie inside its box."""
+    top = _box_scan(quad, F(30))
+    values = sorted({e for _, e in top})
+    for mask in (None, (0,), (1,)):
+        mask = mask and mask + (None,) * (quad.rank - 1)
+        for bound in (F(30), *values[::max(1, len(values) // 6)]):
+            want = [(n, e) for n, e in top if e < bound
+                    and (mask is None or n[0] % 2 == mask[0])]
+            assert list(enumerate_lattice(quad, quad.c + bound, mask)) == want, (mask, bound)
 
 
 # -- parameters ----------------------------------------------------------------
