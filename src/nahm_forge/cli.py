@@ -44,13 +44,21 @@ def _parse_matrix(text: str):
     return tuple(tuple(_rational(x) for x in row) for row in data)
 
 
+def _fields(text: str, sep: str, form: str) -> list:
+    """text split at sep into the fields of form, else a ValueError naming form."""
+    parts = text.split(sep)
+    if len(parts) != form.count(sep) + 1:
+        raise ValueError(f"expected the form {form}, got {text!r}")
+    return parts
+
+
 def _parse_parity(text: str, rank: int):
     mask = [None] * rank
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        idx, res = part.split(":")
+        idx, res = _fields(part, ":", "i:r")
         i = int(idx)
         if not 0 <= i < rank:
             raise ValueError(f"parity coordinate {i} out of range")
@@ -69,7 +77,7 @@ def _parse_grid(text: str):
     MAX_GRID_POINTS is refused."""
     axes = []
     for part in text.split(";"):
-        lo_s, hi_s, step_s = part.split(":")
+        lo_s, hi_s, step_s = _fields(part, ":", "lo:hi:step")
         lo, hi, step = _rational(lo_s), _rational(hi_s), _rational(step_s)
         if step <= 0 or hi < lo:
             raise ValueError("grid ranges need lo <= hi and step > 0")
@@ -165,7 +173,7 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_modular_check(args) -> int:
-    re_s, im_s = args.tau.split(",")
+    re_s, im_s = _fields(args.tau, ",", "RE,IM")
     tau = complex(float(re_s), float(im_s))
     names = modular.relations() if args.relation == "all" else [args.relation]
     reports = [modular.check_transformation(name, tau, tol=args.tol)

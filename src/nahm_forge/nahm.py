@@ -334,16 +334,19 @@ def _denominators(quad: NahmQuadruple) -> list:
     return [[(1, d, d, -1, 0, 1)] for d in quad.d]
 
 
+MAX_WINDOW = 2 ** 24   # most dense slots, over all rows, that a sum may hold
+
+
 def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
                 mask: Optional[ParityMask] = None, grade=None, cap: int = 0):
     """Rows 0..cap of the sum below `order` of q^(E(n) + c) times the ladders
     of each coordinate (see _ladder_walk) over the lattice points n of quad,
-    point n going to row grade(n) (row 0 when grade is None).
+    point n going to row grade(n) (row 0 when grade is None); points whose
+    grade is above cap are left out.
 
-    Returns (rows, drop), drop being the least E(n) + c of a point whose
-    grade is above cap (None if there is none).  The dense window is sized
-    from every point below `order`, mask or no mask, so it does not depend
-    on the mask.
+    The dense window is sized from every point below `order`, mask or no
+    mask, so it does not depend on the mask.  A window of more than
+    MAX_WINDOW slots over all rows raises ValueError before it is allocated.
     """
     order = _frac(order)
     bound = order - quad.c
@@ -352,21 +355,22 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
     keys = [e.numerator * (den // e.denominator) for _, e in pts]
     lo = min(keys, default=0)
     slots = ceil(bound * den) - lo if pts else 0
-    kept = [(n, e, key) for (n, e), key in zip(pts, keys) if _mask_ok(mask, n)]
-    drop = None
-    if grade is not None:
-        drop = min((e + quad.c for n, e, _ in kept if grade(n) > cap), default=None)
-        kept = [p for p in kept if grade(p[0]) <= cap]
-    accs = [[0] * slots for _ in range(cap + 1)]
-    points = [n for n, _, _ in kept]
-    bases = [key - lo for _, _, key in kept]
+    if (cap + 1) * slots > MAX_WINDOW:
+        raise ValueError(f"the sum needs {cap + 1} x {slots} window slots, "
+                         f"more than {MAX_WINDOW}")
+    kept = [(n, key - lo) for (n, _), key in zip(pts, keys)
+            if _mask_ok(mask, n) and (grade is None or grade(n) <= cap)]
+    points = [n for n, _ in kept]
     # point n reads the slots base + den*j < slots of its row
-    reads = [(slots - base + den - 1) // den for base in bases]
-    for n, base, row in zip(points, bases, _ladder_walk(points, reads, ladders)):
+    reads = [(slots - base + den - 1) // den for _, base in kept]
+    accs = [[0] * slots for _ in range(cap + 1)]
+    for (n, base), row in zip(kept, _ladder_walk(points, reads, ladders)):
         accumulate(accs[grade(n) if grade else 0], base, den, row)
-    rows = [QSeries({lo + i: v for i, v in enumerate(acc) if v}, den, bound)
-            .shift(quad.c) for acc in accs]
-    return rows, drop
+    # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
+    out_den = lcm(den, quad.c.denominator)
+    f, off = out_den // den, int(quad.c * out_den)
+    return [QSeries({(lo + i) * f + off: v for i, v in enumerate(acc) if v},
+                    out_den, order) for acc in accs]
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,
@@ -379,7 +383,7 @@ def ladder_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
                mask: Optional[ParityMask] = None) -> QSeries:
     """Sum below `order` of q^(E(n) + c) times the ladders of each coordinate
     (see _ladder_walk) over the lattice points n of quad."""
-    return _graded_sum(quad, order, ladders, mask)[0][0].reduce()
+    return _graded_sum(quad, order, ladders, mask)[0].reduce()
 
 
 def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
@@ -394,9 +398,8 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
         raise ValueError("the weight vector must match the rank")
     if any(w < 0 for w in weights):
         raise ValueError("parameter weights must be nonnegative")
-    rows, drop = _graded_sum(quad, order, _denominators(quad), mask,
-                             lambda n: sum(map(mul, weights, n)), deg)
-    return ParamSeries(rows, drop)
+    return ParamSeries(_graded_sum(quad, order, _denominators(quad), mask,
+                                   lambda n: sum(map(mul, weights, n)), deg))
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:

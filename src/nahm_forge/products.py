@@ -296,27 +296,20 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     and Cor. 2.2) the u^(upow*k) row of the symbol is
         (-sign)^k q^(a*k + m*k(k-1)/2) / (q^m; q^m)_k,
     so each row is one product() call.  The parameter contributes no
-    q-exponent, so convergence holds for a >= 0 provided upow > 0 when
-    a = 0.  The first row past the cap, k0 = deg//upow + 1, starts at
-    q^(a*k0 + m*k0(k0-1)/2); as `factors` must have nonnegative rungs, that
-    exponent is drop.
+    q-exponent, so upow >= 1 makes the symbol converge for every a >= 0.
     """
     a = _frac(a)
     m = _frac(m)
     order = _frac(order)
     if m <= 0:
         raise ValueError("step must be positive")
-    if a < 0 or upow < 0 or any(f.a < 0 for f in factors):
-        raise ValueError("parameter products need a >= 0 and upow >= 0, "
+    if a < 0 or upow < 1 or any(f.a < 0 for f in factors):
+        raise ValueError("parameter products need a >= 0 and upow >= 1, "
                          "and factors with a >= 0")
-    if a == 0 and upow == 0 and sign == 1:
-        raise Divergent("infinite product with vanishing first factor")
     rows = [QSeries.zero(order)] * (deg + 1)
-    last = deg // upow if upow else None   # rows past the cap are dropped
     k, e = 0, Fraction(0)
-    while e < order and (last is None or k <= last):
+    while e < order and upow * k <= deg:
         row = product((pf(1, m, m, k, -1), *factors), order - e)
-        r = upow * k
-        rows[r] = rows[r] + row.shift(e).scale((-sign) ** k)
+        rows[upow * k] = row.shift(e).scale((-sign) ** k)
         k, e = k + 1, e + a + m * k
-    return ParamSeries(rows, e if last is not None and e < order else None)
+    return ParamSeries(rows)

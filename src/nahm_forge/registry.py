@@ -203,21 +203,14 @@ def _eta(exps: dict) -> ComboSide:
 # -- parameter-carrying constructors ----------------------------------------
 
 def _lebesgue_lhs(order, deg):
-    """sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n row by row: by the q-binomial
-    theorem its u^k row is (-1)^k q^(k(k-1)/2)/(q;q)_k times
-    sum_j q^((j+k)(j+k+1)/2)/(q;q)_j, which starts at q^(k^2)."""
-    order = _frac(order)
-    rows = [QSeries.zero(order)] * (deg + 1)
-    k = 0
-    while k * k < order and k <= deg:
-        e = F(k * (k - 1), 2)
-        body = SingleSum(F(1, 2), k + F(1, 2), F(k * (k + 1), 2),
-                         (sf(1, 1, 1, 0, 1, -1),))
-        row = single_sum(body, order - e, (pf(1, 1, 1, k, -1),))
-        rows[k] = row.shift(e).scale((-1) ** k)
-        k += 1
-    drop = (deg + 1) ** 2
-    return ParamSeries(rows, drop if drop < order else None)
+    """sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n.  By the q-binomial theorem
+    (Andrews, The Theory of Partitions, Thm 3.3), (u;q)_n/(q;q)_n is the sum
+    over j + k = n of (-u)^k q^(k(k-1)/2)/((q;q)_j (q;q)_k), so this is the
+    rank-two Nahm sum of (-u)^k q^(j^2/2 + jk + k^2 + j/2)/((q;q)_j (q;q)_k)
+    over (j, k)."""
+    quad = quadruple([[1, 1], [1, 2]], [F(1, 2), 0], 0, [1, 1])
+    p = nahm_sum_param(quad, order, deg, (0, 1))
+    return ParamSeries([row.scale((-1) ** k) for k, row in enumerate(p.rows)])
 
 
 def _lebesgue_rhs(order, deg):

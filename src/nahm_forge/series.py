@@ -12,7 +12,7 @@ the two interoperate exactly.
 
 :class:`ParamSeries` extends the coefficient domain to polynomials in one
 formal parameter u with an explicit degree cap, stored as one QSeries per
-power of u, supporting exact specialization u -> q^alpha.
+power of u, with the product and row-by-row comparison the registry needs.
 """
 
 from __future__ import annotations
@@ -325,20 +325,17 @@ class ParamSeries:
 
     rows[a] is the QSeries coefficient of u^a for 0 <= a <= deg, and every
     row has the common truncation order.  Terms of u-degree above the cap
-    deg are discarded; drop is a lower bound on the q-exponent of every
-    discarded term (None if none was), so that substitute() can attach a
-    sound order.
+    deg are discarded.
     """
 
-    __slots__ = ("rows", "order", "drop")
+    __slots__ = ("rows", "order")
 
-    def __init__(self, rows: list, drop: Optional[Fraction] = None):
+    def __init__(self, rows: list):
         order = rows[0].order
         if any(r.order != order for r in rows):
             raise ValueError("rows must share one truncation order")
         self.rows = rows
         self.order = order
-        self.drop = drop
 
     @classmethod
     def polynomial(cls, rows: list, deg: int) -> "ParamSeries":
@@ -351,61 +348,22 @@ class ParamSeries:
     def deg(self) -> int:
         return len(self.rows) - 1
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "ParamSeries") -> "ParamSeries":
-        _common_deg(self, other)
-        return ParamSeries([a + b for a, b in zip(self.rows, other.rows)],
-                           _least(self.drop, other.drop))
-
     def __mul__(self, other: "ParamSeries") -> "ParamSeries":
         deg = _common_deg(self, other)
-        a = [(i, r, r.lead()[0]) for i, r in enumerate(self.rows) if r.coeffs]
-        b = [(j, r, r.lead()[0]) for j, r in enumerate(other.rows) if r.coeffs]
+        a = [(i, r) for i, r in enumerate(self.rows) if r.coeffs]
+        b = [(j, r) for j, r in enumerate(other.rows) if r.coeffs]
         # The global rule of QSeries.__mul__, with leads taken over all rows.
-        la = min((e for _, _, e in a), default=self.order)
-        lb = min((e for _, _, e in b), default=other.order)
+        la = min((r.lead()[0] for _, r in a), default=self.order)
+        lb = min((r.lead()[0] for _, r in b), default=other.order)
         order = min(self.order + lb, other.order + la)
-        # A discarded term of one factor meets every term of the other, kept
-        # or discarded, so it lands at or above drop + the other's least term.
-        lo_a, lo_b = _least(self.drop, la), _least(other.drop, lb)
-        drop = _least(None if self.drop is None else self.drop + lo_b,
-                      None if other.drop is None else other.drop + lo_a)
         rows: dict = {}
-        for i, ra, ea in a:
-            for j, rb, eb in b:
-                if i + j > deg:
-                    drop = _least(drop, ea + eb)
-                else:
+        for i, ra in a:
+            for j, rb in b:
+                if i + j <= deg:
                     t = (ra * rb).truncate(order)
                     rows[i + j] = rows[i + j] + t if i + j in rows else t
         zero = QSeries.zero(order)
-        return ParamSeries([rows.get(r, zero) for r in range(deg + 1)], drop)
-
-    # -- specialization ------------------------------------------------------
-
-    def substitute(self, alpha: Rat) -> QSeries:
-        """Specialize u -> q^alpha (alpha >= 0).
-
-        The attached order is the base order, lowered below the least
-        exponent q^(drop + (deg+1)*alpha) that a discarded term can reach.
-        """
-        alpha = _frac(alpha)
-        if alpha < 0:
-            raise ValueError("substitution exponent must be nonnegative")
-        order = self.order
-        if self.drop is not None:
-            order = min(order, self.drop + (self.deg + 1) * alpha)
-        out = QSeries.zero(order)
-        for a, row in enumerate(self.rows):
-            if row.coeffs:
-                out = out + row.shift(a * alpha)
-        return out.reduce()
-
-
-def _least(*xs: Optional[Fraction]) -> Optional[Fraction]:
-    """Least of the values that are not None; None if there are none."""
-    return min((x for x in xs if x is not None), default=None)
+        return ParamSeries([rows.get(r, zero) for r in range(deg + 1)])
 
 
 def _common_deg(s: ParamSeries, t: ParamSeries) -> int:

@@ -154,30 +154,35 @@ def poch_naive(sign: int, a: Fraction, m: Fraction, length, order: Fraction) -> 
     return out
 
 
-def poch_param_naive(sign: int, upow: int, a, m, length, order, deg: int) -> tuple:
-    """(coeffs, drop) of (sign u^upow q^a; q^m)_length by literal
-    multiplication of the binomials (1 - sign u^upow q^e).  coeffs maps
-    (u-power, exponent) to a coefficient; a term of u-power above deg is
-    discarded, and drop is the least exponent below `order` among the
-    discarded terms (None if there is none)."""
+def poch_param_naive(sign: int, upow: int, a, m, length, order, deg: int) -> dict:
+    """(sign u^upow q^a; q^m)_length by literal multiplication of the
+    binomials (1 - sign u^upow q^e), as a map from (u-power, exponent) to
+    coefficient; a term of u-power above deg is discarded."""
     a, m, order = Fraction(a), Fraction(m), Fraction(order)
     out = {(0, Fraction(0)): Fraction(1)} if order > 0 else {}
-    drop = None
     k = 0
     while (length is None or k < length) and a + k * m < order:
         e = a + k * m
         nxt = dict(out)
         for (p, x), v in out.items():
-            if x + e >= order:
-                continue
-            if p + upow > deg:
-                drop = x + e if drop is None else min(drop, x + e)
+            if x + e >= order or p + upow > deg:
                 continue
             key = (p + upow, x + e)
             nxt[key] = nxt.get(key, 0) - sign * v
         out = {key: v for key, v in nxt.items() if v}
         k += 1
-    return out, drop
+    return out
+
+
+def specialize(p, alpha):
+    """The one-parameter series p at u = q^alpha, as the sum of
+    p.rows[k].shift(k*alpha).  It is exact below p.order only when p's
+    degree cap covers every grade below the order, so that no term of p was
+    discarded; call it only there."""
+    total = p.rows[0]
+    for k, row in enumerate(p.rows[1:], 1):
+        total = total + row.shift(k * alpha)
+    return total
 
 
 def nahm_naive(A, b, c, d, order, box: int, mask=None) -> dict:
@@ -210,16 +215,14 @@ def nahm_naive(A, b, c, d, order, box: int, mask=None) -> dict:
 
 
 def nahm_param_naive(A, b, c, d, order, box: int, weights, deg: int,
-                     mask=None) -> tuple:
-    """(coeffs, drop) of the Nahm sum carrying u^(weights . n), by scanning an
-    explicit box.  coeffs maps exponents to {u-power: coefficient}; a point
-    whose u-power exceeds deg is dropped and only the least exponent among
-    such points is kept, as drop."""
+                     mask=None) -> dict:
+    """The Nahm sum carrying u^(weights . n), by scanning an explicit box, as
+    a map from exponents to {u-power: coefficient}; a point whose u-power
+    exceeds deg is left out."""
     from itertools import product as iproduct
     r = len(d)
     order = Fraction(order)
     by_pow = {}
-    drop = None
     for n in iproduct(range(box + 1), repeat=r):
         if mask is not None and any(p is not None and ni % 2 != p
                                     for p, ni in zip(mask, n)):
@@ -229,11 +232,8 @@ def nahm_param_naive(A, b, c, d, order, box: int, weights, deg: int,
             for j in range(r):
                 e += Fraction(A[i][j]) * d[j] / 2 * n[i] * n[j]
             e += Fraction(b[i]) * n[i]
-        if e >= order:
-            continue
         ua = sum(w * x for w, x in zip(weights, n))
-        if ua > deg:
-            drop = e if drop is None else min(drop, e)
+        if e >= order or ua > deg:
             continue
         term = {e: Fraction(1)}
         for i in range(r):
@@ -244,7 +244,7 @@ def nahm_param_naive(A, b, c, d, order, box: int, weights, deg: int,
     for ua, ser in by_pow.items():
         for x, v in ser.items():
             coeffs.setdefault(x, {})[ua] = v
-    return coeffs, drop
+    return coeffs
 
 
 def peel_naive(coeffs: dict, order, max_n: int) -> tuple:

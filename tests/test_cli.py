@@ -227,6 +227,17 @@ def test_verify_failure_exit1(capsys, monkeypatch):
     (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1]", "--c", "1/0",
       "--order", "5"], "zero denominator"),
     (["nahm", "--A", "[]", "--b", "[]", "--d", "[]", "--order", "5"], "empty"),
+    # a valid request whose dense window would need 3*10^11 slots
+    (["nahm", "--A", '[["2"]]', "--b", '["1/100000000000"]', "--d", "[1]", "--order", "3"],
+     "window slots"),
+    # colon- and comma-separated arguments name the form they expect
+    (["hunt", "--A", '[["2"]]', "--d", "[1]", "--b-grid", "0", "--order", "5"], "lo:hi:step"),
+    (["hunt", "--A", '[["2"]]', "--d", "[1]", "--b-grid", "0:1:1:1", "--order", "5"],
+     "lo:hi:step"),
+    (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1]", "--order", "5", "--parity", "0"],
+     "i:r"),
+    (["modular-check", "--relation", "conj1.1", "--tau", "1"], "RE,IM"),
+    (["modular-check", "--relation", "conj1.1", "--tau", "0,1,2"], "RE,IM"),
 ])
 def test_malformed_arguments_exit2(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -312,6 +323,7 @@ def _main_exit_code(argv) -> int:
         except SystemExit as exc:
             code = exc.code
     assert "Traceback" not in err.getvalue()
+    assert "values to unpack" not in err.getvalue()
     return code
 
 

@@ -18,7 +18,7 @@ from nahm_forge.nahm import (
 from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
 from nahm_forge.registry import NahmSide, registry
 
-from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts
+from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts, specialize
 
 
 RR = quadruple([[2]], [0], 0, [1])
@@ -203,10 +203,9 @@ def test_sums_against_naive_oracles(case, data):
     w = data.draw(st.tuples(*[st.integers(0, 2)] * r))
     deg = data.draw(st.integers(0, 4))
     p = nahm_sum_param(quad, order, deg, w, mask=mask)
-    coeffs, drop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, R,
-                                    w, deg, mask=mask)
+    coeffs = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, R,
+                              w, deg, mask=mask)
     assert _param_coeffs(p) == coeffs
-    assert p.drop == drop
     assert p.order == order
     # the exponent lattice comes from every point below the order, masked or not
     assert [x.den for x in p.rows] == [x.den for x in nahm_sum_param(quad, order, deg, w).rows]
@@ -234,10 +233,9 @@ def test_rank3_sums_against_naive(quad, mask):
     want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=8, mask=mask)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
     p = nahm_sum_param(quad, order, 4, (1, 0, 2), mask=mask)
-    coeffs, drop = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, 8,
-                                    (1, 0, 2), 4, mask=mask)
+    coeffs = nahm_param_naive(quad.A, quad.b, quad.c, quad.d, order, 8,
+                              (1, 0, 2), 4, mask=mask)
     assert _param_coeffs(p) == coeffs
-    assert p.drop == drop
 
 
 # Its first prefix n_0 = 0 reaches no point of least E, so row 0 must keep
@@ -321,6 +319,18 @@ def test_enumeration_matches_box_scan_on_real_matrices(quad):
             assert list(enumerate_lattice(quad, quad.c + bound, mask)) == want, (mask, bound)
 
 
+def test_oversized_window_refused_before_it_is_allocated(monkeypatch):
+    # b = 10^-11 puts the two points below q^3 on a lattice of 3*10^11 slots
+    with pytest.raises(ValueError, match="window slots"):
+        nahm_sum(quadruple([[2]], [F(1, 10 ** 11)], 0, [1]), 3)
+    # the bound counts every row: RR below q^10 has 10 slots, 3 rows at cap 2
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 30)
+    nahm_sum_param(RR, 10, 2, (1,))
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 29)
+    with pytest.raises(ValueError, match="3 x 10 window slots"):
+        nahm_sum_param(RR, 10, 2, (1,))
+
+
 # -- parameters ----------------------------------------------------------------
 
 def test_param_sum_cao_wang():
@@ -332,8 +342,9 @@ def test_param_sum_cao_wang():
 
 def test_param_substitution_matches_shifted_quadruple():
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
+    # every point of grade n_0 + 2 n_1 > 30 lies above q^25, so none is discarded
     p = nahm_sum_param(quad, 25, 30, (1, 2))
-    got = p.substitute(1)
+    got = specialize(p, 1)
     shifted = quadruple([[2, 1], [2, 2]], [0, 1], 0, [1, 2])
     want = nahm_sum(shifted, got.order)
     assert eq_to_order(got, want, got.order) is None

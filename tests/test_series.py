@@ -11,7 +11,7 @@ from nahm_forge.series import (
 from nahm_forge.products import pf, poch_param, product
 from nahm_forge.nahm import nahm_sum, nahm_sum_param, quadruple
 
-from _oracles import partitions_from_parts, partitions_gap2
+from _oracles import partitions_from_parts, partitions_gap2, ser_add, ser_mul
 
 
 def qs(pairs, den=1, order=10):
@@ -145,50 +145,20 @@ def ps(rows, deg, order=10):
     return ParamSeries.polynomial([QSeries(r, 1, order) for r in rows], deg)
 
 
-def test_substitute_simple():
-    p = ps([{0: 1}, {1: 1}], 5)
-    s = p.substitute(1)
-    assert s.coeffs == {0: 1, 2: 1}
-
-
-def test_substitute_zero_sums_coefficients():
-    p = ps([{1: 2}, {1: 3}, {1: -1}], 5)
-    s = p.substitute(0)
-    assert s.coeffs == {1: 4}
-
-
-def test_substitute_tracks_degree_drops():
-    a = ps([{}, {0: 1}], 1)        # u
-    b = ps([{}, {3: 1}], 1)        # u q^3
-    prod = a * b                   # u^2 q^3 dropped at cap 1
-    assert all(r.is_zero() for r in prod.rows)
-    s = prod.substitute(2)
-    # dropped monomial would land at exponent 3 + 2*2 = 7
-    assert s.order == 7
-
-
-def test_drop_follows_the_other_factors_lead():
-    # q^-1 * (u * u q^3 at cap 1): the discarded u^2 q^2 lands at q^6 under
-    # u = q^2, so the product is exact only below q^6
-    inv_q = ps([{-1: 1}], 1)
-    prod = inv_q * (ps([{}, {0: 1}], 1) * ps([{}, {3: 1}], 1))
-    assert prod.drop == 2
-    assert prod.substitute(2).order == 6
-
-
 def test_param_requires_nonnegative_powers():
     quad = quadruple([[2]], [0], 0, [1])
     with pytest.raises(ValueError):
         nahm_sum_param(quad, 5, 3, (-1,))
-    with pytest.raises(ValueError):
-        poch_param(-1, -1, 0, 1, 5, 3)
+    for upow in (-1, 0):
+        with pytest.raises(ValueError):
+            poch_param(-1, upow, 0, 1, 5, 3)
 
 
 def test_param_rows_share_one_order_and_cap():
     with pytest.raises(ValueError):
         ParamSeries([QSeries.one(5), QSeries.one(6)])
     with pytest.raises(ValueError):
-        ps([{0: 1}], 1) + ps([{0: 1}], 2)
+        ps([{0: 1}], 1) * ps([{0: 1}], 2)
 
 
 def test_eq_to_order_param_least_exponent_then_lowest_power():
@@ -272,19 +242,25 @@ def param_series_st(draw):
     return ps(rows, 2, order)
 
 
-def _agree(s, t):
-    n = min(s.order, t.order)
-    assert eq_to_order(s.truncate(n), t.truncate(n), n) is None
+def _least(p):
+    """Least exponent over every row of p, or its order if p is zero."""
+    return min((e for row in p.rows for e, _ in row.items()), default=p.order)
 
 
 @settings(max_examples=100, deadline=None)
-@given(param_series_st(), param_series_st(), param_series_st(), st.integers(0, 3))
-@example(ps([{}, {}, {0: 1}], 2), ps([{}, {3: 1}], 2), ps([{-1: 1}], 2), 2)
-def test_substitution_commutes_with_ring_ops(p, r, w, alpha):
-    _agree((p + r).substitute(alpha), p.substitute(alpha) + r.substitute(alpha))
-    _agree((p * r).substitute(alpha), p.substitute(alpha) * r.substitute(alpha))
-    _agree((p * r * w).substitute(alpha),
-           p.substitute(alpha) * r.substitute(alpha) * w.substitute(alpha))
+@given(param_series_st(), param_series_st())
+@example(ps([{}, {}, {0: 1}], 2), ps([{}, {3: 1}], 2))     # u^3 q^3 past the cap
+@example(ps([{-1: 1}], 2), ps([{}, {3: 1}, {0: 1}], 2))    # a negative lead
+def test_param_mul_is_the_row_convolution(p, r):
+    got = p * r
+    assert got.order == min(p.order + _least(r), r.order + _least(p))
+    for c, row in enumerate(got.rows):
+        want = {}
+        for i in range(c + 1):
+            want = ser_add(want, ser_mul(dict(p.rows[i].items()),
+                                         dict(r.rows[c - i].items()), got.order))
+        assert row.order == got.order
+        assert {e: F(v) for e, v in row.items()} == want, c
 
 
 # -- Euler's q-exponential identities -----------------------------------------
