@@ -39,6 +39,7 @@ from .products import accumulate, stream
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
+MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum may hold
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -332,9 +333,6 @@ def _ladder_walk(points: Sequence, reads: Sequence, ladders: Sequence):
 def _denominators(quad: NahmQuadruple) -> list:
     """The ladders of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
     return [[(1, d, d, -1, 0, 1)] for d in quad.d]
-
-
-MAX_WINDOW = 2 ** 24   # most dense slots, over all rows, that a sum may hold
 
 
 def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
