@@ -22,20 +22,33 @@ that is when |y| <= isqrt((top - S') // H_k).  The walk takes exactly the
 n_k >= 0 of the masked parity with such a y, so every one it tries lies
 below the bound: the enumeration is complete by proof, needs no box radius
 and no filter, and yields points in lexicographic order with E(n) = S' / W
-at the leaves.  The sum walks those points once, keeping one denominator row
-per depth.
+at the leaves.
+
+The sum is a Horner scheme by level, one array row per prefix n_0..n_(k-1)
+at depth k.  Walking x = n_k from the largest down, every row takes the
+rungs between levels x+1 and x (for 1/(q^d; q^d)_x a division by
+1 - q^(d(x+1)), a running sum per residue class), then level x comes in:
+monomials q^E(n) at the deepest depth, finished rows of depth k+1 above.
+The int64 run is exact mod 2^64, as every step adds or subtracts; the
+float64 run drops every sign (1/(1+q^e) becomes 1/(1-q^e)), so it sums
+nonnegative terms to within adds 2^-51 of a majorant (a running sum of L
+terms counts L adds).  Sign-free and below 2^53, the floats are exact; else
+products.exact_row reads the residues, and past that the code reruns on ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from functools import partial
+from math import ceil, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import accumulate, stream
+from .products import exact_row
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
@@ -198,12 +211,6 @@ def check_parity_mask(mask: ParityMask, rank: int):
             raise ValueError("parity residues must be 0 or 1")
 
 
-def _mask_ok(mask: Optional[ParityMask], n: Sequence[int]) -> bool:
-    if mask is None:
-        return True
-    return all(p is None or ni % 2 == p for p, ni in zip(mask, n))
-
-
 def _ceil_sqrt(x: Fraction) -> Fraction:
     """A rational upper bound for sqrt(x), x >= 0."""
     if x <= 0:
@@ -288,87 +295,126 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
         yield from walk(0, const)
 
 
-def _ladder_walk(points: Sequence, reads: Sequence, ladders: Sequence):
-    """Yield, for each of the lexicographically ascending points n, the
-    product over coordinates k of (sign q^a; q^m)^power of length
-    len0 + len1*n_k (infinite when len0 is None) for every ladder
-    (sign, a, m, power, len0, len1) in ladders[k], exact on at least its
-    first reads[j] integer slots for the j-th point.
-
-    Row k of the walk holds the product over coordinates i <= k.  A point
-    whose first changed coordinate is k advances row k by its new rungs and
-    rebuilds every deeper row from its parent.  Row k only serves the
-    points from here on that share n_0..n_(k-1), so it is cut to the most
-    slots one of those reads, which never grows along the walk.  The
-    yielded row is shared: read only.
-    """
-    r = len(ladders)
-    needs, run, later = [], [0] * r, None
-    for n, read in zip(reversed(points), reversed(reads)):
-        same = 0 if later is None else next(
-            (i for i in range(r) if n[i] != later[i]), r)
-        run = [max(x, read) if i <= same else read for i, x in enumerate(run)]
-        needs.append(run)
-        later = n
-    rows, cur = [None] * r, None
-    for n, need in zip(points, reversed(needs)):
-        k = 0 if cur is None else next((i for i in range(r) if n[i] != cur[i]), r)
-        for i in range(k, r):
-            if i == k and cur is not None:
-                row = rows[i]
-                del row[need[i]:]
-                for sign, a, m, power, len0, len1 in ladders[i]:
-                    if len0 is not None:
-                        stream(row, sign, a, m, power, len0 + len1 * cur[i],
-                               len0 + len1 * n[i])
-                continue
-            row = rows[i] = rows[i - 1][:need[i]] if i else [1] + [0] * (need[0] - 1)
-            for sign, a, m, power, len0, len1 in ladders[i]:
-                stop = None if len0 is None else len0 + len1 * n[i]
-                stream(row, sign, a, m, power, 0, stop)
-        cur = n
-        yield rows[-1]
-
-
 def _denominators(quad: NahmQuadruple) -> list:
     """The ladders of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
     return [[(1, d, d, -1, 0, 1)] for d in quad.d]
 
 
-def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
-                mask: Optional[ParityMask] = None, grade=None, cap: int = 0):
-    """Rows 0..cap of the sum below `order` of q^(E(n) + c) times the ladders
-    of each coordinate (see _ladder_walk) over the lattice points n of quad,
-    point n going to row grade(n) (row 0 when grade is None); points whose
-    grade is above cap are left out.
+def _check_window(*sizes: int):
+    if prod(sizes) > MAX_WINDOW:
+        raise ValueError(f"the sum needs {' x '.join(map(str, sizes))} window "
+                         f"slots, more than {MAX_WINDOW}")
 
-    The dense window is sized from every point below `order`, mask or no
-    mask, so it does not depend on the mask.  A window of more than
-    MAX_WINDOW slots over all rows raises ValueError before it is allocated.
-    """
+
+def _rungs(arr, sign: int, a: int, m: int, power: int, den: int,
+           start: int = 0, stop: Optional[int] = None) -> int:
+    """arr *= prod over rungs start <= i < stop (all when stop is None) of
+    (1 - sign q^(a+i*m))^power, slot j of the last axis holding q^(j/den);
+    returns the adds made (see the module docstring).  A float array takes
+    the majorant, 1 + q^e for 1 - sign q^e and 1/(1 - q^e) for 1/(1 + q^e)."""
+    n, adds, first = arr.shape[-1], 0, (a + start * m) * den
+    end = n if stop is None else min(n, (a + stop * m) * den)
+    if first < end and (first < 0 or first == 0 and power < 0):
+        raise ValueError("rung exponents must be nonnegative, positive to divide")
+    sign = (-1 if power > 0 else 1) if arr.dtype.kind == "f" else sign
+    for e in [e for e in range(first, end, m * den) for _ in range(abs(power))]:
+        if power > 0 or sign == -1:     # 1/(1 + q^e) = (1 - q^e)/(1 - q^2e)
+            arr[..., e:] -= arr[..., :n - e] * (sign if power > 0 else 1)
+            e, adds = 2 * e, adds + 1
+        if power < 0 and e < n:         # a running sum per residue mod e
+            full = n - n % e
+            head = arr[..., :full].reshape(arr.shape[:-1] + (full // e, e))
+            np.cumsum(head, axis=-2, out=head)
+            arr[..., full:] += arr[..., full - e:n - e]
+            adds += full // e + 1
+    return adds
+
+
+def _levels(kept, rank: int) -> list:
+    """The plan of _horner for the sorted kept (n_0..n_(r-1), grade, slot): per
+    depth from the deepest up, its prefix rows' top levels, descending, and per
+    level x the lowest slot coming in, where it goes, its child rows or None."""
+    plan, cols, low, src = [], kept[:, :rank], kept[:, -1], None
+    for k in range(rank - 1, -1, -1) if len(kept) else ():
+        starts = np.flatnonzero(np.r_[True, (cols[1:, :k] != cols[:-1, :k]).any(1)])
+        ends = np.r_[starts[1:], len(cols)]
+        top = cols[ends - 1, k].tolist()    # a prefix's last point is its top
+        rows = sorted(range(len(top)), key=top.__getitem__, reverse=True)
+        row = np.array(sorted(range(len(rows)), key=rows.__getitem__))
+        at_row, levels = np.repeat(row, ends - starts), {}
+        for x in range(top[rows[0]] + 1):
+            if len(i := np.flatnonzero(cols[:, k] == x)):
+                dst = (at_row[i], *kept[i, -2:].T) if src is None else at_row[i]
+                levels[x] = int(low[i].min()), dst, None if src is None else src[i]
+        plan.append(([top[j] for j in rows], levels))
+        cols, low, src = cols[starts], np.minimum.reduceat(low, starts), row
+    return plan
+
+
+def _horner(plan: list, ladders: Sequence, den: int, shape: tuple, dtype):
+    """The (grades x slots) array of _graded_sum in dtype, and its adds."""
+    adds, arr = 0, np.zeros((1, *shape), dtype)
+    for (tops, levels), lad in zip(plan, reversed(ladders)):
+        child, arr = arr, np.zeros((len(tops), *shape), dtype)
+        live, lo = 0, shape[-1]
+        for x in range(tops[0], -1, -1):
+            for sign, a, m, power, len0, len1 in lad if live else ():
+                if len0 is not None:
+                    adds += _rungs(arr[:live, ..., lo:], sign, a, m, power, den,
+                                   len0 + len1 * x, len0 + len1 * (x + 1))
+            while live < len(tops) and tops[live] >= x:
+                live += 1
+            if x in levels:
+                floor, dst, src = levels[x]
+                lo, adds = min(lo, floor), adds + 1
+                arr[dst] += 1 if src is None else child[src]
+        for sign, a, m, power, len0, _ in lad:
+            adds += _rungs(arr[..., lo:], sign, a, m, power, den, 0, len0)
+    return arr[0], adds
+
+
+def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
+                mask: Optional[ParityMask] = None, weights=None, cap: int = 0):
+    """Rows 0..cap of the sum below `order` of q^(E(n) + c) times, for each k,
+    (sign q^a; q^m)^power of length len0 + len1*n_k (infinite when len0 is
+    None) for each (sign, a, m, power, len0, len1) in ladders[k], over the
+    points n of quad, n in row weights.n (0 if weights is None) up to cap.
+    The window, from every point below `order` whatever the mask, has at
+    least ceil(order - c) slots (n = 0); ValueError refuses one past
+    MAX_WINDOW before the lattice is listed and before allocating."""
     order = _frac(order)
-    bound = order - quad.c
+    bound, r = order - quad.c, quad.rank
+    _check_window(cap + 1, max(ceil(bound), 0))
     pts = list(enumerate_lattice(quad, order))
     den = lcm(*(e.denominator for _, e in pts))
     keys = [e.numerator * (den // e.denominator) for _, e in pts]
     lo = min(keys, default=0)
     slots = ceil(bound * den) - lo if pts else 0
-    if (cap + 1) * slots > MAX_WINDOW:
-        raise ValueError(f"the sum needs {cap + 1} x {slots} window slots, "
-                         f"more than {MAX_WINDOW}")
-    kept = [(n, key - lo) for (n, _), key in zip(pts, keys)
-            if _mask_ok(mask, n) and (grade is None or grade(n) <= cap)]
-    points = [n for n, _ in kept]
-    # point n reads the slots base + den*j < slots of its row
-    reads = [(slots - base + den - 1) // den for _, base in kept]
-    accs = [[0] * slots for _ in range(cap + 1)]
-    for (n, base), row in zip(kept, _ladder_walk(points, reads, ladders)):
-        accumulate(accs[grade(n) if grade else 0], base, den, row)
+    _check_window(len({n[:-1] for n, _ in pts}) or 1, cap + 1, slots)
+    kept = np.array([(*n, 0, key - lo) for (n, _), key in zip(pts, keys)],
+                    np.int64).reshape(-1, r + 2)
+    kept[:, r] = kept[:, :r] @ np.array(weights or (0,) * r, np.int64)
+    keep = kept[:, r] <= cap
+    for i, p in enumerate(mask or ()):
+        keep &= True if p is None else kept[:, i] % 2 == p
+    kept = kept[keep]
+    shape, plan = (1 + int(kept[:, r].max(initial=0)), slots), _levels(kept, r)
+    nonneg = all(s * p < 0 for lad in ladders for s, _, _, p, *_ in lad)
+    run = partial(_horner, plan, ladders, den, shape)
+    with np.errstate(over="ignore"):
+        shadow, adds = run(np.float64)
+        top = float(shadow.max(initial=0.0))
+        small = top < 2 ** 53 and (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 104
+        residues = shadow.astype(np.int64) if nonneg and small else run(np.int64)[0]
+    flat = exact_row(residues.ravel(), shadow.ravel(), adds, nonneg)
+    if flat is None:
+        flat = run(object)[0].ravel().tolist()
     # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
     out_den = lcm(den, quad.c.denominator)
     f, off = out_den // den, int(quad.c * out_den)
-    return [QSeries({(lo + i) * f + off: v for i, v in enumerate(acc) if v},
-                    out_den, order) for acc in accs]
+    return [QSeries({(lo + i) * f + off: v for i, v in
+                     enumerate(flat[g * slots:(g + 1) * slots]) if v}, out_den, order)
+            for g in range(cap + 1)]
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,
@@ -380,7 +426,7 @@ def nahm_sum(quad: NahmQuadruple, order: Rat,
 def ladder_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
                mask: Optional[ParityMask] = None) -> QSeries:
     """Sum below `order` of q^(E(n) + c) times the ladders of each coordinate
-    (see _ladder_walk) over the lattice points n of quad."""
+    (see _graded_sum) over the lattice points n of quad."""
     return _graded_sum(quad, order, ladders, mask)[0].reduce()
 
 
@@ -397,7 +443,7 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
     if any(w < 0 for w in weights):
         raise ValueError("parameter weights must be nonnegative")
     return ParamSeries(_graded_sum(quad, order, _denominators(quad), mask,
-                                   lambda n: sum(map(mul, weights, n)), deg))
+                                   weights, deg))
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, isfinite, lcm
 from operator import add, mul, sub
 from typing import Optional
 
@@ -102,11 +102,24 @@ def stream(arr: list, sign: int, a: int, m: int, power: int,
                     arr[j:j + e] = map(add, arr[j:j + e], arr[j - e:j])
 
 
-def accumulate(acc: list, base: int, den: int, row: list):
-    """acc[base + den*k] += row[k] for every k that lands inside acc."""
-    m = min(len(row), (len(acc) - base + den - 1) // den)
-    window = slice(base, base + den * m, den)
-    acc[window] = map(add, acc[window], row[:m])
+def exact_row(residues, shadow, adds: int, nonneg: bool = True):
+    """Exact integers from an int64 run's residues and its float64 shadow,
+    whose adds of nonnegative terms leave |f - x*| <= adds 2^-51 f for the
+    majorant x* it computes while adds < 2^51 (the gamma_n bound: Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).  The
+    residues are the answer when f (1 + adds 2^-51) < 2^63 everywhere; in a
+    sign-free run, x = x* is the one integer of its class mod 2^64 near f
+    while the bound is below 2^62.  Otherwise, or if f is not finite, None.
+    """
+    top = float(shadow.max(initial=0.0))
+    if not isfinite(top) or adds >= 2 ** 51:
+        return None
+    if (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 114:
+        return residues.tolist()
+    if not nonneg or int(top) * adds >= 2 ** 113:
+        return None
+    return [b + (r - b + 2 ** 63) % 2 ** 64 - 2 ** 63
+            for r, b in zip(residues.tolist(), map(int, shadow.tolist()))]
 
 
 def _lattice_den(factors) -> int:

@@ -339,10 +339,9 @@ class ParamSeries:
 
     @classmethod
     def polynomial(cls, rows: list, deg: int) -> "ParamSeries":
-        """sum of rows[a] * u^a, padded with zero rows up to the cap deg."""
-        if len(rows) > deg + 1:
-            raise ValueError("more rows than the degree cap allows")
-        return cls(list(rows) + [QSeries.zero(rows[0].order)] * (deg + 1 - len(rows)))
+        """sum of rows[a] * u^a for a <= deg (as __mul__, it drops the rest)."""
+        return cls(list(rows[:deg + 1])
+                   + [QSeries.zero(rows[0].order)] * (deg + 1 - len(rows)))
 
     @property
     def deg(self) -> int:

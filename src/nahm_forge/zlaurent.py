@@ -12,22 +12,22 @@ order.  The test suite exercises window doubling to confirm the pruning.
 
 Exactness of the dense kernel: every rung adds nonnegative terms, so the
 ladder runs once in int64, exact modulo 2^64 because integer adds wrap, and
-once in float64, whose entries majorize their own rounding error.  Each z^0
-coefficient is the integer of its residue class nearest to its float; when
-the proven error bound does not single that integer out, the same array code
-reruns on Python ints.
+once in float64, whose entries majorize their own rounding error.
+products.exact_row, shared with the Nahm sums, recovers each z^0
+coefficient from its residue and its float; when the proven error bound
+does not single it out, the same array code reruns on Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isfinite, isqrt
+from math import ceil, isqrt
 from typing import Optional
 
 import numpy as np
 
 from .errors import WindowOverflow
-from .products import pf, poch
+from .products import exact_row as _exact_row, pf, poch
 from .series import QSeries, Rat
 
 
@@ -74,24 +74,6 @@ def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
             add(s, s * e)
             s *= 2
     return arr[w_cap], adds
-
-
-def _exact_row(residues: np.ndarray, shadow: np.ndarray, adds: int):
-    """Exact coefficients from int64 residues and their float64 shadow.
-
-    After ``adds`` rounded adds of nonnegative terms, |f - x| <=
-    ((1 + 2^-53)^adds - 1) x <= adds 2^-51 f while adds < 2^51.  Below
-    2^62 that bound leaves one integer x of the residue class mod 2^64
-    near f.  Returns None when the bound does not hold or f is not finite.
-    """
-    top = float(shadow.max(initial=0.0))
-    if not isfinite(top) or adds >= 2 ** 51 or int(top) * adds >= 2 ** 113:
-        return None
-    out = []
-    for r, f in zip(residues.tolist(), shadow.tolist()):
-        base = int(f)
-        out.append(base + (r - base + 2 ** 63) % 2 ** 64 - 2 ** 63)
-    return out
 
 
 def _ct_row(u_exp: int, v_exp: int, n: int, w_cap: int) -> list:

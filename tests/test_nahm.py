@@ -1,23 +1,25 @@
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
-from math import ceil, lcm, sqrt
+from math import inf, lcm, nextafter, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from nahm_forge.series import eq_to_order, eq_to_order_param
-from nahm_forge.products import pf, poch_param, product
+from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
+from nahm_forge.products import exact_row, pf, poch_param, product
 from nahm_forge import nahm
 from nahm_forge.nahm import (
     box_radius, dual_quadruple, enumerate_lattice, nahm_sum, nahm_sum_param,
     quadruple,
 )
 from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
-from nahm_forge.registry import NahmSide, registry
+from nahm_forge.registry import NahmSide, SingleSum, registry, sf, single_sum
 
+from _naive import naive_single_sum
 from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts, specialize
 
 
@@ -238,8 +240,8 @@ def test_rank3_sums_against_naive(quad, mask):
     assert _param_coeffs(p) == coeffs
 
 
-# Its first prefix n_0 = 0 reaches no point of least E, so row 0 must keep
-# the slots that the later prefix n_0 = 1 reads after advancing in place.
+# Its first prefix n_0 = 0 reaches no point of least E, so the lowest slot
+# of the window belongs to the later prefix n_0 = 1.
 DIPPED = quadruple([[4, 2], [6, 4]], [-3, -2], 0, [1, 3])
 
 
@@ -250,24 +252,9 @@ def test_dipped_first_prefix_lies_above_the_minimum():
 
 
 @pytest.mark.parametrize("quad", [DIPPED, *RANK3])
-def test_walk_rows_never_grow_and_are_trimmed(quad, monkeypatch):
+def test_level_sum_matches_naive_past_a_dipped_prefix(quad):
     order = 12
-    emin = min(e for _, e in enumerate_lattice(quad, order))
-    lengths = {}          # id(row) -> (row, its length at each stream call)
-    real = nahm.stream
-
-    def spy(row, *args):
-        lengths.setdefault(id(row), (row, []))[1].append(len(row))
-        real(row, *args)
-
-    monkeypatch.setattr(nahm, "stream", spy)
     got = nahm_sum(quad, order)
-    assert lengths
-    for _, seen in lengths.values():
-        assert seen == sorted(seen, reverse=True), "a walk row grew"
-    # rows under a prefix whose points all lie above emin are cut short
-    full = ceil(order - quad.c - emin)
-    assert min(seen[-1] for _, seen in lengths.values()) < full
     want = nahm_naive(quad.A, quad.b, quad.c, quad.d, order, box=12)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
 
@@ -329,6 +316,79 @@ def test_oversized_window_refused_before_it_is_allocated(monkeypatch):
     monkeypatch.setattr(nahm, "MAX_WINDOW", 29)
     with pytest.raises(ValueError, match="3 x 10 window slots"):
         nahm_sum_param(RR, 10, 2, (1,))
+
+
+# -- the level-by-level kernel -------------------------------------------------
+
+ETA24 = (pf(1, 1, 1, None, -24),)               # 1 / (q; q)_inf^24
+THETA = SingleSum(F(1), F(0), F(0), ())         # sum of q^(n^2)
+# (q; q^2)_n / (-q; q)_n: a numerator rung and 1/(1 + q^e), both with signs
+SIGNED = SingleSum(F(1), F(0), F(0), (sf(1, 1, 2, 0, 1), sf(-1, 1, 1, 0, 1, -1)))
+
+
+def _runs(monkeypatch) -> list:
+    """The dtype of every kernel run from here on."""
+    seen, real = [], nahm._horner
+
+    def spy(plan, ladders, den, shape, dtype):
+        seen.append(np.dtype(dtype).name)
+        return real(plan, ladders, den, shape, dtype)
+
+    monkeypatch.setattr(nahm, "_horner", spy)
+    return seen
+
+
+@pytest.mark.parametrize("order,runs", [
+    (24, ["float64"]),                       # below 2^53 the float run is exact
+    (26, ["float64", "int64"]),              # below 2^63 the residues are
+    (45, ["float64", "int64"]),              # nearest in class past 2^63
+    (200, ["float64", "int64", "object"]),   # past what the shadow can place
+])
+def test_each_exact_path_matches_product_times_naive_body(monkeypatch, order, runs):
+    seen = _runs(monkeypatch)
+    got = single_sum(THETA, order, ETA24)
+    assert seen == runs
+    body = {int(e): int(v) for e, v in naive_single_sum(THETA, order).items()}
+    assert eq_to_order(got, product(ETA24, order) * QSeries(body, 1, order),
+                       order) is None
+    assert (max(got.coeffs.values()) >= 2 ** 63) == (order >= 45)
+
+
+def test_signed_ladders_take_the_residues(monkeypatch):
+    seen = _runs(monkeypatch)
+    got = single_sum(SIGNED, 60)
+    assert seen == ["float64", "int64"]
+    assert min(got.coeffs.values()) < 0
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == \
+        naive_single_sum(SIGNED, 60)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nahm_sum(CAPPARELLI, 60, (1, None)),
+    lambda: single_sum(SIGNED, 60),
+    lambda: nahm_sum_param(RANK3[0], 12, 4, (1, 0, 2)).rows,
+])
+def test_declined_recovery_falls_back_to_python_ints(monkeypatch, build):
+    want = build()
+    monkeypatch.setattr(nahm, "exact_row", lambda *args: None)
+    seen = _runs(monkeypatch)
+    assert build() == want
+    assert seen[-1] == "object"
+
+
+def test_exact_row_signed_bound():
+    # a signed run's residues hold while f (1 + adds 2^-51) stays below 2^63
+    adds = 2 ** 10
+    top = 2 ** 114 // (2 ** 51 + adds) - 1
+    below = float(top)
+    while int(below) > top:
+        below = nextafter(below, 0)
+    above = nextafter(float(top + 1), inf)
+    residues = np.array([-7, 5], dtype=np.int64)
+    assert exact_row(residues, np.array([below, 5.0]), adds, False) == [-7, 5]
+    assert exact_row(residues, np.array([above, 5.0]), adds, False) is None
+    # a sign-free run still places the residue by its nearest integer there
+    assert exact_row(residues, np.array([above, 5.0]), adds) is not None
 
 
 # -- parameters ----------------------------------------------------------------

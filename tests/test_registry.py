@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from nahm_forge.errors import UnknownId
-from nahm_forge.series import QSeries, eq_to_order
+from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, product
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge import registry as R
@@ -154,6 +154,16 @@ def test_naive_recomputation_sample():
         got = rec.lhs(F(20))
         got_map = {F(k, got.den): F(v) for k, v in got.coeffs.items()}
         assert got_map == want_l, f"pipeline deviates from oracle for {rec.id}"
+
+
+@pytest.mark.parametrize("rid", ["thm-new-exam1-param", "thm-new-exam2-param"])
+@pytest.mark.parametrize("order", [60, 30])
+def test_new_exam_param_sides_agree_at_degree_zero(rid, order):
+    # each right side's trinomial has a u-row above the cap 0, which is dropped
+    rec = R.get(rid)
+    lhs, rhs = rec.lhs(order, 0), rec.rhs(order, 0)
+    assert lhs.deg == rhs.deg == 0
+    assert eq_to_order_param(lhs, rhs, F(order)) is None
 
 
 def test_single_sum_window_starts_at_least_exponent():
