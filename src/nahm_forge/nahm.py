@@ -29,11 +29,9 @@ at depth k.  Walking x = n_k from the largest down, every row takes the
 rungs between levels x+1 and x (for 1/(q^d; q^d)_x a division by
 1 - q^(d(x+1)), a running sum per residue class), then level x comes in:
 monomials q^E(n) at the deepest depth, finished rows of depth k+1 above.
-The int64 run is exact mod 2^64, as every step adds or subtracts; the
-float64 run drops every sign (1/(1+q^e) becomes 1/(1-q^e)), so it sums
-nonnegative terms to within adds 2^-51 of a majorant (a running sum of L
-terms counts L adds).  Sign-free and below 2^53, the floats are exact; else
-products.exact_row reads the residues, and past that the code reruns on ints.
+Every step is a rung of products.rungs or an add, so products.exact_run
+makes the sum exact from a float64 and an int64 run, or reruns it on
+Python ints; its docstring holds the proof.
 """
 
 from __future__ import annotations
@@ -48,11 +46,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import exact_row
+from .products import MAX_WINDOW, exact_run, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
-MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum may hold
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -306,30 +303,6 @@ def _check_window(*sizes: int):
                          f"slots, more than {MAX_WINDOW}")
 
 
-def _rungs(arr, sign: int, a: int, m: int, power: int, den: int,
-           start: int = 0, stop: Optional[int] = None) -> int:
-    """arr *= prod over rungs start <= i < stop (all when stop is None) of
-    (1 - sign q^(a+i*m))^power, slot j of the last axis holding q^(j/den);
-    returns the adds made (see the module docstring).  A float array takes
-    the majorant, 1 + q^e for 1 - sign q^e and 1/(1 - q^e) for 1/(1 + q^e)."""
-    n, adds, first = arr.shape[-1], 0, (a + start * m) * den
-    end = n if stop is None else min(n, (a + stop * m) * den)
-    if first < end and (first < 0 or first == 0 and power < 0):
-        raise ValueError("rung exponents must be nonnegative, positive to divide")
-    sign = (-1 if power > 0 else 1) if arr.dtype.kind == "f" else sign
-    for e in [e for e in range(first, end, m * den) for _ in range(abs(power))]:
-        if power > 0 or sign == -1:     # 1/(1 + q^e) = (1 - q^e)/(1 - q^2e)
-            arr[..., e:] -= arr[..., :n - e] * (sign if power > 0 else 1)
-            e, adds = 2 * e, adds + 1
-        if power < 0 and e < n:         # a running sum per residue mod e
-            full = n - n % e
-            head = arr[..., :full].reshape(arr.shape[:-1] + (full // e, e))
-            np.cumsum(head, axis=-2, out=head)
-            arr[..., full:] += arr[..., full - e:n - e]
-            adds += full // e + 1
-    return adds
-
-
 def _levels(kept, rank: int) -> list:
     """The plan of _horner for the sorted kept (n_0..n_(r-1), grade, slot): per
     depth from the deepest up, its prefix rows' top levels, descending, and per
@@ -360,8 +333,8 @@ def _horner(plan: list, ladders: Sequence, den: int, shape: tuple, dtype):
         for x in range(tops[0], -1, -1):
             for sign, a, m, power, len0, len1 in lad if live else ():
                 if len0 is not None:
-                    adds += _rungs(arr[:live, ..., lo:], sign, a, m, power, den,
-                                   len0 + len1 * x, len0 + len1 * (x + 1))
+                    adds += rungs(arr[:live, ..., lo:], sign, a * den, m * den,
+                                  power, len0 + len1 * x, len0 + len1 * (x + 1))
             while live < len(tops) and tops[live] >= x:
                 live += 1
             if x in levels:
@@ -369,7 +342,7 @@ def _horner(plan: list, ladders: Sequence, den: int, shape: tuple, dtype):
                 lo, adds = min(lo, floor), adds + 1
                 arr[dst] += 1 if src is None else child[src]
         for sign, a, m, power, len0, _ in lad:
-            adds += _rungs(arr[..., lo:], sign, a, m, power, den, 0, len0)
+            adds += rungs(arr[..., lo:], sign, a * den, m * den, power, 0, len0)
     return arr[0], adds
 
 
@@ -379,18 +352,23 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
     (sign q^a; q^m)^power of length len0 + len1*n_k (infinite when len0 is
     None) for each (sign, a, m, power, len0, len1) in ladders[k], over the
     points n of quad, n in row weights.n (0 if weights is None) up to cap.
-    The window, from every point below `order` whatever the mask, has at
-    least ceil(order - c) slots (n = 0); ValueError refuses one past
-    MAX_WINDOW before the lattice is listed and before allocating."""
+    The window, from every point below `order` whatever the mask, has one
+    row per prefix n[:-1] and at least ceil(order - c) slots (n = 0, the
+    first point listed), so ValueError refuses one past MAX_WINDOW as soon
+    as the prefixes listed so far show it, and before allocating."""
     order = _frac(order)
     bound, r = order - quad.c, quad.rank
-    _check_window(cap + 1, max(ceil(bound), 0))
-    pts = list(enumerate_lattice(quad, order))
+    pts, rows, last = [], 0, None
+    for n, e in enumerate_lattice(quad, order):
+        if n[:-1] != last:              # the walk is lexicographic: a new row
+            rows, last = rows + 1, n[:-1]
+            _check_window(rows, cap + 1, ceil(bound))
+        pts.append((n, e))
     den = lcm(*(e.denominator for _, e in pts))
     keys = [e.numerator * (den // e.denominator) for _, e in pts]
     lo = min(keys, default=0)
     slots = ceil(bound * den) - lo if pts else 0
-    _check_window(len({n[:-1] for n, _ in pts}) or 1, cap + 1, slots)
+    _check_window(rows, cap + 1, slots)
     kept = np.array([(*n, 0, key - lo) for (n, _), key in zip(pts, keys)],
                     np.int64).reshape(-1, r + 2)
     kept[:, r] = kept[:, :r] @ np.array(weights or (0,) * r, np.int64)
@@ -400,15 +378,7 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
     kept = kept[keep]
     shape, plan = (1 + int(kept[:, r].max(initial=0)), slots), _levels(kept, r)
     nonneg = all(s * p < 0 for lad in ladders for s, _, _, p, *_ in lad)
-    run = partial(_horner, plan, ladders, den, shape)
-    with np.errstate(over="ignore"):
-        shadow, adds = run(np.float64)
-        top = float(shadow.max(initial=0.0))
-        small = top < 2 ** 53 and (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 104
-        residues = shadow.astype(np.int64) if nonneg and small else run(np.int64)[0]
-    flat = exact_row(residues.ravel(), shadow.ravel(), adds, nonneg)
-    if flat is None:
-        flat = run(object)[0].ravel().tolist()
+    flat = exact_run(partial(_horner, plan, ladders, den, shape), nonneg)
     # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
     out_den = lcm(den, quad.c.denominator)
     f, off = out_den // den, int(quad.c * out_den)

@@ -2,24 +2,27 @@
 and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 
 Every factor is a ladder of binomials (1 - sign*q^(a+k*m)); multiplying or
-dividing a dense coefficient window by one binomial is a single O(length)
-pass, so whole products are expanded by streaming binomials instead of
-general series multiplication.  Infinite products of many rungs are built
-instead from their exponents by the log-derivative recurrence, when that
-costs fewer passes (see product).
+dividing a dense coefficient window by one binomial is one O(length) pass of
+rungs, the kernel the Nahm sums share, so whole products are built rung by
+rung instead of by general series multiplication.  Infinite products of many
+rungs are built instead from their exponents by the log-derivative
+recurrence, when that costs fewer passes (see product).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isfinite, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import Optional
+
+import numpy as np
 
 from .errors import Divergent
 from .series import ParamSeries, QSeries, Rat, _coeff, _frac
+
+MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum or product may hold
 
 
 @dataclass(frozen=True)
@@ -70,47 +73,57 @@ def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor
 # Binomial-ladder kernel
 # ---------------------------------------------------------------------------
 
-def stream(arr: list, sign: int, a: int, m: int, power: int,
-           start: int = 0, stop: Optional[int] = None):
-    """arr *= prod over rungs start <= k < stop of (1 - sign*q^(a+k*m))^power,
-    in place on a dense window whose slot i holds q^i; stop None means the
-    infinite product.
-
-    Needs m > 0 and the first rung's exponent >= 0 (> 0 when dividing).  A
-    rung at or past the top of the window is 1 there, so the stream stops
-    at the top.  Dividing by (1 - q^e) is a running sum along each residue
-    class mod e, and 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e)).
-    """
-    n = len(arr)
-    first = a + start * m
+def rungs(arr, sign: int, a: int, m: int, power: int,
+          start: int = 0, stop: Optional[int] = None) -> int:
+    """arr *= prod over rungs start <= k < stop (all when stop is None) of
+    (1 - sign*q^(a+k*m))^power in place, slot i of the last axis holding
+    q^i; returns the adds made.  Needs m > 0 and the first rung's exponent
+    >= 0 (> 0 to divide); the ladder stops at the top of the window.  A
+    division by 1 - q^e is a running sum per residue class mod e.  A float
+    array takes the majorant: 1 + q^e for 1 - sign*q^e, 1/(1 - q^e) for
+    1/(1 + q^e)."""
+    n, adds, first = arr.shape[-1], 0, a + start * m
     end = n if stop is None else min(n, a + stop * m)
     if first < end and (first < 0 or first == 0 and power < 0):
         raise ValueError("rung exponents must be nonnegative, positive to divide")
-    for _ in range(abs(power)):
-        for e in range(first, end, m):
-            if power > 0:
-                arr[e:] = map(sub if sign == 1 else add, arr[e:], arr[:n - e])
-                continue
-            if sign == -1:
-                arr[e:] = map(sub, arr[e:], arr[:n - e])
-                e *= 2
-            if e * e < n:
-                for r in range(e):
-                    arr[r::e] = itertools.accumulate(arr[r::e])
-            else:
-                for j in range(e, n, e):
-                    arr[j:j + e] = map(add, arr[j:j + e], arr[j - e:j])
+    sign = (-1 if power > 0 else 1) if arr.dtype.kind == "f" else sign
+    for e in [e for e in range(first, end, m) for _ in range(abs(power))]:
+        if power > 0 or sign == -1:     # 1/(1 + q^e) = (1 - q^e)/(1 - q^2e)
+            tail = arr[..., e:]         # in place, with no multiply by the sign
+            (np.add if sign * power < 0 else np.subtract)(tail, arr[..., :n - e], out=tail)
+            e, adds = 2 * e, adds + 1
+        if power < 0 and e < n:         # a running sum per residue mod e
+            full = n - n % e
+            head = arr[..., :full].reshape(arr.shape[:-1] + (full // e, e))
+            np.cumsum(head, axis=-2, out=head)
+            arr[..., full:] += arr[..., full - e:n - e]
+            adds += full // e + 1
+    return adds
+
+
+def exact_run(run, nonneg: bool = True) -> list:
+    """The exact integers, as a flat list, of run(dtype) -> (array, adds), a
+    computation by rungs and adds; nonneg says it has no signs.  The int64
+    run is exact mod 2^64.  The float64 run drops every sign (see rungs), so
+    while adds < 2^51 it sums nonnegative terms to within adds 2^-51 f of a
+    majorant x* (the gamma_n bound: Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3; a running sum of L terms counts L
+    adds).  Sign-free and below 2^53, the floats are exact; else exact_row
+    places the residues, and past that the run repeats on Python ints."""
+    with np.errstate(over="ignore"):
+        shadow, adds = run(np.float64)
+        top = float(shadow.max(initial=0.0))
+        small = top < 2 ** 53 and (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 104
+        residues = shadow.astype(np.int64) if nonneg and small else run(np.int64)[0]
+    flat = exact_row(residues.ravel(), shadow.ravel(), adds, nonneg)
+    return run(object)[0].ravel().tolist() if flat is None else flat
 
 
 def exact_row(residues, shadow, adds: int, nonneg: bool = True):
-    """Exact integers from an int64 run's residues and its float64 shadow,
-    whose adds of nonnegative terms leave |f - x*| <= adds 2^-51 f for the
-    majorant x* it computes while adds < 2^51 (the gamma_n bound: Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).  The
-    residues are the answer when f (1 + adds 2^-51) < 2^63 everywhere; in a
-    sign-free run, x = x* is the one integer of its class mod 2^64 near f
-    while the bound is below 2^62.  Otherwise, or if f is not finite, None.
-    """
+    """x from exact_run's int64 residues and float64 shadow f: the residues
+    while f (1 + adds 2^-51) < 2^63 everywhere, or, sign-free (x = x*), the
+    integer of their class mod 2^64 nearest f while the bound is below 2^62;
+    else, or if f is not finite, None."""
     top = float(shadow.max(initial=0.0))
     if not isfinite(top) or adds >= 2 ** 51:
         return None
@@ -160,14 +173,13 @@ def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
     return c
 
 
-def _by_ladder(infinite, n: int) -> list:
+def _by_ladder(infinite, n: int) -> np.ndarray:
     """prod (sign q^a; q^m)_inf^power over (sign, a, m, power) in infinite,
-    on n integer slots, one rung pass at a time."""
-    arr = [0] * n
-    if n:
-        arr[0] = 1
+    on n integer slots of dtype=object, one rung pass at a time."""
+    arr = np.zeros(n, object)
+    arr[:1] = 1
     for sign, a, m, power in infinite:
-        stream(arr, sign, a, m, power)
+        rungs(arr, sign, a, m, power)
     return arr
 
 
@@ -196,11 +208,12 @@ def product(factors, order: Rat) -> QSeries:
     rung pass of the ladder and a step of exponent_product each cost about
     one dense pass over the window, so the recurrence builds them when the
     ladder would make more rung passes than the window has slots, and the
-    ladder otherwise.  The a = 0 factor and the finite factors then stream
-    into that window.  A finite factor's rungs with negative exponent e fold
-    out by 1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one
-    shift, so the window holds the exponents from 0 up to the order less
-    that shift and every factor streams into it with nonnegative exponents.
+    ladder otherwise.  The a = 0 factor and the finite factors then run
+    their rungs on that window.  A finite factor's rungs with negative
+    exponent e fold out by 1 - s*q^e = -s*q^e * (1 - s*q^-e) into one
+    constant and one shift, so the window holds the exponents from 0 up to
+    the order less that shift, where every rung's exponent is nonnegative;
+    ValueError refuses a window past MAX_WINDOW before it is allocated.
     """
     order = _frac(order)
     den = _lattice_den(factors)
@@ -218,13 +231,15 @@ def product(factors, order: Rat) -> QSeries:
             ladders.append((s, -(a + (k - 1) * m), m, p, 0, k))
         ladders.append((s, a, m, p, k, f.length))
     n = max(ceil(order * den) - shift, 0)
+    if n > MAX_WINDOW:
+        raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
     if _rung_passes(infinite, n) > n:
-        arr = _by_recurrence(infinite, n)
+        arr = np.array(_by_recurrence(infinite, n), object)
     else:
         arr = _by_ladder(infinite, n)
     for ladder in ladders:
-        stream(arr, *ladder)
-    out = {shift + i: const * v for i, v in enumerate(arr) if v}
+        rungs(arr, *ladder)
+    out = {shift + i: const * v for i, v in enumerate(arr.tolist()) if v}
     return QSeries(out, den, order).reduce()
 
 

@@ -10,24 +10,23 @@ quadratic ladder adds a distinct exponent a + k*m), so any content that ever
 leaves the window can only influence q-exponents at or above the truncation
 order.  The test suite exercises window doubling to confirm the pruning.
 
-Exactness of the dense kernel: every rung adds nonnegative terms, so the
-ladder runs once in int64, exact modulo 2^64 because integer adds wrap, and
-once in float64, whose entries majorize their own rounding error.
-products.exact_row, shared with the Nahm sums, recovers each z^0
-coefficient from its residue and its float; when the proven error bound
-does not single it out, the same array code reruns on Python ints.
+Exactness of the dense kernel: every rung adds nonnegative terms, so
+products.exact_run, shared with the Nahm sums, recovers each z^0
+coefficient from a float64 and an int64 run of the ladder, or reruns it on
+Python ints; its docstring holds the proof.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, isqrt
 from typing import Optional
 
 import numpy as np
 
 from .errors import WindowOverflow
-from .products import exact_row as _exact_row, pf, poch
+from .products import exact_run, pf, poch
 from .series import QSeries, Rat
 
 
@@ -76,17 +75,6 @@ def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
     return arr[w_cap], adds
 
 
-def _ct_row(u_exp: int, v_exp: int, n: int, w_cap: int) -> list:
-    """The exact z^0 row: int64 and float64 ladders, else Python ints."""
-    with np.errstate(over="ignore"):
-        residues, adds = _ladder(u_exp, v_exp, n, w_cap, np.int64)
-        shadow, _ = _ladder(u_exp, v_exp, n, w_cap, np.float64)
-    row = _exact_row(residues, shadow, adds)
-    if row is None:
-        row = _ladder(u_exp, v_exp, n, w_cap, object)[0].tolist()
-    return row
-
-
 def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
                   window: Optional[int] = None) -> QSeries:
     """Constant term of (-q^(1+v)/z, -qz, -q/z, q^2; q^2)_inf / (q^u z; q)_inf.
@@ -98,7 +86,7 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
     n = ceil(order)
     w_cap = window if window is not None else _ct_window(n)
     out = {}
-    for k, v in enumerate(_ct_row(u_exp, v_exp, n, w_cap)):
+    for k, v in enumerate(exact_run(partial(_ladder, u_exp, v_exp, n, w_cap))):
         exp = k - w_cap - 2
         if v and 0 <= exp < n:
             out[exp] = v

@@ -7,6 +7,7 @@ for inverses.  Shares no series code with the package.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 from nahm_forge.registry import ComboSide, NahmSide, SingleSum
 
@@ -51,7 +52,11 @@ def naive_single_sum(spec: SingleSum, order, nmax=60):
     return total
 
 
+@lru_cache(maxsize=None)
 def naive_side(side, order, box=90):
+    """The naive expansion of a side description below `order`, computed
+    once per (side, order, box): the sides are frozen dataclasses, and
+    callers must not mutate the dict it returns."""
     order = F(order)
     if isinstance(side, NahmSide):
         return nahm_naive(side.quad.A, side.quad.b, side.quad.c, side.quad.d,

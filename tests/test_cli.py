@@ -183,6 +183,18 @@ def test_oversized_grid_refused_before_it_is_built(capsys):
     assert len(_parse_grid("0:1:1/2;0:4:1/4;0:100:1")) == 3 * 17 * 101
 
 
+@pytest.mark.parametrize("argv", [
+    # the left side of j1-square is a product of 2*10^7 slots
+    ["verify", "--id", "j1-square", "--order", "20000000"],
+    # a rank-two lattice with a row of 8*10^6 slots per prefix n_0
+    ["nahm", "--A", '[["2","1"],["1","2"]]', "--b", '["0","0"]', "--d", "[1,1]",
+     "--order", "8000000"],
+])
+def test_oversized_request_refused_before_it_is_built(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "window slots" in err
+
+
 def test_jobs_env_default(monkeypatch):
     from nahm_forge.cli import build_parser
     monkeypatch.setenv("NAHM_FORGE_JOBS", "3")

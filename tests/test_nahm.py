@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
 from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import exact_row, pf, poch_param, product
-from nahm_forge import nahm
+from nahm_forge import nahm, products
 from nahm_forge.nahm import (
     box_radius, dual_quadruple, enumerate_lattice, nahm_sum, nahm_sum_param,
     quadruple,
@@ -318,6 +318,29 @@ def test_oversized_window_refused_before_it_is_allocated(monkeypatch):
         nahm_sum_param(RR, 10, 2, (1,))
 
 
+def test_rank_two_lattice_refused_while_it_is_listed(monkeypatch):
+    # every prefix n_0 is a row of at least ceil(order) slots, so the walk
+    # stops at the first point of the prefix that overflows the window
+    quad = quadruple([[2, 1], [1, 2]], [0, 0], 0, [1, 1])
+    seen, real = [], nahm.enumerate_lattice
+
+    def spy(*args):
+        for point in real(*args):
+            seen.append(point[0])
+            yield point
+
+    monkeypatch.setattr(nahm, "enumerate_lattice", spy)
+    with pytest.raises(ValueError, match="3 x 1 x 8000000 window slots"):
+        nahm_sum(quad, 8_000_000)
+    assert [n[0] for n in seen[-2:]] == [1, 2] and len(seen) < 6000
+    seen.clear()
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 500)
+    with pytest.raises(ValueError, match="6 x 1 x 100 window slots"):
+        nahm_sum(quad, 100)
+    full = [n for n, _ in real(quad, 100)]
+    assert seen == full[:sum(n[0] < 5 for n in full) + 1]
+
+
 # -- the level-by-level kernel -------------------------------------------------
 
 ETA24 = (pf(1, 1, 1, None, -24),)               # 1 / (q; q)_inf^24
@@ -370,7 +393,7 @@ def test_signed_ladders_take_the_residues(monkeypatch):
 ])
 def test_declined_recovery_falls_back_to_python_ints(monkeypatch, build):
     want = build()
-    monkeypatch.setattr(nahm, "exact_row", lambda *args: None)
+    monkeypatch.setattr(products, "exact_row", lambda *args: None)
     seen = _runs(monkeypatch)
     assert build() == want
     assert seen[-1] == "object"

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,13 @@ from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
     J, Jm, _by_ladder, _by_recurrence, _rung_passes, eta_quotient,
     exponent_product, jacobi_triple, neg_base_pair, pf, poch, poch_param, product,
+    rungs,
 )
 
 from _naive import naive_factor
 from _oracles import (
     partition_count, partitions_distinct_from_parts, pentagonal_coeffs,
-    poch_naive, poch_param_naive, ser_mul, specialize, triple_product_coeffs,
+    poch_naive, poch_param_naive, ser_inv, ser_mul, specialize, triple_product_coeffs,
 )
 
 
@@ -265,8 +267,56 @@ def test_routes_agree_on_both_sides_of_the_cost_boundary():
     sides = set()
     for infinite in sets:
         sides.add(_rung_passes(infinite, n) > n)
-        assert _by_recurrence(infinite, n) == _by_ladder(infinite, n)
+        assert _by_recurrence(infinite, n) == _by_ladder(infinite, n).tolist()
     assert sides == {True, False}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("power", [-2, -1, 1, 2])
+def test_rungs_on_object_arrays_match_naive(sign, power):
+    n = 40
+
+    def run(*ladders):
+        arr = np.zeros(n, object)
+        arr[0] = 1
+        for ladder in ladders:
+            rungs(arr, sign, *ladder)
+        return {F(i): v for i, v in enumerate(arr.tolist()) if v}
+
+    # (a, m, start, stop): the infinite product, a slice, one past the top
+    for a, m, start, stop in [(0, 1, 1, None), (2, 3, 0, None), (1, 2, 2, 6),
+                              (2, 5, 1, 30)]:
+        length = None if stop is None else stop - start
+        base = poch_naive(sign, a + start * m, m, length, F(n))
+        want = {F(0): F(1)}
+        for _ in range(abs(power)):
+            want = ser_mul(want, base, F(n))
+        assert run((a, m, power, start, stop)) == \
+            (ser_inv(want, F(n)) if power < 0 else want)
+    # product()'s fold of (s q^-5; q^2)_4: the rungs q^-5, q^-3, q^-1 leave
+    # (-s)^3 q^-9 (s q; q^2)_3, and the rung q^1 stays
+    whole = poch_naive(sign, -5, 2, 4, F(n + 9))
+    folded = {e + 9: -sign * v for e, v in whole.items() if e + 9 < n}
+    want = {F(0): F(1)}
+    for _ in range(abs(power)):
+        want = ser_mul(want, folded, F(n))
+    assert run((1, 2, power, 0, 3), (-5, 2, power, 3, 4)) == \
+        (ser_inv(want, F(n)) if power < 0 else want)
+
+
+def test_product_refuses_an_oversized_window(monkeypatch):
+    # a plain infinite factor: one slot per exponent below the order
+    with pytest.raises(ValueError, match="16777217 window slots"):
+        poch(pf(1, 1, 1), 2 ** 24 + 1)
+    monkeypatch.setattr(products, "MAX_WINDOW", 20)
+    assert poch(pf(1, 1, 1), 20).order == 20
+    with pytest.raises(ValueError, match="21 window slots"):
+        poch(pf(1, 1, 1), 21)
+    # (q^-3; q)_2 folds out q^-5, which widens the window by 5 slots
+    factors = (pf(1, 1, 1), pf(1, -3, 1, 2))
+    assert product(factors, 15).order == 15
+    with pytest.raises(ValueError, match="21 window slots"):
+        product(factors, 16)
 
 
 def test_planner_routes_of_registry_products():

@@ -1,13 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from nahm_forge import zlaurent
+from nahm_forge import products
 from nahm_forge.errors import WindowOverflow
 from nahm_forge.series import eq_to_order
 from nahm_forge.nahm import nahm_sum, quadruple
-from nahm_forge.zlaurent import (
-    _ct_row, _ct_window, _exact_row, _ladder, double_sum_ct,
-)
+from nahm_forge.products import exact_row, exact_run
+from nahm_forge.zlaurent import _ct_window, _ladder, double_sum_ct
 
 
 CASES = [(0, 0, (0, 0)), (-1, 2, (-1, 2)), (1, 0, (1, 0))]
@@ -38,7 +39,7 @@ def test_ct_exact_past_int64(u, v):
     w = _ct_window(300)
     residues, adds = _ladder(u, v, 300, w, np.int64)
     shadow, _ = _ladder(u, v, 300, w, np.float64)
-    row = _exact_row(residues, shadow, adds)
+    row = exact_row(residues, shadow, adds)
     assert row is not None and max(row) > 2 ** 63
     assert eq_to_order(double_sum_ct(u, v, 300), direct_sum((u, v), 300),
                        300) is None
@@ -50,7 +51,8 @@ def test_object_ladder_matches_int64(u, v, b):
     exact, adds = _ladder(u, v, 60, w, object)
     residues, adds64 = _ladder(u, v, 60, w, np.int64)
     assert adds == adds64
-    assert exact.tolist() == residues.tolist() == _ct_row(u, v, 60, w)
+    assert exact.tolist() == residues.tolist() == \
+        exact_run(partial(_ladder, u, v, 60, w))
 
 
 def test_exact_row_bound():
@@ -59,10 +61,10 @@ def test_exact_row_bound():
     below = 2.0 ** 103 - 2.0 ** 50
     x = int(below) + 2 ** 61 - 7
     residues = np.array([x % 2 ** 64, 5], dtype=np.uint64).view(np.int64)
-    assert _exact_row(residues, np.array([below, 5.0]), adds) == [x, 5]
-    assert _exact_row(residues, np.array([2.0 ** 103, 5.0]), adds) is None
-    assert _exact_row(residues, np.array([np.inf, 5.0]), adds) is None
-    assert _exact_row(residues, np.array([np.nan, 5.0]), adds) is None
+    assert exact_row(residues, np.array([below, 5.0]), adds) == [x, 5]
+    assert exact_row(residues, np.array([2.0 ** 103, 5.0]), adds) is None
+    assert exact_row(residues, np.array([np.inf, 5.0]), adds) is None
+    assert exact_row(residues, np.array([np.nan, 5.0]), adds) is None
 
 
 @pytest.mark.parametrize("u,v,order", [(-1, 2, 60), (0, -1, 300)])
@@ -70,11 +72,11 @@ def test_declined_shadow_falls_back_to_python_ints(monkeypatch, u, v, order):
     # at order 300 the int64 residues wrap, so only Python ints are right
     calls = []
 
-    def declined(residues, shadow, adds):
+    def declined(residues, shadow, adds, nonneg=True):
         calls.append(adds)
         return None
 
-    monkeypatch.setattr(zlaurent, "_exact_row", declined)
+    monkeypatch.setattr(products, "exact_row", declined)
     ct = double_sum_ct(u, v, order)
     assert calls
     assert eq_to_order(ct, direct_sum((u, v), order), order) is None
