@@ -46,7 +46,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import MAX_WINDOW, exact_run, rungs
+from .products import MAX_WINDOW, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
@@ -293,8 +293,8 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
 
 
 def _denominators(quad: NahmQuadruple) -> list:
-    """The ladders of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
-    return [[(1, d, d, -1, 0, 1)] for d in quad.d]
+    """The factors of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
+    return [[pf(1, d, d, 0, -1, 1)] for d in quad.d]
 
 
 def _check_window(*sizes: int):
@@ -324,38 +324,39 @@ def _levels(kept, rank: int) -> list:
     return plan
 
 
-def _horner(plan: list, ladders: Sequence, den: int, shape: tuple, dtype):
+def _horner(plan: list, factors: Sequence, den: int, shape: tuple, dtype):
     """The (grades x slots) array of _graded_sum in dtype, and its adds."""
     adds, arr = 0, np.zeros((1, *shape), dtype)
-    for (tops, levels), lad in zip(plan, reversed(ladders)):
+    for (tops, levels), fs in zip(plan, reversed(factors)):
+        lad = [(f.sign, int(f.a) * den, int(f.m) * den, f.power, f.length, f.per_n)
+               for f in fs]
         child, arr = arr, np.zeros((len(tops), *shape), dtype)
         live, lo = 0, shape[-1]
         for x in range(tops[0], -1, -1):
-            for sign, a, m, power, len0, len1 in lad if live else ():
-                if len0 is not None:
-                    adds += rungs(arr[:live, ..., lo:], sign, a * den, m * den,
-                                  power, len0 + len1 * x, len0 + len1 * (x + 1))
+            for sign, a, m, power, length, per_n in lad if live else ():
+                if length is not None:
+                    adds += rungs(arr[:live, ..., lo:], sign, a, m, power,
+                                  length + per_n * x, length + per_n * (x + 1))
             while live < len(tops) and tops[live] >= x:
                 live += 1
             if x in levels:
                 floor, dst, src = levels[x]
                 lo, adds = min(lo, floor), adds + 1
                 arr[dst] += 1 if src is None else child[src]
-        for sign, a, m, power, len0, _ in lad:
-            adds += rungs(arr[..., lo:], sign, a * den, m * den, power, 0, len0)
+        for sign, a, m, power, length, _ in lad:
+            adds += rungs(arr[..., lo:], sign, a, m, power, 0, length)
     return arr[0], adds
 
 
-def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
+def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
                 mask: Optional[ParityMask] = None, weights=None, cap: int = 0):
     """Rows 0..cap of the sum below `order` of q^(E(n) + c) times, for each k,
-    (sign q^a; q^m)^power of length len0 + len1*n_k (infinite when len0 is
-    None) for each (sign, a, m, power, len0, len1) in ladders[k], over the
-    points n of quad, n in row weights.n (0 if weights is None) up to cap.
-    The window, from every point below `order` whatever the mask, has one
-    row per prefix n[:-1] and at least ceil(order - c) slots (n = 0, the
-    first point listed), so ValueError refuses one past MAX_WINDOW as soon
-    as the prefixes listed so far show it, and before allocating."""
+    the PochFactors factors[k] at n_k (length + per_n*n_k; integer a and m),
+    over the points n of quad, n in row weights.n (0 if weights is None) up
+    to cap.  The window, from every point below `order` whatever the mask,
+    has one row per prefix n[:-1] and at least ceil(order - c) slots (n = 0,
+    the first point listed), so ValueError refuses one past MAX_WINDOW as
+    soon as the prefixes listed so far show it, and before allocating."""
     order = _frac(order)
     bound, r = order - quad.c, quad.rank
     pts, rows, last = [], 0, None
@@ -377,8 +378,8 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
         keep &= True if p is None else kept[:, i] % 2 == p
     kept = kept[keep]
     shape, plan = (1 + int(kept[:, r].max(initial=0)), slots), _levels(kept, r)
-    nonneg = all(s * p < 0 for lad in ladders for s, _, _, p, *_ in lad)
-    flat = exact_run(partial(_horner, plan, ladders, den, shape), nonneg)
+    nonneg = all(f.sign * f.power < 0 for fs in factors for f in fs)
+    flat = exact_run(partial(_horner, plan, factors, den, shape), nonneg)
     # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
     out_den = lcm(den, quad.c.denominator)
     f, off = out_den // den, int(quad.c * out_den)
@@ -393,11 +394,11 @@ def nahm_sum(quad: NahmQuadruple, order: Rat,
     return ladder_sum(quad, order, _denominators(quad), mask)
 
 
-def ladder_sum(quad: NahmQuadruple, order: Rat, ladders: Sequence,
+def ladder_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
                mask: Optional[ParityMask] = None) -> QSeries:
-    """Sum below `order` of q^(E(n) + c) times the ladders of each coordinate
+    """Sum below `order` of q^(E(n) + c) times the factors of each coordinate
     (see _graded_sum) over the lattice points n of quad."""
-    return _graded_sum(quad, order, ladders, mask)[0].reduce()
+    return _graded_sum(quad, order, factors, mask)[0].reduce()
 
 
 def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,

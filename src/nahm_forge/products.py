@@ -1,12 +1,13 @@
 """Product-side constructors: q-Pochhammer symbols, J-notation, eta quotients,
 and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 
-Every factor is a ladder of binomials (1 - sign*q^(a+k*m)); multiplying or
-dividing a dense coefficient window by one binomial is one O(length) pass of
-rungs, the kernel the Nahm sums share, so whole products are built rung by
-rung instead of by general series multiplication.  Infinite products of many
-rungs are built instead from their exponents by the log-derivative
-recurrence, when that costs fewer passes (see product).
+Every factor is a ladder of binomials (1 - sign*q^(a+k*m)), one PochFactor
+in products and in the Nahm sums alike; multiplying or dividing a dense
+coefficient window by one binomial is one O(length) pass of rungs, the
+kernel the Nahm sums share, so whole products are built rung by rung instead
+of by general series multiplication.  A product of many rungs is built
+instead from its exponents by the log-derivative recurrence, when that costs
+fewer passes (see product).
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum or product m
 
 @dataclass(frozen=True)
 class PochFactor:
-    """One symbol (sign*q^a; q^m)_length^power; length None means infinite."""
+    """One symbol (sign*q^a; q^m)_length^power; length None means infinite.
+    Inside a sum over n its length is length + per_n*n."""
     sign: int
     a: Fraction
     m: Fraction
     length: Optional[int] = None
     power: int = 1
+    per_n: int = 0
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -43,6 +46,8 @@ class PochFactor:
             raise ValueError("step must be positive")
         if self.length is not None and self.length < 0:
             raise ValueError("length must be nonnegative")
+        if self.per_n < 0 or self.per_n and self.length is None:
+            raise ValueError("per_n must be nonnegative, and 0 for an infinite length")
 
     def check_convergent(self):
         """Infinite products need a > 0, or a = 0 with sign -1 (constant 2)."""
@@ -53,9 +58,9 @@ class PochFactor:
 
 
 def pf(sign: int, a: Rat, m: Rat, length: Optional[int] = None,
-       power: int = 1) -> PochFactor:
+       power: int = 1, per_n: int = 0) -> PochFactor:
     """Shorthand PochFactor constructor."""
-    return PochFactor(sign, _frac(a), _frac(m), length, power)
+    return PochFactor(sign, _frac(a), _frac(m), length, power, per_n)
 
 
 def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, PochFactor]:
@@ -135,13 +140,6 @@ def exact_row(residues, shadow, adds: int, nonneg: bool = True):
             for r, b in zip(residues.tolist(), map(int, shadow.tolist()))]
 
 
-def _lattice_den(factors) -> int:
-    den = 1
-    for f in factors:
-        den = lcm(den, lcm(f.a.denominator, f.m.denominator))
-    return den
-
-
 def poch(f: PochFactor, order: Rat) -> QSeries:
     """Expand a single Pochhammer symbol to the given order."""
     return product([f], order)
@@ -173,72 +171,56 @@ def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
     return c
 
 
-def _by_ladder(infinite, n: int) -> np.ndarray:
-    """prod (sign q^a; q^m)_inf^power over (sign, a, m, power) in infinite,
-    on n integer slots of dtype=object, one rung pass at a time."""
-    arr = np.zeros(n, object)
-    arr[:1] = 1
-    for sign, a, m, power in infinite:
-        rungs(arr, sign, a, m, power)
-    return arr
-
-
-def _by_recurrence(infinite, n: int) -> list:
-    """The same product as _by_ladder, from its exponent map by
-    exponent_product; 1 + q^e = (1 - q^(2e)) / (1 - q^e) turns a rung of
-    sign -1 into two."""
-    exps: dict = {}
-    for sign, a, m, power in infinite:
-        for e in range(a, n, m):
-            exps[e] = exps.get(e, 0) + sign * power
-            if sign == -1:
-                exps[2 * e] = exps.get(2 * e, 0) + power
-    return exponent_product(exps, n)
-
-
-def _rung_passes(infinite, n: int) -> int:
-    """The dense passes _by_ladder makes over a window of n slots."""
-    return sum(abs(power) * len(range(a, n, m)) for _, a, m, power in infinite)
-
-
 def product(factors, order: Rat) -> QSeries:
     """Expand a product of Pochhammer symbols to the given order.
 
-    The infinite factors with a > 0 are one product of (1 - q^e)^(p_e).  A
-    rung pass of the ladder and a step of exponent_product each cost about
-    one dense pass over the window, so the recurrence builds them when the
-    ladder would make more rung passes than the window has slots, and the
-    ladder otherwise.  The a = 0 factor and the finite factors then run
-    their rungs on that window.  A finite factor's rungs with negative
-    exponent e fold out by 1 - s*q^e = -s*q^e * (1 - s*q^-e) into one
-    constant and one shift, so the window holds the exponents from 0 up to
-    the order less that shift, where every rung's exponent is nonnegative;
+    A finite factor's rungs with negative exponent e fold out by
+    1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one shift, so
+    the window holds the exponents from 0 up to the order less that shift;
     ValueError refuses a window past MAX_WINDOW before it is allocated.
+    Every rung in the window then goes into one map (sign, e) -> power, a
+    rung at e = 0 into the constant.  A rung pass and a step of
+    exponent_product each cost about one dense pass over the window, so the
+    recurrence builds the product when the map holds more rung passes than
+    the window has slots, with 1 + q^e = (1 - q^(2e)) / (1 - q^e), and rungs
+    runs each entry once otherwise.
     """
     order = _frac(order)
-    den = _lattice_den(factors)
-    const, shift, infinite, ladders = 1, 0, [], []
+    den = lcm(*(x.denominator for f in factors for x in (f.a, f.m)))
+    const, shift, ladders = 1, 0, []
     for f in factors:
         f.check_convergent()
         s, a, m, p = f.sign, int(f.a * den), int(f.m * den), f.power
-        if f.length is None and a > 0:
-            infinite.append((s, a, m, p))
-            continue
         k = 0 if f.length is None else min(f.length, max(0, -(a // m)))
-        if k:
-            const *= (-s) ** (k * abs(p))
-            shift += p * (k * a + m * k * (k - 1) // 2)
-            ladders.append((s, -(a + (k - 1) * m), m, p, 0, k))
+        const *= (-s) ** (k * abs(p))
+        shift += p * (k * a + m * k * (k - 1) // 2)
         ladders.append((s, a, m, p, k, f.length))
     n = max(ceil(order * den) - shift, 0)
     if n > MAX_WINDOW:
         raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
-    if _rung_passes(infinite, n) > n:
-        arr = np.array(_by_recurrence(infinite, n), object)
+    rung_map: dict = {}
+    for s, a, m, p, k, length in ladders:
+        top = n if length is None else min(n, a + length * m)
+        # the k folded rungs at -(a + j m), then the rungs from a + k m up
+        for e in (*range(m - a - k * m, min(n, 1 - a), m), *range(a + k * m, top, m)):
+            if e:
+                rung_map[s, e] = rung_map.get((s, e), 0) + p
+            elif p < 0:
+                raise ValueError("cannot divide by the rung 1 - sign*q^0")
+            else:
+                const *= (1 - s) ** p
+    if sum(map(abs, rung_map.values())) > n:
+        exps: dict = {}
+        for (s, e), p in rung_map.items():
+            exps[e] = exps.get(e, 0) + s * p
+            if s == -1:
+                exps[2 * e] = exps.get(2 * e, 0) + p
+        arr = np.array(exponent_product(exps, n), object)
     else:
-        arr = _by_ladder(infinite, n)
-    for ladder in ladders:
-        rungs(arr, *ladder)
+        arr = np.zeros(n, object)
+        arr[:1] = 1
+        for (s, e), p in rung_map.items():
+            rungs(arr, s, e, e, p, 0, 1)
     out = {shift + i: const * v for i, v in enumerate(arr.tolist()) if v}
     return QSeries(out, den, order).reduce()
 
@@ -300,15 +282,20 @@ def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
     return QSeries(out, den, order).reduce()
 
 
-def eta_quotient(exps: dict, order: Rat) -> QSeries:
-    """prod over moduli m of (q^m; q^m)_inf^exps[m]."""
+def eta_factors(exps: dict) -> tuple[PochFactor, ...]:
+    """prod over moduli m of (q^m; q^m)_inf^exps[m] as factors."""
     factors = []
     for m, e in sorted(exps.items(), key=lambda kv: _frac(kv[0])):
         if _frac(m) <= 0:
             raise ValueError("moduli must be positive")
         if e:
             factors.append(pf(1, m, m, None, e))
-    return product(factors, order)
+    return tuple(factors)
+
+
+def eta_quotient(exps: dict, order: Rat) -> QSeries:
+    """prod over moduli m of (q^m; q^m)_inf^exps[m]."""
+    return product(eta_factors(exps), order)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 from .errors import UnknownId
 from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors as Jf, Jm_factors as Jmf, neg_base_pair, pf, poch_param, product,
+    J_factors as Jf, Jm_factors as Jmf, PochFactor, eta_factors, neg_base_pair, pf,
+    poch_param, product,
 )
 from .series import (
     ParamSeries, QSeries, Rat, _frac, eq_to_order, eq_to_order_param,
@@ -51,20 +52,10 @@ class NahmSide:
         return nahm_sum(self.quad, order, mask=self.mask)
 
 
-@dataclass(frozen=True)
-class SumFactor:
+def sf(sign, a, m, len0, len1, power=1) -> PochFactor:
     """(sign q^a; q^m) of length len1*n + len0, as numerator (power +1)
     or denominator (power -1) of a single-sum term."""
-    sign: int
-    a: Fraction
-    m: Fraction
-    len0: int
-    len1: int
-    power: int = 1
-
-
-def sf(sign, a, m, len0, len1, power=1) -> SumFactor:
-    return SumFactor(sign, _frac(a), _frac(m), len0, len1, power)
+    return pf(sign, a, m, len0, power, len1)
 
 
 @dataclass(frozen=True)
@@ -128,13 +119,11 @@ def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
         raise ValueError("single sums need quadratic exponent growth")
     for f in factors:
         f.check_convergent()
-    ladders = [(f.sign, f.a, f.m, f.power, f.len0, f.len1) for f in spec.factors]
-    ladders += [(f.sign, f.a, f.m, f.power, f.length, 0) for f in factors]
-    if any(a.denominator != 1 or m.denominator != 1 for _, a, m, *rest in ladders):
+    factors = (*spec.factors, *factors)
+    if any(f.a.denominator != 1 or f.m.denominator != 1 for f in factors):
         raise ValueError("single-sum factors need integer a and m")
-    ladders = [(sign, int(a), int(m), *rest) for sign, a, m, *rest in ladders]
     quad = NahmQuadruple(((2 * spec.e2,),), (spec.e1,), spec.e0, (1,))
-    return ladder_sum(quad, order, [ladders])
+    return ladder_sum(quad, order, [factors])
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +183,7 @@ def _prods(*factors) -> ComboSide:
 
 
 def _eta(exps: dict) -> ComboSide:
-    factors = []
-    for m, e in sorted(exps.items()):
-        factors.append(pf(1, m, m, None, e))
-    return combo((1, 0, tuple(factors)))
+    return combo((1, 0, eta_factors(exps)))
 
 
 # -- parameter-carrying constructors ----------------------------------------

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import WindowOverflow
-from .products import exact_run, pf, poch
+from .products import MAX_WINDOW, exact_run, pf, poch
 from .series import QSeries, Rat
 
 
@@ -81,10 +81,15 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
 
     This is the product-form integrand whose z^0 coefficient equals the
     rank-two double sum with quadratic form (i-j)^2 + j^2, offsets (u, v).
+    ValueError refuses a window past MAX_WINDOW slots before it is allocated.
     """
     order = Fraction(order)
     n = ceil(order)
     w_cap = window if window is not None else _ct_window(n)
+    rows, ncols = 2 * w_cap + 1, n + 3 * w_cap + 6
+    if rows * ncols > MAX_WINDOW:
+        raise ValueError(f"the constant term needs {rows} x {ncols} window "
+                         f"slots, more than {MAX_WINDOW}")
     out = {}
     for k, v in enumerate(exact_run(partial(_ladder, u_exp, v_exp, n, w_cap))):
         exp = k - w_cap - 2

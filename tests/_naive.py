@@ -15,13 +15,19 @@ from _oracles import nahm_naive, poch_naive, ser_add, ser_inv, ser_mul, ser_scal
 
 
 def naive_factor(f, order):
-    """Expand one PochFactor naively, honoring sign of the power."""
+    """Expand one PochFactor naively, honoring sign of the power.  A division
+    takes the leading monomial c q^low out first, 1/(c q^low (1 + r)) =
+    q^-low (1 + r)^-1 / c, so a finite factor with negative rungs divides
+    too."""
     base = poch_naive(f.sign, f.a, f.m, f.length, order)
+    if f.power < 0:
+        low = min(base)
+        lead = base[low]
+        inv = ser_inv({e - low: v / lead for e, v in base.items()}, order)
+        base = {e - low: v / lead for e, v in inv.items() if e - low < order}
     out = {F(0): F(1)}
     for _ in range(abs(f.power)):
         out = ser_mul(out, base, order)
-    if f.power < 0:
-        out = ser_inv(out, order)
     return out
 
 
@@ -43,7 +49,7 @@ def naive_single_sum(spec: SingleSum, order, nmax=60):
             continue
         term = {e: F(1)}
         for f in spec.factors:
-            length = f.len1 * n + f.len0
+            length = f.length + f.per_n * n
             body = poch_naive(f.sign, f.a, f.m, length, order - e)
             if f.power < 0:
                 body = ser_inv(body, order - e)

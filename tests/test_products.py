@@ -11,12 +11,11 @@ from nahm_forge import products
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, Jm, _by_ladder, _by_recurrence, _rung_passes, eta_quotient,
-    exponent_product, jacobi_triple, neg_base_pair, pf, poch, poch_param, product,
-    rungs,
+    J, Jm, PochFactor, eta_factors, eta_quotient, exponent_product, jacobi_triple,
+    neg_base_pair, pf, poch, poch_param, product, rungs,
 )
 
-from _naive import naive_factor
+from _naive import naive_factor, negative_size
 from _oracles import (
     partition_count, partitions_distinct_from_parts, pentagonal_coeffs,
     poch_naive, poch_param_naive, ser_inv, ser_mul, specialize, triple_product_coeffs,
@@ -219,13 +218,37 @@ def test_poch_param_fixed_factors_go_into_every_row():
         poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
 
 
-# -- the planner: recurrence or ladder for the infinite factors -----------------
+# -- the planner: one rung map, run by the recurrence or by rungs --------------
 
-def _routed(factors, order, passes):
-    """product() with the planner's cost replaced, to force one route."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(products, "_rung_passes", lambda infinite, n: passes)
-        return product(factors, order)
+def _naive_product(factors, order):
+    """The product of naive_factor below order; each factor is expanded past
+    the order by the negative rungs of the multiplied factors, which is all
+    that the others can lower its terms by."""
+    top = order + sum(negative_size(f) for f in factors if f.power > 0)
+    if top <= 0:
+        return {}
+    out = {F(0): F(1)}
+    for f in factors:
+        out = ser_mul(out, naive_factor(f, top), top)
+    return {e: v for e, v in out.items() if e < order}
+
+
+def _as_dict(s: QSeries) -> dict:
+    return {F(k, s.den): v for k, v in s.coeffs.items()}
+
+
+@pytest.fixture
+def recurrence_calls(monkeypatch):
+    """The window sizes exponent_product is called with, so a test sees
+    which route product() took."""
+    calls, real = [], products.exponent_product
+
+    def spy(exps, n, integral=True):
+        calls.append(n)
+        return real(exps, n, integral)
+
+    monkeypatch.setattr(products, "exponent_product", spy)
+    return calls
 
 
 @st.composite
@@ -252,23 +275,62 @@ def _factor_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(_factor_sets(), st.fractions(min_value=0, max_value=12, max_denominator=2))
 def test_planned_product_equals_pure_ladder(factors, order):
-    ladder = _routed(factors, order, -1)
-    assert product(factors, order) == ladder
-    assert _routed(factors, order, float("inf")) == ladder
+    s = product(factors, order)
+    assert s.order == order
+    assert _as_dict(s) == _naive_product(factors, order)
 
 
-def test_routes_agree_on_both_sides_of_the_cost_boundary():
+def test_routes_agree_on_both_sides_of_the_cost_boundary(recurrence_calls):
     n = 40
     sets = [((1, 1, 1, 1),), ((1, 1, 1, 2),),                  # 39 and 78 passes
             ((-1, 2, 2, -1), (1, 3, 2, 1)),                    # 19 + 19
             ((-1, 2, 2, -1), (1, 3, 2, 2)),                    # 19 + 38
             ((1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)),     # 1/J(1,5): 23
-            ((1, 4, 4, 14), (1, 2, 2, -14))]                   # 126 + 266
-    sides = set()
+            ((1, 4, 4, 14), (1, 2, 2, -14))]                   # 10 x 14 once merged
+    routes = []
     for infinite in sets:
-        sides.add(_rung_passes(infinite, n) > n)
-        assert _by_recurrence(infinite, n) == _by_ladder(infinite, n).tolist()
-    assert sides == {True, False}
+        factors = [pf(sign, a, m, None, power) for sign, a, m, power in infinite]
+        before = len(recurrence_calls)
+        assert _as_dict(product(factors, n)) == _naive_product(factors, n)
+        routes.append(len(recurrence_calls) > before)
+    assert routes == [False, True, False, True, False, True]
+
+
+def test_planner_routes_of_registry_products(recurrence_calls):
+    # 1/J(1,5) at order 400 stays on rungs; j1-four's
+    # (q^4;q^4)^14 / (q^2;q^2)^14 takes the recurrence
+    product((pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1), pf(1, 5, 5, None, -1)), 400)
+    assert recurrence_calls == []
+    product((pf(1, 4, 4, None, 14), pf(1, 2, 2, None, -14)), 400)
+    assert recurrence_calls == [400]
+
+
+def test_zero_rung_folds_into_the_constant_on_the_recurrence(recurrence_calls):
+    # (-1; q)_inf^p = 2^p (-q; q)_inf^p, next to (q; q)_inf^14
+    for power in (1, 2, 3):
+        factors = (pf(-1, 0, 1, None, power), pf(1, 1, 1, None, 14))
+        assert _as_dict(product(factors, 30)) == _naive_product(factors, 30)
+    assert recurrence_calls == [30] * 3
+    assert product((pf(1, 0, 1, 2),), 10).coeffs == {}      # (1; q)_2 = 0
+    with pytest.raises(ValueError):                        # 1/(1 + 1) is no integer
+        product((pf(-1, 0, 1, None, -1),), 10)
+
+
+def test_factor_length_per_index():
+    assert pf(1, 1, 2, 3, -1, 2) == PochFactor(1, F(1), F(2), 3, -1, 2)
+    assert pf(1, 1, 1).per_n == 0
+    with pytest.raises(ValueError):
+        pf(1, 1, 1, 2, 1, -1)
+    with pytest.raises(ValueError):
+        pf(1, 1, 1, None, 1, 1)
+
+
+def test_eta_factors_sorted_nonzero_and_positive():
+    exps = {3: 2, 1: -1, 6: -1, 2: 0}
+    assert eta_factors(exps) == (pf(1, 1, 1, None, -1), pf(1, 3, 3, None, 2),
+                                 pf(1, 6, 6, None, -1))
+    with pytest.raises(ValueError):
+        eta_factors({0: 1})
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -317,14 +379,6 @@ def test_product_refuses_an_oversized_window(monkeypatch):
     assert product(factors, 15).order == 15
     with pytest.raises(ValueError, match="21 window slots"):
         product(factors, 16)
-
-
-def test_planner_routes_of_registry_products():
-    # 1/J(1,5) at order 400 stays on the ladder; j1-four's
-    # (q^4;q^4)^14 / (q^2;q^2)^14 takes the recurrence
-    n = 400
-    assert _rung_passes([(1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)], n) <= n
-    assert _rung_passes([(1, 4, 4, 14), (1, 2, 2, -14)], n) > n
 
 
 def test_exponent_product_euler_and_square_root():

@@ -11,6 +11,8 @@ from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, product
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge import registry as R
+from nahm_forge.candidates import FAMILIES
+from nahm_forge.recognizer import normalize_and_profile, with_period
 
 from _naive import naive_side, naive_single_sum
 from _oracles import poch_naive, poch_param_naive, ser_add, ser_inv, ser_mul
@@ -207,6 +209,44 @@ def test_naive_side_expands_past_negative_rungs():
     side = R.combo((1, 0, (pf(1, 1, 1), pf(1, -3, 1, 2))))
     got = product((pf(1, 1, 1), pf(1, -3, 1, 2)), 10)
     assert naive_side(side, 10) == {e: F(v) for e, v in got.items()}
+
+
+# the printed offsets that no record carries, as (family, b): (substitution
+# q -> q^k of the peel, period, the residues 1..period whose exponent is -1,
+# or None where the profile has exponents +1 as well)
+CANDIDATE_GAPS = {
+    (9, (F(-1, 2), 0)): (1, 5, {1, 4}),      # 1/(q, q^4; q^5)_inf
+    (9, (F(1, 2), 2)): (1, 5, {2, 3}),       # 1/(q^2, q^3; q^5)_inf
+    (11, (-1, 1)): (4, 20, None),
+    (11, (F(-1, 2), 0)): (4, 20, None),
+    (11, (0, 1)): (4, 20, None),
+    (13, (F(-1, 2), 0)): (1, 8, {1, 4, 7}),  # 1/(q, q^4, q^7; q^8)_inf
+    (13, (F(3, 2), 4)): (1, 8, {3, 4, 5}),   # 1/(q^3, q^4, q^5; q^8)_inf
+}
+
+
+def test_printed_candidates_are_records_or_peeled_gaps():
+    # each printed offset b of a family is a record's side (A, k b, 0, k d)
+    # up to q -> q^k, k in {1, 2, 4}, or one of the gaps, whose peel at
+    # order 200 is integral, bounded by 1 and periodic
+    quads = {side.quad for rec in R.registry() for side in (rec.lhs_data, rec.rhs_data)
+             if isinstance(side, R.NahmSide) and side.mask is None}
+    covered, gaps = 0, {}
+    for fam in FAMILIES:
+        for b in fam.bs:
+            if any(quadruple(fam.A, [k * x for x in b], 0, [k * x for x in fam.d])
+                   in quads for k in (1, 2, 4)):
+                covered += 1
+                continue
+            prof = with_period(normalize_and_profile(
+                nahm_sum(quadruple(fam.A, b, 0, fam.d), 200), 190))
+            assert len(prof.a) == 190 and prof.is_integral() and prof.is_bounded(1)
+            table = prof.residue_table()
+            minus = {r for r, x in enumerate(table, 1) if x == -1}
+            gaps[fam.index, b] = (prof.substitution, prof.period,
+                                  minus if set(table) <= {0, -1} else None)
+    assert covered == 31
+    assert gaps == CANDIDATE_GAPS
 
 
 @pytest.mark.parametrize("deg", [0, 2, 30])

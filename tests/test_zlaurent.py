@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nahm_forge import products
+from nahm_forge import products, zlaurent
 from nahm_forge.errors import WindowOverflow
 from nahm_forge.series import eq_to_order
 from nahm_forge.nahm import nahm_sum, quadruple
@@ -86,3 +86,17 @@ def test_declined_shadow_falls_back_to_python_ints(monkeypatch, u, v, order):
 def test_window_overflow_outside_domain(u, v):
     with pytest.raises(WindowOverflow):
         double_sum_ct(u, v, 60)
+
+
+def test_oversized_window_refused_before_allocation(monkeypatch):
+    # order 31,672 is the first whose (2W+1) x (n+3W+6) window passes the cap
+    with pytest.raises(ValueError, match="517 x 32452 window slots"):
+        double_sum_ct(0, 0, 31672)
+    # at order 20 the window is 39 x 83 = 3237 slots, at 21 it is 39 x 84
+    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 3237)
+    assert eq_to_order(double_sum_ct(0, 0, 20), direct_sum((0, 0), 20), 20) is None
+    monkeypatch.setattr(zlaurent, "_ladder", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match="39 x 84 window slots"):
+        double_sum_ct(0, 0, 21)
+    with pytest.raises(ValueError, match="window slots"):
+        double_sum_ct(0, 0, 20, window=20)
