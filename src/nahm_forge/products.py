@@ -4,17 +4,18 @@ and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 Every factor is a ladder of binomials (1 - sign*q^(a+k*m)), one PochFactor
 in products and in the Nahm sums alike; multiplying or dividing a dense
 coefficient window by one binomial is one O(length) pass of rungs, the
-kernel the Nahm sums share, so whole products are built rung by rung instead
-of by general series multiplication.  A product of many rungs is built
-instead from its exponents by the log-derivative recurrence, when that costs
-fewer passes (see product).
+kernel the Nahm sums share.  product() builds a product by whichever of
+three routes takes the fewest operations: rung by rung, from its exponents
+by the log-derivative recurrence, or, for infinite factors that pair into
+theta functions J_(r,M) and eta factors (q^M; q^M)_inf, from their sparse
+Jacobi-triple-product series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isfinite, lcm
+from math import ceil, gcd, isfinite, lcm
 from operator import mul
 from typing import Optional
 
@@ -175,17 +176,36 @@ def product(factors, order: Rat) -> QSeries:
     """Expand a product of Pochhammer symbols to the given order.
 
     A finite factor's rungs with negative exponent e fold out by
-    1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one shift, so
-    the window holds the exponents from 0 up to the order less that shift;
-    ValueError refuses a window past MAX_WINDOW before it is allocated.
-    Every rung in the window then goes into one map (sign, e) -> power, a
-    rung at e = 0 into the constant.  A rung pass and a step of
-    exponent_product each cost about one dense pass over the window, so the
-    recurrence builds the product when the map holds more rung passes than
-    the window has slots, with 1 + q^e = (1 - q^(2e)) / (1 - q^e), and rungs
-    runs each entry once otherwise.
+    1 - s*q^e = -s*q^e * (1 - s*q^-e) into one constant and one shift; the
+    window holds the exponents from 0 up to the order less that shift, on
+    the grid of the gcd g of every a and m, and ValueError refuses one past
+    MAX_WINDOW before it is allocated.  Every rung in the window goes into
+    one map (sign, e) -> power, a rung at e = 0 into the constant, and the
+    route of fewest operations on the n slots builds the product:
+
+    - rungs: n adds per rung pass, and about 100 for each call;
+    - exponent_product: n^2/2 multiply-adds of about three adds each;
+    - theta series: the infinite factors grouped by step M, with
+      (-q^a; q^m) = (q^2a; q^2m) / (q^a; q^m) and (q^a; q^M) for a > M
+      cut to its residue class, are by the Jacobi triple product (Andrews,
+      The Theory of Partitions, 1976, Thm 2.8) powers of
+      J_(r,M) = (q^r, q^(M-r), q^M; q^M), as far as residues r and M - r
+      share a power, of (q^(M/2); q^(M/2)) and of (q^M; q^M) = J_(M,3M),
+      times what stays in the map, built by the cheaper of the other two.
+      A theta factor has about 2 sqrt(2n/M) terms q^e below n: multiplying
+      by one takes n - e adds (and 100) per term, and dividing by one an
+      exact sweep of n - e adds per term, in Python at about three each.
     """
     order = _frac(order)
+    den, g, const, shift, window = _window(factors, order)
+    out = {shift + i * g: const * v for i, v in enumerate(window) if v}
+    return QSeries(out, den, order).reduce()
+
+
+def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
+    """(den, g, const, shift, window) with product(factors, order) equal to
+    const * sum of window[i] q^((shift + i*g)/den), where den makes every a
+    and m of the factors an integer and g is their gcd."""
     den = lcm(*(x.denominator for f in factors for x in (f.a, f.m)))
     const, shift, ladders = 1, 0, []
     for f in factors:
@@ -195,34 +215,113 @@ def product(factors, order: Rat) -> QSeries:
         const *= (-s) ** (k * abs(p))
         shift += p * (k * a + m * k * (k - 1) // 2)
         ladders.append((s, a, m, p, k, f.length))
-    n = max(ceil(order * den) - shift, 0)
+    g = gcd(*(x for ladder in ladders for x in ladder[1:3])) or 1
+    n = max(-((shift - ceil(order * den)) // g), 0)
     if n > MAX_WINDOW:
         raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
-    rung_map: dict = {}
+    whole, rest, groups = {}, {}, {}    # rest: the map less the theta factors
     for s, a, m, p, k, length in ladders:
+        a, m = a // g, m // g
         top = n if length is None else min(n, a + length * m)
         # the k folded rungs at -(a + j m), then the rungs from a + k m up
         for e in (*range(m - a - k * m, min(n, 1 - a), m), *range(a + k * m, top, m)):
             if e:
-                rung_map[s, e] = rung_map.get((s, e), 0) + p
+                whole[s, e] = whole.get((s, e), 0) + p
+                if length is not None:
+                    rest[s, e] = rest.get((s, e), 0) + p
             elif p < 0:
                 raise ValueError("cannot divide by the rung 1 - sign*q^0")
             else:
                 const *= (1 - s) ** p
-    if sum(map(abs, rung_map.values())) > n:
+        b = a or m      # (-1; q^m) = 2 (-q^m; q^m), the 2 in const
+        for b, M, x in (() if length is not None else ((b, m, p),) if s == 1 else
+                        ((2 * b, 2 * m, p), (b, m, -p))):
+            r, group = (b - 1) % M + 1, groups.setdefault(M, {})  # residue -> power
+            group[r % M] = group.get(r % M, 0) + x
+            for e in range(r, min(b, n), M):
+                rest[1, e] = rest.get((1, e), 0) - x
+    thetas = _thetas(groups, rest, n) if groups else ()
+    ops = sum(y * sum(n - e + 100 for e, _ in terms) if y > 0 else
+              -3 * y * sum(n - e for e, _ in terms) for terms, y in thetas)
+    if not thetas or ops + min(_ops(rest, n)) >= min(_ops(whole, n)):
+        return den, g, const, shift, _run(whole, n).tolist()
+    return den, g, const, shift, _by_thetas(_run(rest, n), thetas)
+
+
+def _thetas(groups: dict, rest: dict, n: int) -> list:
+    """The theta factors of the groups as (terms, power), terms the (e, c)
+    with 0 < e < n in order.  J_(r,M)^t takes the power t that residues r
+    and M - r share (0 < r < M/2), the eta powers take residues 0 and M/2,
+    and what is left of each residue goes into rest as its ladder."""
+    eta: dict = {}
+    thetas = []         # (z, M, power) for J_(z,M)^power
+    for M, x in groups.items():
+        half = x.pop(M // 2, 0) if M % 2 == 0 else 0
+        eta[M] = eta.get(M, 0) + x.pop(0, 0) - half
+        eta[M // 2] = eta.get(M // 2, 0) + half
+        for r in [r for r in x if 2 * r < M]:
+            y, z = x[r], x.get(M - r, 0)
+            t = (min(y, z) if y > 0 else max(y, z)) if y * z > 0 else 0
+            if t:
+                thetas.append((r, M, t))
+                eta[M] -= t
+                x[r], x[M - r] = y - t, z - t
+        for r, y in x.items():
+            for e in range(r, n, M) if y else ():
+                rest[1, e] = rest.get((1, e), 0) + y
+    return [(sorted(_triple_terms(z, 1, M, n))[1:], y)
+            for z, M, y in thetas + [(M, 3 * M, y) for M, y in eta.items() if y]]
+
+
+def _by_thetas(arr, thetas: list) -> list:
+    """arr times the theta factors (terms, power) of _thetas, as a list."""
+    n = len(arr)
+    for terms, y in thetas:
+        for _ in range(y):      # one slice add per term
+            src = arr.copy()
+            for e, c in terms:
+                (np.add if c > 0 else np.subtract)(arr[e:], src[:n - e], out=arr[e:])
+    window = arr.tolist()
+    for terms, y in thetas:
+        plus, minus = ([e for e, c in terms if c == sign] for sign in (1, -1))
+        for _ in range(-y):     # the constant term is 1: slot i less the terms below it
+            for i in range(1, n):
+                v = window[i]
+                for e in minus:
+                    if e > i:
+                        break
+                    v += window[i - e]
+                for e in plus:
+                    if e > i:
+                        break
+                    v -= window[i - e]
+                window[i] = v
+    return window
+
+
+def _ops(rung_map: dict, n: int) -> tuple[int, int]:
+    """(operations by rungs, by the recurrence) of a rung map (see product)."""
+    passes = sum(map(abs, rung_map.values()))
+    return (passes * n + 100 * len(rung_map), 3 * n * n // 2) if passes else (0, 0)
+
+
+def _run(rung_map: dict, n: int):
+    """The n-slot window of a rung map, on dtype=object, by the cheaper of
+    rungs and exponent_product."""
+    by_rungs, by_recurrence = _ops(rung_map, n)
+    if by_recurrence < by_rungs:
         exps: dict = {}
         for (s, e), p in rung_map.items():
             exps[e] = exps.get(e, 0) + s * p
             if s == -1:
                 exps[2 * e] = exps.get(2 * e, 0) + p
-        arr = np.array(exponent_product(exps, n), object)
-    else:
-        arr = np.zeros(n, object)
-        arr[:1] = 1
-        for (s, e), p in rung_map.items():
+        return np.array(exponent_product(exps, n), object)
+    arr = np.zeros(n, object)
+    arr[:1] = 1
+    for (s, e), p in rung_map.items():
+        if p:
             rungs(arr, s, e, e, p, 0, 1)
-    out = {shift + i: const * v for i, v in enumerate(arr.tolist()) if v}
-    return QSeries(out, den, order).reduce()
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +350,23 @@ def Jm(m: Rat, order: Rat) -> QSeries:
     return product(Jm_factors(m), order)
 
 
+def _triple_terms(z: int, zsign: int, m: int, n: int) -> list:
+    """The terms (e, c), e < n, of the sum over k of (-1)^k q^(m k(k-1)/2)
+    (zsign q^z)^k, one per k out from the vertex k = 1/2 - z/m; with
+    zsign = 1 it is J_(z,m), and J_(M,3M) = (q^M; q^M)_inf is pentagonal."""
+    out = []
+    for step in (1, -1):
+        k = 0 if step == 1 else -1
+        while True:
+            e = m * k * (k - 1) // 2 + z * k
+            if e < n:
+                out.append((e, 1 if k % 2 == 0 else -zsign))
+            elif step * (m * (2 * k - 1) + 2 * z) >= 0:
+                break
+            k += step
+    return out
+
+
 def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
     """Bilateral sum over n of (-1)^n q^(m*n(n-1)/2) (zsign*q^zexp)^n.
 
@@ -263,22 +379,8 @@ def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
         raise ValueError("triple-product modulus must be positive")
     den = lcm(zexp.denominator, m.denominator)
     out: dict = {}
-    vertex = Fraction(1, 2) - zexp / m
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        while True:
-            e = m * n * (n - 1) / 2 + zexp * n
-            if e < order:
-                k = int(e * den)
-                c = 1 if n % 2 == 0 else -zsign
-                w = out.get(k, 0) + c
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-            elif (direction == 1 and n >= vertex) or (direction == -1 and n <= vertex):
-                break
-            n += direction
+    for k, c in _triple_terms(int(zexp * den), zsign, int(m * den), ceil(order * den)):
+        out[k] = out.get(k, 0) + c
     return QSeries(out, den, order).reduce()
 
 
@@ -310,7 +412,8 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     By the q-binomial theorem (Andrews, The Theory of Partitions, Thm 2.1
     and Cor. 2.2) the u^(upow*k) row of the symbol is
         (-sign)^k q^(a*k + m*k(k-1)/2) / (q^m; q^m)_k,
-    so each row is one product() call.  The parameter contributes no
+    so the fixed product is expanded once and each row is the one before
+    divided by 1 - q^(k*m) (one rung pass).  The parameter contributes no
     q-exponent, so upow >= 1 makes the symbol converge for every a >= 0.
     """
     a = _frac(a)
@@ -322,9 +425,17 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
         raise ValueError("parameter products need a >= 0 and upow >= 1, "
                          "and factors with a >= 0")
     rows = [QSeries.zero(order)] * (deg + 1)
-    k, e = 0, Fraction(0)
+    if order <= 0 or deg < 0:
+        return ParamSeries(rows)
+    # a zero-length (q^m; q^m) puts the rungs of every row on the window's grid
+    den, g, const, shift, window = _window((pf(1, m, m, 0), *factors), order)
+    window, k, e = np.array(window, object), 0, Fraction(0)
     while e < order and upow * k <= deg:
-        row = product((pf(1, m, m, k, -1), *factors), order - e)
-        rows[upow * k] = row.shift(e).scale((-sign) ** k)
+        # row k is row k-1 divided by 1 - q^(k m), both cut at order - e
+        window = window[:max(-((shift - ceil((order - e) * den)) // g), 0)]
+        if k:
+            rungs(window, 1, int(k * m * den) // g, int(k * m * den) // g, -1, 0, 1)
+        row = {shift + i * g: const * v for i, v in enumerate(window.tolist()) if v}
+        rows[upow * k] = QSeries(row, den, order - e).reduce().shift(e).scale((-sign) ** k)
         k, e = k + 1, e + a + m * k
     return ParamSeries(rows)

@@ -218,7 +218,7 @@ def test_poch_param_fixed_factors_go_into_every_row():
         poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
 
 
-# -- the planner: one rung map, run by the recurrence or by rungs --------------
+# -- the planner: one rung map, run by rungs, the recurrence or theta series ---
 
 def _naive_product(factors, order):
     """The product of naive_factor below order; each factor is expanded past
@@ -251,6 +251,19 @@ def recurrence_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """The window sizes the theta route runs on."""
+    calls, real = [], products._by_thetas
+
+    def spy(arr, thetas):
+        calls.append(len(arr))
+        return real(arr, thetas)
+
+    monkeypatch.setattr(products, "_by_thetas", spy)
+    return calls
+
+
 @st.composite
 def _factor_sets(draw):
     fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -272,6 +285,32 @@ def _factor_sets(draw):
     return tuple(factors)
 
 
+@st.composite
+def _theta_sets(draw):
+    """J pairs, eta quotients, sign -1 factors above their step and finite
+    factors with negative rungs: the shapes the theta route takes apart."""
+    steps = st.sampled_from((1, 2, 3, 4, 5, 6, 8, F(1, 2), F(3, 2)))
+    powers = st.integers(-2, 2).filter(bool)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        m, power = draw(steps), draw(powers)
+        kind = draw(st.sampled_from(("J", "eta", "negative", "finite")))
+        if kind == "J":                          # (q^r, q^(M-r); q^M), maybe J
+            m = draw(st.integers(2, 8))
+            r = draw(st.integers(1, m - 1))
+            factors += [pf(1, r, m, None, power), pf(1, m - r, m, None, power)]
+            if draw(st.booleans()):
+                factors.append(pf(1, m, m, None, power))
+        elif kind == "eta":
+            factors.append(pf(1, m, m, None, power))
+        elif kind == "negative":                 # (-q^a; q^m) with a > m
+            factors.append(pf(-1, m * draw(st.integers(1, 3)) + draw(steps), m, None, power))
+        else:                                    # rungs at m(j - k + 1/2), none at 0
+            a, length = m * (F(1, 2) - draw(st.integers(0, 3))), draw(st.integers(1, 4))
+            factors.append(pf(draw(st.sampled_from((1, -1))), a, m, length, power))
+    return tuple(factors)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_factor_sets(), st.fractions(min_value=0, max_value=12, max_denominator=2))
 def test_planned_product_equals_pure_ladder(factors, order):
@@ -280,7 +319,15 @@ def test_planned_product_equals_pure_ladder(factors, order):
     assert _as_dict(s) == _naive_product(factors, order)
 
 
-def test_routes_agree_on_both_sides_of_the_cost_boundary(recurrence_calls):
+@settings(max_examples=40, deadline=None)
+@given(_theta_sets(), st.fractions(min_value=30, max_value=48, max_denominator=2))
+def test_theta_shaped_products_equal_the_naive_product(factors, order):
+    s = product(factors, order)
+    assert s.order == order
+    assert _as_dict(s) == _naive_product(factors, order)
+
+
+def test_routes_agree_on_both_sides_of_the_cost_boundary(recurrence_calls, theta_calls):
     n = 40
     sets = [((1, 1, 1, 1),), ((1, 1, 1, 2),),                  # 39 and 78 passes
             ((-1, 2, 2, -1), (1, 3, 2, 1)),                    # 19 + 19
@@ -290,19 +337,39 @@ def test_routes_agree_on_both_sides_of_the_cost_boundary(recurrence_calls):
     routes = []
     for infinite in sets:
         factors = [pf(sign, a, m, None, power) for sign, a, m, power in infinite]
-        before = len(recurrence_calls)
+        before = len(recurrence_calls), len(theta_calls)
         assert _as_dict(product(factors, n)) == _naive_product(factors, n)
-        routes.append(len(recurrence_calls) > before)
-    assert routes == [False, True, False, True, False, True]
+        routes.append("theta" if len(theta_calls) > before[1] else
+                      "recurrence" if len(recurrence_calls) > before[0] else "rungs")
+    assert routes == ["theta", "theta", "theta", "recurrence", "theta", "recurrence"]
 
 
-def test_planner_routes_of_registry_products(recurrence_calls):
-    # 1/J(1,5) at order 400 stays on rungs; j1-four's
-    # (q^4;q^4)^14 / (q^2;q^2)^14 takes the recurrence
+def test_finite_ladders_on_both_sides_of_the_recurrence_boundary(recurrence_calls):
+    # a finite ladder has no theta form: 5 rungs stay on rungs, 39 do not
+    for length, calls in ((5, []), (39, [40])):
+        factors = (pf(1, 1, 1, length, -1),)
+        assert _as_dict(product(factors, 40)) == _naive_product(factors, 40)
+        assert recurrence_calls == calls
+
+
+def test_planner_routes_of_registry_products(recurrence_calls, theta_calls):
+    # 1/J(1,5) at order 400 takes the theta route; j1-four's
+    # (q^4;q^4)^14 / (q^2;q^2)^14 the recurrence, on the grid of q^2
     product((pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1), pf(1, 5, 5, None, -1)), 400)
-    assert recurrence_calls == []
+    assert recurrence_calls == [] and theta_calls == [400]
     product((pf(1, 4, 4, None, 14), pf(1, 2, 2, None, -14)), 400)
-    assert recurrence_calls == [400]
+    assert recurrence_calls == [200] and theta_calls == [400]
+
+
+def test_long_ladders_take_the_theta_route(theta_calls):
+    # (-1; q)^2, 1/(q; q)^2 and 1/(q, q^4, q^7; q^8): one long ladder each,
+    # a rung pass per entry on rungs, a few theta series here
+    for factors in ((pf(-1, 0, 1, None, 2),), (pf(1, 1, 1, None, -2),),
+                    (pf(1, 1, 8, None, -1), pf(1, 4, 8, None, -1), pf(1, 7, 8, None, -1))):
+        assert _as_dict(product(factors, 40)) == _naive_product(factors, 40)
+        theta_calls.clear()
+        product(factors, 400)
+        assert theta_calls == [400], factors
 
 
 def test_zero_rung_folds_into_the_constant_on_the_recurrence(recurrence_calls):
@@ -314,6 +381,20 @@ def test_zero_rung_folds_into_the_constant_on_the_recurrence(recurrence_calls):
     assert product((pf(1, 0, 1, 2),), 10).coeffs == {}      # (1; q)_2 = 0
     with pytest.raises(ValueError):                        # 1/(1 + 1) is no integer
         product((pf(-1, 0, 1, None, -1),), 10)
+
+
+def test_theta_term_lists():
+    # J_(r,M) and (q^M; q^M) = J_(M,3M) against the public expansions and
+    # the independent bilateral and pentagonal sums, at order 200
+    for M in range(1, 13):
+        for r in range(1, (M + 1) // 2):
+            terms = products._triple_terms(r, 1, M, 200)
+            assert len({e for e, _ in terms}) == len(terms)
+            assert dict(terms) == jacobi_triple(r, 1, M, 200).coeffs
+            assert {F(e): c for e, c in terms} == triple_product_coeffs(F(r), 1, F(M), F(200))
+        eta = dict(products._triple_terms(M, 1, 3 * M, 200))
+        assert eta == {M * e: c for e, c in pentagonal_coeffs(-(-200 // M)).items()}
+        assert eta == poch(pf(1, M, M), 200).coeffs
 
 
 def test_factor_length_per_index():
