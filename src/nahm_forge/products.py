@@ -181,20 +181,17 @@ def product(factors, order: Rat) -> QSeries:
     the grid of the gcd g of every a and m, and ValueError refuses one past
     MAX_WINDOW before it is allocated.  Every rung in the window goes into
     one map (sign, e) -> power, a rung at e = 0 into the constant, and the
-    route of fewest operations on the n slots builds the product:
-
-    - rungs: n adds per rung pass, and about 100 for each call;
-    - exponent_product: n^2/2 multiply-adds of about three adds each;
-    - theta series: the infinite factors grouped by step M, with
-      (-q^a; q^m) = (q^2a; q^2m) / (q^a; q^m) and (q^a; q^M) for a > M
-      cut to its residue class, are by the Jacobi triple product (Andrews,
-      The Theory of Partitions, 1976, Thm 2.8) powers of
-      J_(r,M) = (q^r, q^(M-r), q^M; q^M), as far as residues r and M - r
-      share a power, of (q^(M/2); q^(M/2)) and of (q^M; q^M) = J_(M,3M),
-      times what stays in the map, built by the cheaper of the other two.
-      A theta factor has about 2 sqrt(2n/M) terms q^e below n: multiplying
-      by one takes n - e adds (and 100) per term, and dividing by one an
-      exact sweep of n - e adds per term, in Python at about three each.
+    route of fewest operations on the n slots builds the product: rungs,
+    at n adds per rung pass and 100 per call; exponent_product, at n^2/2
+    multiply-adds of about three adds each; or theta series.  By the Jacobi
+    triple product (Andrews, The Theory of Partitions, 1976, Thm 2.8) the
+    infinite factors of step M are, as far as residues r and M - r share a
+    power, powers of J_(r,M) = (q^r, q^(M-r), q^M; q^M)_inf and of eta
+    factors (q^M; q^M)_inf = J_(M,3M), each with about 2 sqrt(2n/M) terms
+    q^e below n (see _thetas).  Multiplying by one takes n - e adds and 100
+    per term, and dividing by one, its constant term being 1, a sweep of
+    n - e adds per term, at about three each as it runs in Python; the rest
+    of the map goes by the cheaper of the other two routes.
     """
     order = _frac(order)
     den, g, const, shift, window = _window(factors, order)
@@ -249,10 +246,13 @@ def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
 
 
 def _thetas(groups: dict, rest: dict, n: int) -> list:
-    """The theta factors of the groups as (terms, power), terms the (e, c)
-    with 0 < e < n in order.  J_(r,M)^t takes the power t that residues r
-    and M - r share (0 < r < M/2), the eta powers take residues 0 and M/2,
-    and what is left of each residue goes into rest as its ladder."""
+    """The theta factors, as (terms, power) with terms the (e, c) of
+    0 < e < n in order, of the infinite factors grouped by step M, where
+    (-q^a; q^m) = (q^2a; q^2m) / (q^a; q^m) and (q^a; q^M) for a > M is
+    cut to its residue class.  J_(r,M)^t takes the power t that residues r
+    and M - r share (0 < r < M/2), (q^(M/2); q^(M/2)) and (q^M; q^M) take
+    residues M/2 and 0, merged over all steps, and what is left of each
+    residue goes into rest as its ladder."""
     eta: dict = {}
     thetas = []         # (z, M, power) for J_(z,M)^power
     for M, x in groups.items():
@@ -355,8 +355,7 @@ def _triple_terms(z: int, zsign: int, m: int, n: int) -> list:
     (zsign q^z)^k, one per k out from the vertex k = 1/2 - z/m; with
     zsign = 1 it is J_(z,m), and J_(M,3M) = (q^M; q^M)_inf is pentagonal."""
     out = []
-    for step in (1, -1):
-        k = 0 if step == 1 else -1
+    for step, k in ((1, 0), (-1, -1)):
         while True:
             e = m * k * (k - 1) // 2 + z * k
             if e < n:
