@@ -4,11 +4,10 @@ and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 Every factor is a ladder of binomials (1 - sign*q^(a+k*m)), one PochFactor
 in products and in the Nahm sums alike; multiplying or dividing a dense
 coefficient window by one binomial is one O(length) pass of rungs, the
-kernel the Nahm sums share.  product() builds a product by whichever of
-three routes takes the fewest operations: rung by rung, from its exponents
-by the log-derivative recurrence, or, for infinite factors that pair into
-theta functions J_(r,M) and eta factors (q^M; q^M)_inf, from their sparse
-Jacobi-triple-product series.
+kernel the Nahm sums share.  product() puts every rung into one map
+e -> power of (1 - q^e); the ladders that run to the window top pair into
+theta functions J_(r,M) and eta factors (q^M; q^M)_inf, applied as their
+sparse Jacobi-triple-product series, and the rest of the map runs on rungs.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ class PochFactor:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "m", _frac(self.m))
+        object.__setattr__(self, "a", _exact("base a", self.a))
+        object.__setattr__(self, "m", _exact("step m", self.m))
         if self.m <= 0:
             raise ValueError("step must be positive")
         if self.length is not None and self.length < 0:
@@ -58,10 +57,18 @@ class PochFactor:
             raise Divergent(f"infinite product with base {self.sign}*q^{self.a}")
 
 
+def _exact(name: str, v) -> Fraction:
+    """v as a Fraction, refusing a float: its binary fraction is no exponent meant."""
+    if isinstance(v, float):
+        raise ValueError(f"{name} must be an int, Fraction or rational string, "
+                         f"not the float {v!r}")
+    return _frac(v)
+
+
 def pf(sign: int, a: Rat, m: Rat, length: Optional[int] = None,
        power: int = 1, per_n: int = 0) -> PochFactor:
     """Shorthand PochFactor constructor."""
-    return PochFactor(sign, _frac(a), _frac(m), length, power, per_n)
+    return PochFactor(sign, a, m, length, power, per_n)
 
 
 def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, PochFactor]:
@@ -70,8 +77,7 @@ def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor
     Splitting even and odd rungs gives
     (x; -q^m)_inf = (x; q^(2m))_inf * (-x*q^m; q^(2m))_inf.
     """
-    a = _frac(a)
-    m = _frac(m)
+    a, m = _exact("base a", a), _exact("step m", m)
     return (pf(sign, a, 2 * m, None, power), pf(-sign, a + m, 2 * m, None, power))
 
 
@@ -180,18 +186,18 @@ def product(factors, order: Rat) -> QSeries:
     window holds the exponents from 0 up to the order less that shift, on
     the grid of the gcd g of every a and m, and ValueError refuses one past
     MAX_WINDOW before it is allocated.  Every rung in the window goes into
-    one map (sign, e) -> power, a rung at e = 0 into the constant, and the
-    route of fewest operations on the n slots builds the product: rungs,
-    at n adds per rung pass and 100 per call; exponent_product, at n^2/2
-    multiply-adds of about three adds each; or theta series.  By the Jacobi
-    triple product (Andrews, The Theory of Partitions, 1976, Thm 2.8) the
-    infinite factors of step M are, as far as residues r and M - r share a
-    power, powers of J_(r,M) = (q^r, q^(M-r), q^M; q^M)_inf and of eta
-    factors (q^M; q^M)_inf = J_(M,3M), each with about 2 sqrt(2n/M) terms
-    q^e below n (see _thetas).  Multiplying by one takes n - e adds and 100
-    per term, and dividing by one, its constant term being 1, a sweep of
-    n - e adds per term, at about three each as it runs in Python; the rest
-    of the map goes by the cheaper of the other two routes.
+    one map e -> power of (1 - q^e), with 1 + q^e = (1 - q^2e)/(1 - q^e),
+    and a rung at e = 0 into the constant.  A ladder that runs to the
+    window top is there the same as an infinite one, and if it starts in
+    the lower half (from higher up, its class would put back more rungs
+    below it than it takes out) then by the Jacobi triple product (Andrews,
+    The Theory of Partitions, 1976, Thm 2.8) such ladders of step M are, as
+    far as residues r and M - r share a power, powers of J_(r,M) =
+    (q^r, q^(M-r), q^M; q^M)_inf and of eta factors (q^M; q^M)_inf =
+    J_(M,3M), each a sparse series of about 2 sqrt(2n/M) terms below the
+    window top n (see _thetas).  The map less their rungs runs on rungs,
+    and the theta series then multiply by slice adds or divide by an exact
+    sweep.
     """
     order = _frac(order)
     den, g, const, shift, window = _window(factors, order)
@@ -216,61 +222,55 @@ def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
     n = max(-((shift - ceil(order * den)) // g), 0)
     if n > MAX_WINDOW:
         raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
-    whole, rest, groups = {}, {}, {}    # rest: the map less the theta factors
+    powers, groups = np.zeros(n, object), {}  # powers[e]: of 1 - q^e; M -> r -> power
     for s, a, m, p, k, length in ladders:
         a, m = a // g, m // g
         top = n if length is None else min(n, a + length * m)
-        # the k folded rungs at -(a + j m), then the rungs from a + k m up
-        for e in (*range(m - a - k * m, min(n, 1 - a), m), *range(a + k * m, top, m)):
-            if e:
-                whole[s, e] = whole.get((s, e), 0) + p
-                if length is not None:
-                    rest[s, e] = rest.get((s, e), 0) + p
-            elif p < 0:
+        b = a + k * m           # k rungs fold to -(a + j m), the rest run from b
+        if b == 0 < top:        # the rung 1 - s*q^0 goes into the constant
+            if p < 0:
                 raise ValueError("cannot divide by the rung 1 - sign*q^0")
-            else:
-                const *= (1 - s) ** p
-        b = a or m      # (-1; q^m) = 2 (-q^m; q^m), the 2 in const
-        for b, M, x in (() if length is not None else ((b, m, p),) if s == 1 else
-                        ((2 * b, 2 * m, p), (b, m, -p))):
-            r, group = (b - 1) % M + 1, groups.setdefault(M, {})  # residue -> power
-            group[r % M] = group.get(r % M, 0) + x
-            for e in range(r, min(b, n), M):
-                rest[1, e] = rest.get((1, e), 0) - x
-    thetas = _thetas(groups, rest, n) if groups else ()
-    ops = sum(y * sum(n - e + 100 for e, _ in terms) if y > 0 else
-              -3 * y * sum(n - e for e, _ in terms) for terms, y in thetas)
-    if not thetas or ops + min(_ops(rest, n)) >= min(_ops(whole, n)):
-        return den, g, const, shift, _run(whole, n).tolist()
-    return den, g, const, shift, _by_thetas(_run(rest, n), thetas)
+            const, b = const * (1 - s) ** p, m
+        for lo, hi in ((m - a - k * m, 1 - a), (b, top)) if k else ((b, top),):
+            if s == -1:         # 1 + q^e = (1 - q^2e)/(1 - q^e)
+                powers[2 * lo:2 * hi:2 * m] += p
+            powers[lo:hi:m] += s * p
+        if top == n > 2 * b - b % m:    # from the lower half to the top
+            for b, M, x in ((b, m, p),) if s == 1 else ((2 * b, 2 * m, p), (b, m, -p)):
+                group = groups.setdefault(M, {})
+                group[b % M] = group.get(b % M, 0) + x
+    thetas = _thetas(groups, powers)
+    arr = np.zeros(n, object)
+    arr[:1] = 1
+    for e in np.flatnonzero(powers).tolist():
+        rungs(arr, 1, e, e, int(powers[e]), 0, 1)
+    return den, g, const, shift, _by_thetas(arr, thetas)
 
 
-def _thetas(groups: dict, rest: dict, n: int) -> list:
+def _thetas(groups: dict, powers) -> list:
     """The theta factors, as (terms, power) with terms the (e, c) of
-    0 < e < n in order, of the infinite factors grouped by step M, where
-    (-q^a; q^m) = (q^2a; q^2m) / (q^a; q^m) and (q^a; q^M) for a > M is
-    cut to its residue class.  J_(r,M)^t takes the power t that residues r
-    and M - r share (0 < r < M/2), (q^(M/2); q^(M/2)) and (q^M; q^M) take
-    residues M/2 and 0, merged over all steps, and what is left of each
-    residue goes into rest as its ladder."""
-    eta: dict = {}
-    thetas = []         # (z, M, power) for J_(z,M)^power
+    0 < e < len(powers) in order, of the ladders grouped by step M into
+    residue -> power; their rungs are taken out of powers.  J_(r,M)^t takes
+    the power t that residues r and M - r share (0 < r < M/2), and
+    (q^(M/2); q^(M/2)) and (q^M; q^M) take residues M/2 and 0, merged over
+    all steps; what is left of a ladder that starts above its residue, or
+    of an unshared residue, stays in powers."""
+    eta, thetas = {}, []        # thetas: (z, M, power) for J_(z,M)^power
     for M, x in groups.items():
-        half = x.pop(M // 2, 0) if M % 2 == 0 else 0
-        eta[M] = eta.get(M, 0) + x.pop(0, 0) - half
+        half = x.get(M // 2, 0) if M % 2 == 0 else 0
+        eta[M] = eta.get(M, 0) + x.get(0, 0) - half
         eta[M // 2] = eta.get(M // 2, 0) + half
-        for r in [r for r in x if 2 * r < M]:
-            y, z = x[r], x.get(M - r, 0)
+        for r, y in x.items():
+            z = x.get(M - r, 0) if 0 < 2 * r < M else 0
             t = (min(y, z) if y > 0 else max(y, z)) if y * z > 0 else 0
             if t:
                 thetas.append((r, M, t))
                 eta[M] -= t
-                x[r], x[M - r] = y - t, z - t
-        for r, y in x.items():
-            for e in range(r, n, M) if y else ():
-                rest[1, e] = rest.get((1, e), 0) + y
-    return [(sorted(_triple_terms(z, 1, M, n))[1:], y)
-            for z, M, y in thetas + [(M, 3 * M, y) for M, y in eta.items() if y]]
+    thetas += [(M, 3 * M, y) for M, y in eta.items() if y]
+    for z, M, y in thetas:      # J_(z,M) has the rungs z, M - z and 0 mod M
+        for e in (z, M - z, M):
+            powers[e::M] -= y
+    return [(sorted(_triple_terms(z, 1, M, len(powers)))[1:], y) for z, M, y in thetas]
 
 
 def _by_thetas(arr, thetas: list) -> list:
@@ -299,39 +299,13 @@ def _by_thetas(arr, thetas: list) -> list:
     return window
 
 
-def _ops(rung_map: dict, n: int) -> tuple[int, int]:
-    """(operations by rungs, by the recurrence) of a rung map (see product)."""
-    passes = sum(map(abs, rung_map.values()))
-    return (passes * n + 100 * len(rung_map), 3 * n * n // 2) if passes else (0, 0)
-
-
-def _run(rung_map: dict, n: int):
-    """The n-slot window of a rung map, on dtype=object, by the cheaper of
-    rungs and exponent_product."""
-    by_rungs, by_recurrence = _ops(rung_map, n)
-    if by_recurrence < by_rungs:
-        exps: dict = {}
-        for (s, e), p in rung_map.items():
-            exps[e] = exps.get(e, 0) + s * p
-            if s == -1:
-                exps[2 * e] = exps.get(2 * e, 0) + p
-        return np.array(exponent_product(exps, n), object)
-    arr = np.zeros(n, object)
-    arr[:1] = 1
-    for (s, e), p in rung_map.items():
-        if p:
-            rungs(arr, s, e, e, p, 0, 1)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Named products
 # ---------------------------------------------------------------------------
 
 def J_factors(a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, ...]:
     """(q^a, q^(m-a), q^m; q^m)_inf as factors; requires 0 < a < m."""
-    a = _frac(a)
-    m = _frac(m)
+    a, m = _exact("a", a), _exact("m", m)
     if not 0 < a < m:
         raise ValueError("J(a, m) needs 0 < a < m")
     return (pf(1, a, m, None, power), pf(1, m - a, m, None, power),
@@ -339,7 +313,7 @@ def J_factors(a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, ...]:
 
 
 def Jm_factors(m: Rat, power: int = 1) -> tuple[PochFactor, ...]:
-    return (pf(1, _frac(m), _frac(m), None, power),)
+    return (pf(1, m, m, None, power),)
 
 
 def J(a: Rat, m: Rat, order: Rat) -> QSeries:

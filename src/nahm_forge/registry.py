@@ -730,6 +730,8 @@ def get(rid: str) -> IdentityRecord:
 
 def verify(rid: str, order: int) -> VerifyReport:
     """Build both sides at the requested order and compare exactly."""
+    if order < 1:       # an order below 1 compares nothing
+        raise ValueError(f"order must be at least 1, not {order}")
     rec = get(rid)
     t0 = time.perf_counter()
     if rec.params:

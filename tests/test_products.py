@@ -11,7 +11,7 @@ from nahm_forge import products
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, Jm, PochFactor, eta_factors, eta_quotient, exponent_product, jacobi_triple,
+    J, J_factors, Jm, PochFactor, eta_factors, eta_quotient, exponent_product, jacobi_triple,
     neg_base_pair, pf, poch, poch_param, product, rungs,
 )
 
@@ -218,7 +218,7 @@ def test_poch_param_fixed_factors_go_into_every_row():
         poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
 
 
-# -- the planner: one rung map, run by rungs, the recurrence or theta series ---
+# -- the plan: one rung map, theta series for the ladders reaching the top ----
 
 def _naive_product(factors, order):
     """The product of naive_factor below order; each factor is expanded past
@@ -239,8 +239,8 @@ def _as_dict(s: QSeries) -> dict:
 
 @pytest.fixture
 def recurrence_calls(monkeypatch):
-    """The window sizes exponent_product is called with, so a test sees
-    which route product() took."""
+    """The window sizes exponent_product is called with; product() never
+    calls it."""
     calls, real = [], products.exponent_product
 
     def spy(exps, n, integral=True):
@@ -253,11 +253,12 @@ def recurrence_calls(monkeypatch):
 
 @pytest.fixture
 def theta_calls(monkeypatch):
-    """The window sizes the theta route runs on."""
+    """The window sizes that theta factors are applied on."""
     calls, real = [], products._by_thetas
 
     def spy(arr, thetas):
-        calls.append(len(arr))
+        if thetas:
+            calls.append(len(arr))
         return real(arr, thetas)
 
     monkeypatch.setattr(products, "_by_thetas", spy)
@@ -287,14 +288,16 @@ def _factor_sets(draw):
 
 @st.composite
 def _theta_sets(draw):
-    """J pairs, eta quotients, sign -1 factors above their step and finite
-    factors with negative rungs: the shapes the theta route takes apart."""
+    """J pairs, eta quotients, sign -1 factors above their step, finite
+    factors with negative rungs, and finite factors of either sign, with or
+    without negative rungs, that run past the window top: the shapes the
+    theta route takes apart."""
     steps = st.sampled_from((1, 2, 3, 4, 5, 6, 8, F(1, 2), F(3, 2)))
     powers = st.integers(-2, 2).filter(bool)
     factors = []
     for _ in range(draw(st.integers(1, 4))):
         m, power = draw(steps), draw(powers)
-        kind = draw(st.sampled_from(("J", "eta", "negative", "finite")))
+        kind = draw(st.sampled_from(("J", "eta", "negative", "finite", "top")))
         if kind == "J":                          # (q^r, q^(M-r); q^M), maybe J
             m = draw(st.integers(2, 8))
             r = draw(st.integers(1, m - 1))
@@ -307,6 +310,8 @@ def _theta_sets(draw):
             factors.append(pf(-1, m * draw(st.integers(1, 3)) + draw(steps), m, None, power))
         else:                                    # rungs at m(j - k + 1/2), none at 0
             a, length = m * (F(1, 2) - draw(st.integers(0, 3))), draw(st.integers(1, 4))
+            if kind == "top":                    # past 48 less the folded rungs' shift
+                length = -(-(360 + 2 * abs(a)) // m) + draw(st.integers(0, 3))
             factors.append(pf(draw(st.sampled_from((1, -1))), a, m, length, power))
     return tuple(factors)
 
@@ -327,38 +332,52 @@ def test_theta_shaped_products_equal_the_naive_product(factors, order):
     assert _as_dict(s) == _naive_product(factors, order)
 
 
-def test_routes_agree_on_both_sides_of_the_cost_boundary(recurrence_calls, theta_calls):
+def test_infinite_products_take_theta_where_residues_pair(recurrence_calls, theta_calls):
     n = 40
-    sets = [((1, 1, 1, 1),), ((1, 1, 1, 2),),                  # 39 and 78 passes
-            ((-1, 2, 2, -1), (1, 3, 2, 1)),                    # 19 + 19
-            ((-1, 2, 2, -1), (1, 3, 2, 2)),                    # 19 + 38
-            ((1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)),     # 1/J(1,5): 23
-            ((1, 4, 4, 14), (1, 2, 2, -14))]                   # 10 x 14 once merged
+    sets = [((1, 1, 1, 1),), ((1, 1, 1, 2),),                  # (q; q)^p
+            ((-1, 2, 2, -1), (1, 3, 2, 1)),                    # (q^2; q^2)^2 / (q^4; q^4)
+            ((-1, 2, 2, -1), (1, 3, 2, 2)),                    # and a rung 1 - q divided
+            ((1, 1, 5, -1), (1, 4, 5, -1), (1, 5, 5, -1)),     # 1/J(1,5)
+            ((1, 4, 4, 14), (1, 2, 2, -14)),                   # j1-four, on the grid of q^2
+            ((1, 15, 1, 1),),                                  # from the lower half
+            ((1, 2, 5, 1),), ((1, 1, 5, 1), (1, 2, 5, -1)),    # no residue pair
+            ((1, 30, 1, 1),)]                                  # from the upper half
     routes = []
     for infinite in sets:
         factors = [pf(sign, a, m, None, power) for sign, a, m, power in infinite]
-        before = len(recurrence_calls), len(theta_calls)
+        before = len(theta_calls)
         assert _as_dict(product(factors, n)) == _naive_product(factors, n)
-        routes.append("theta" if len(theta_calls) > before[1] else
-                      "recurrence" if len(recurrence_calls) > before[0] else "rungs")
-    assert routes == ["theta", "theta", "theta", "recurrence", "theta", "recurrence"]
+        routes.append("theta" if len(theta_calls) > before else "rungs")
+    assert routes == ["theta"] * 7 + ["rungs"] * 3
+    assert recurrence_calls == []
 
 
-def test_finite_ladders_on_both_sides_of_the_recurrence_boundary(recurrence_calls):
-    # a finite ladder has no theta form: 5 rungs stay on rungs, 39 do not
+def test_finite_ladders_reaching_the_window_top_take_theta(recurrence_calls, theta_calls):
+    # (q; q)_5 stays on rungs; (q; q)_39 at 40 slots is (q; q)_inf there
     for length, calls in ((5, []), (39, [40])):
         factors = (pf(1, 1, 1, length, -1),)
         assert _as_dict(product(factors, 40)) == _naive_product(factors, 40)
-        assert recurrence_calls == calls
+        assert theta_calls == calls
+    assert recurrence_calls == []
+
+
+def test_finite_inverse_euler_product_past_the_order_is_the_infinite_one():
+    # 1/(q; q)_L = 1/(q; q)_inf below q^400 once L >= 399
+    infinite = product((pf(1, 1, 1, None, -1),), 400)
+    assert all(infinite.coeff(n) == partition_count(n) for n in range(0, 400, 57))
+    for length in (399, 400, 1000):
+        assert product((pf(1, 1, 1, length, -1),), 400).coeffs == infinite.coeffs
+    assert product((pf(1, 1, 1, 398, -1),), 400).coeffs != infinite.coeffs
 
 
 def test_planner_routes_of_registry_products(recurrence_calls, theta_calls):
-    # 1/J(1,5) at order 400 takes the theta route; j1-four's
-    # (q^4;q^4)^14 / (q^2;q^2)^14 the recurrence, on the grid of q^2
+    # 1/J(1,5) at order 400 takes the theta route, and so does j1-four's
+    # (q^4;q^4)^14 / (q^2;q^2)^14, on the grid of q^2
     product((pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1), pf(1, 5, 5, None, -1)), 400)
-    assert recurrence_calls == [] and theta_calls == [400]
+    assert theta_calls == [400]
     product((pf(1, 4, 4, None, 14), pf(1, 2, 2, None, -14)), 400)
-    assert recurrence_calls == [200] and theta_calls == [400]
+    assert theta_calls == [400, 200]
+    assert recurrence_calls == []
 
 
 def test_long_ladders_take_the_theta_route(theta_calls):
@@ -372,12 +391,12 @@ def test_long_ladders_take_the_theta_route(theta_calls):
         assert theta_calls == [400], factors
 
 
-def test_zero_rung_folds_into_the_constant_on_the_recurrence(recurrence_calls):
+def test_zero_rung_folds_into_the_constant_on_the_theta_route(recurrence_calls, theta_calls):
     # (-1; q)_inf^p = 2^p (-q; q)_inf^p, next to (q; q)_inf^14
     for power in (1, 2, 3):
         factors = (pf(-1, 0, 1, None, power), pf(1, 1, 1, None, 14))
         assert _as_dict(product(factors, 30)) == _naive_product(factors, 30)
-    assert recurrence_calls == [30] * 3
+    assert theta_calls == [30] * 3 and recurrence_calls == []
     assert product((pf(1, 0, 1, 2),), 10).coeffs == {}      # (1; q)_2 = 0
     with pytest.raises(ValueError):                        # 1/(1 + 1) is no integer
         product((pf(-1, 0, 1, None, -1),), 10)
@@ -404,6 +423,20 @@ def test_factor_length_per_index():
         pf(1, 1, 1, 2, 1, -1)
     with pytest.raises(ValueError):
         pf(1, 1, 1, None, 1, 1)
+
+
+def test_factor_refuses_a_float_step_or_base():
+    # 10/3 as a float is a binary fraction that would need ~10^16 slots
+    with pytest.raises(ValueError, match="base a .* float 3.333"):
+        product([pf(1, 10 / 3, 5)], 10)
+    with pytest.raises(ValueError, match="step m .* float 0.5"):
+        PochFactor(1, 1, 0.5)
+    for bad in (lambda: J_factors(0.5, 3), lambda: neg_base_pair(1, 1, 2.0),
+                lambda: eta_factors({1.5: 1})):
+        with pytest.raises(ValueError, match="float"):
+            bad()
+    assert pf(1, "1/3", F(2, 3)) == pf(1, F(1, 3), "2/3") == PochFactor(1, F(1, 3), F(2, 3))
+    assert product([pf(1, "10/3", 5)], 10) == product([pf(1, F(10, 3), 5)], 10)
 
 
 def test_eta_factors_sorted_nonzero_and_positive():

@@ -40,6 +40,16 @@ def test_unknown_id():
         R.verify("no-such-identity", 10)
 
 
+def test_verify_refuses_an_order_below_one():
+    # an order below 1 compares nothing, so it is no pass
+    for order in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            R.verify("rr-1", order)
+    seq = R.verify_all(0, param_order=-5)
+    assert len(seq) == len(R.registry())
+    assert all(r.result == "error" and r.error.startswith("ValueError") for r in seq)
+
+
 def test_verify_capparelli():
     rep = R.verify("capparelli", 60)
     assert rep.result == "pass"
