@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, isfinite, lcm
-from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .errors import Divergent
-from .series import ParamSeries, QSeries, Rat, _coeff, _frac
+from .series import ParamSeries, QSeries, Rat, _frac
 
 MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum or product may hold
 
@@ -150,32 +149,6 @@ def exact_row(residues, shadow, adds: int, nonneg: bool = True):
 def poch(f: PochFactor, order: Rat) -> QSeries:
     """Expand a single Pochhammer symbol to the given order."""
     return product([f], order)
-
-
-def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
-    """The first n coefficients of prod over e >= 1 of (1 - q^e)^exps[e].
-
-    This is the log-derivative recurrence of prodmake (Andrews, q-Series,
-    CBMS 66, 1986, section 10.7) run forwards: q f'/f = sum_k g_k q^k with
-    g_k = -sum_(e|k) e*exps[e], so c_0 = 1 and j c_j = sum_(k=1..j) g_k c_(j-k),
-    about n^2/2 multiply-adds in all.  With integral exponents every c_j is
-    an integer and each division is exact; otherwise the c_j are Fractions.
-    """
-    g = [0] * n
-    for e, p in exps.items():
-        if p and e < n:
-            for k in range(e, n, e):
-                g[k] -= e * p
-    c = [1] if n else []
-    for j in range(1, n):
-        s = sum(map(mul, g[1:j + 1], c[::-1]))
-        if integral:
-            cj, r = divmod(s, j)
-            assert not r, "log-derivative recurrence: inexact division"
-        else:
-            cj = _coeff(Fraction(s, j))
-        c.append(cj)
-    return c
 
 
 def product(factors, order: Rat) -> QSeries:

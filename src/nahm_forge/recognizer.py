@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from .errors import NotIntegralLattice, ZeroLeadingTerm
 from .nahm import nahm_sum, quadruple
-from .products import exponent_product
 from .series import QSeries, Rat, _coeff, _frac
 
 
@@ -57,7 +56,7 @@ class ExponentProfile:
 
         Exact below min(order, delta + len(a) + 1): the scanned exponents
         determine nothing beyond the last peeled index.  This is the peel's
-        recurrence run backwards (products.exponent_product).
+        recurrence run backwards (exponent_product).
         """
         order = _frac(order)
         arr_order = min(order - self.delta, Fraction(len(self.a) + 1))
@@ -112,11 +111,38 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
     return ExponentProfile(delta, _frac(const), a)
 
 
+def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
+    """The first n coefficients of prod over e >= 1 of (1 - q^e)^exps[e].
+
+    This is the log-derivative recurrence of prodmake (Andrews, q-Series,
+    CBMS 66, 1986, section 10.7) run forwards: q f'/f = sum_k g_k q^k with
+    g_k = -sum_(e|k) e*exps[e], so c_0 = 1 and j c_j = sum_(k=1..j) g_k c_(j-k),
+    about n^2/2 multiply-adds in all.  With integral exponents every c_j is
+    an integer and each division is exact; otherwise the c_j are Fractions.
+    """
+    g = [0] * n
+    for e, p in exps.items():
+        if p and e < n:
+            for k in range(e, n, e):
+                g[k] -= e * p
+    c = [1] if n else []
+    for j in range(1, n):
+        s = sum(map(mul, g[1:j + 1], c[::-1]))
+        if integral:
+            cj, r = divmod(s, j)
+            assert not r, "log-derivative recurrence: inexact division"
+        else:
+            cj = _coeff(Fraction(s, j))
+        c.append(cj)
+    return c
+
+
 def with_period(profile: ExponentProfile, min_repeats: int = 3) -> ExponentProfile:
     """Copy of the profile carrying the smallest eventual period (if any).
 
     A period p qualifies when a_n = a_(n+p) for all n past some offset that
-    still leaves at least min_repeats full periods in the scanned range.
+    is at most half the scan (else a run of equal values at its end reads
+    as period 1) and still leaves at least min_repeats full periods in it.
     """
     a = profile.a
     length = len(a)
@@ -127,7 +153,7 @@ def with_period(profile: ExponentProfile, min_repeats: int = 3) -> ExponentProfi
                 bad = i
                 break
         offset = bad + 1
-        if offset <= length - min_repeats * p:
+        if offset <= min(length // 2, length - min_repeats * p):
             return ExponentProfile(profile.delta, profile.const, profile.a,
                                    profile.substitution, p, offset)
     return profile

@@ -4,16 +4,28 @@
 product of z-dependent Pochhammer ladders, replacing contour-integral
 residue analysis by exact window-bounded algebra.
 
-Soundness of the windows: pushing content to z-power +-S through the ladder
-factors costs at least S^2/2 - O(S) in the q-exponent (each rung of a
+Soundness of the z-window W: pushing content to z-power +-S through the
+ladder factors costs at least S^2/2 - O(S) in the q-exponent (each rung of a
 quadratic ladder adds a distinct exponent a + k*m), so any content that ever
 leaves the window can only influence q-exponents at or above the truncation
 order.  The test suite exercises window doubling to confirm the pruning.
 
+Each add is arr += z^dz q^e arr, so every term of the result picks each add
+at most once, and the window keeps only what can still reach the z^0 row
+below q^n (_ct_shape):
+  (a) columns q^-(W+2)..q^(n+L-1), with L the sum of -e over the adds with
+      e < 0 (0 for u >= 0, v >= -1): the adds still to come move content
+      left by at most L, so nothing at q^(n+L) or above gets below q^n;
+  (b) the returned row is the z^0 row below q^n, the only part read;
+  (c) rows z^-W..z^W while the multiply rungs run, which move z both ways,
+      then z^-W..z^0 for the rungs of 1/(q^u z; q)_inf, which only raise
+      the z-power: no row above z^0 can reach z^0 again, and z-steps up to
+      W, so doubling passes 2^j <= W, reach it from every row kept.
+
 Exactness of the dense kernel: every rung adds nonnegative terms, so
-products.exact_run, shared with the Nahm sums, recovers each z^0
-coefficient from a float64 and an int64 run of the ladder, or reruns it on
-Python ints; its docstring holds the proof.
+products.exact_run, shared with the Nahm sums, takes each z^0 coefficient
+from a float64 run (exact below 2^53) or an int64 run of the ladder, or
+reruns it on Python ints; its docstring holds the proof.
 """
 
 from __future__ import annotations
@@ -38,14 +50,23 @@ def _ct_window(order: int) -> int:
     return w
 
 
-def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
-    """The z^0 row of the integrand ladder, and the number of array adds.
+def _ct_shape(u_exp: int, v_exp: int, n: int, w_cap: int) -> tuple[int, int]:
+    """(rows, cols) of the ladder window: z^-W..z^W, and q^-(W+2)..q^(n+L-1)
+    with L the sum of -e over the adds with e < 0: the rungs 1+v, 3+v, ...
+    below 0, and each rung e < 0 of 1/(q^u z; q) times 1 + 2 + ... + 2^j,
+    the doubling passes 2^j <= W."""
+    reach = (sum(range(-1 - v_exp, 0, -2))
+             + sum(range(1, 1 - u_exp)) * ((1 << w_cap.bit_length()) - 1))
+    return 2 * w_cap + 1, n + w_cap + 2 + reach
 
-    Row i of the (2W+1) x ncols window holds z^(i-W), column k holds
-    q^(k-W-2); every add drops what it pushes out of the window.
+
+def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
+    """The z^0 row of the integrand ladder below q^n, and the array adds.
+
+    Row i of the _ct_shape window holds z^(i-W), column k holds q^(k-W-2);
+    every add drops what it pushes out of the window.
     """
-    rows = 2 * w_cap + 1
-    ncols = n + 3 * w_cap + 6
+    rows, ncols = _ct_shape(u_exp, v_exp, n, w_cap)
     arr = np.zeros((rows, ncols), dtype=dtype)
     arr[w_cap, w_cap + 2] = 1
     adds = 0
@@ -66,13 +87,15 @@ def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
     for dz, e0 in ((1, 1), (-1, 1), (-1, 1 + v_exp)):
         for e in range(e0, ncols, 2):
             add(dz, e)
-    # 1 / (q^u z; q)_inf, each rung as prod_j (1 + z^(2^j) q^(2^j e))
+    # 1 / (q^u z; q)_inf, each rung as prod_j (1 + z^(2^j) q^(2^j e)), only
+    # raises the z-power, so it runs on the rows z^-W..z^0 alone
+    arr = arr[:w_cap + 1]
     for e in range(u_exp, ncols):
         s = 1
-        while s < rows:
+        while s <= w_cap:
             add(s, s * e)
             s *= 2
-    return arr[w_cap], adds
+    return arr[w_cap, :n + w_cap + 2], adds
 
 
 def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
@@ -86,16 +109,12 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
     order = Fraction(order)
     n = ceil(order)
     w_cap = window if window is not None else _ct_window(n)
-    rows, ncols = 2 * w_cap + 1, n + 3 * w_cap + 6
+    rows, ncols = _ct_shape(u_exp, v_exp, n, w_cap)
     if rows * ncols > MAX_WINDOW:
         raise ValueError(f"the constant term needs {rows} x {ncols} window "
                          f"slots, more than {MAX_WINDOW}")
-    out = {}
-    for k, v in enumerate(exact_run(partial(_ladder, u_exp, v_exp, n, w_cap))):
-        exp = k - w_cap - 2
-        if v and 0 <= exp < n:
-            out[exp] = v
-        elif v and exp < 0:
-            raise WindowOverflow("constant term picked up negative exponents")
-    body = QSeries(out, 1, order)
+    row = exact_run(partial(_ladder, u_exp, v_exp, n, w_cap))
+    if any(row[:w_cap + 2]):
+        raise WindowOverflow("constant term picked up negative exponents")
+    body = QSeries(dict(enumerate(row[w_cap + 2:])), 1, order)
     return body * poch(pf(1, 2, 2), order)

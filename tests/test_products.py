@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nahm_forge import products
+from nahm_forge import products, recognizer
 from nahm_forge.errors import Divergent
 from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import (
-    J, J_factors, Jm, PochFactor, eta_factors, eta_quotient, exponent_product, jacobi_triple,
+    J, J_factors, Jm, PochFactor, eta_factors, eta_quotient, jacobi_triple,
     neg_base_pair, pf, poch, poch_param, product, rungs,
 )
+from nahm_forge.recognizer import exponent_product
 
 from _naive import naive_factor, negative_size
 from _oracles import (
@@ -239,15 +240,15 @@ def _as_dict(s: QSeries) -> dict:
 
 @pytest.fixture
 def recurrence_calls(monkeypatch):
-    """The window sizes exponent_product is called with; product() never
-    calls it."""
-    calls, real = [], products.exponent_product
+    """The window sizes the recognizer's exponent_product is called with;
+    product() never calls it."""
+    calls, real = [], recognizer.exponent_product
 
     def spy(exps, n, integral=True):
         calls.append(n)
         return real(exps, n, integral)
 
-    monkeypatch.setattr(products, "exponent_product", spy)
+    monkeypatch.setattr(recognizer, "exponent_product", spy)
     return calls
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -157,11 +158,21 @@ def test_detect_period_offset():
 
 
 def test_detect_period_rejects_disagreement():
-    prof = ExponentProfile(F(0), F(1), tuple([-1, 0] * 10 + [5] + [-1, 0] * 10))
-    # the lone 5 sits in the middle: only offsets past it can work
-    out = with_period(prof, min_repeats=3)
-    assert out.period is not None
-    assert out.offset > 20
+    # a lone 5 at a_20 of a 41-term scan: only offsets past it can work, and
+    # 20 is the longest preperiod allowed, half the scan
+    a = [-1 if i % 2 == 0 else 0 for i in range(41)]
+    out = with_period(ExponentProfile(F(0), F(1), tuple(a[:19] + [5] + a[20:])), 3)
+    assert (out.period, out.offset) == (2, 20)
+    # at a_21, in the middle, the preperiod would pass half the scan
+    late = ExponentProfile(F(0), F(1), tuple(a[:20] + [5] + a[21:]))
+    assert with_period(late, 3).period is None
+
+
+def test_long_preperiod_tail_is_no_period():
+    # a run of equal values at the end of the scan is no period 1
+    prof = ExponentProfile(F(0), F(1), tuple([-1, 0, 2] * 30 + [-1] * 10))
+    assert with_period(prof).period is None
+    assert with_period(replace(prof, a=prof.a[:-10])).period == 3
 
 
 def test_detect_period_none_for_growth():
@@ -229,3 +240,54 @@ def test_hunt_rejects_unbounded():
     d = (1, 2)
     hits = hunt(A, d, [(10, 10)], order=40)
     assert hits == []
+
+
+def reported_series(hit, order):
+    """The series of the product form a hit reports: its preperiod values
+    a_1..a_offset, then its residue table, rebuilt by the recurrence."""
+    prof = hit.profile
+    table = prof.residue_table()
+    a = tuple(prof.a[n - 1] if n <= prof.offset else table[(n - 1) % prof.period]
+              for n in range(1, len(prof.a) + 1))
+    return replace(prof, a=a).rebuild(order)
+
+
+def assert_reported_form_round_trips(A, d, hit, order):
+    s = nahm_sum(quadruple(A, hit.b, 0, d), order).reduce()
+    if hit.profile.substitution > 1:
+        s = s.power_substitute(hit.profile.substitution)
+    rebuilt = reported_series(hit, s.order)
+    n = min(rebuilt.order, s.order)
+    assert n - hit.profile.delta == len(hit.profile.a) + 1
+    assert eq_to_order(rebuilt.truncate(n), s.truncate(n), n) is None, hit.b
+
+
+def test_modulus_9_hits_report_their_true_periods():
+    # the Andrews-Gordon identities for modulus 9 as rank-3 Nahm sums: with
+    # b_i = (1,2,3), (0,1,2), (0,0,1), (0,0,0), the sum is the product over
+    # n != 0, +-i (mod 9) of 1/(1 - q^n).  The preperiod bound keeps the
+    # tails a_118..a_120 (i = 4) and a_114..a_120 (i = 2) from reading as
+    # periods 1 and 2
+    A, d = ((2, 2, 2), (2, 4, 4), (2, 4, 6)), (1, 1, 1)
+    bs = [(1, 2, 3), (0, 1, 2), (0, 0, 1), (0, 0, 0)]
+    hits = hunt(A, d, bs, 121)
+    assert [h.b for h in hits] == [tuple(map(F, b)) for b in bs]
+    assert [h.profile.period for h in hits] == [9, 9, 3, 9]
+    for i, h in enumerate(hits, 1):
+        assert h.profile.offset == 0
+        table = h.profile.residue_table()
+        assert [table[(n - 1) % h.profile.period] for n in range(1, 10)] == \
+            [0 if n % 9 in (0, i, 9 - i) else -1 for n in range(1, 10)]
+        assert_reported_form_round_trips(A, d, h, 121)
+
+
+def test_criterion_7_hits_round_trip_their_reported_forms():
+    # the 11 hits of the criterion-7 grid, with short preperiods
+    A, d = ((2, 1), (2, 2)), (1, 2)
+    grid = [(F(x, 2), F(y)) for x in range(-4, 5) for y in range(-2, 5)]
+    hits = hunt(A, d, grid, order=121, max_n=120)
+    assert len(hits) == 11
+    assert {h.profile.period for h in hits} == {2, 4, 6}
+    assert max(h.profile.offset for h in hits) == 6
+    for h in hits:
+        assert_reported_form_round_trips(A, d, h, 121)

@@ -18,6 +18,67 @@ def direct_sum(b, order):
     return nahm_sum(quadruple([[2, -1], [-2, 2]], b, 0, [1, 2]), order)
 
 
+def full_width_ladder(u_exp, v_exp, n, w_cap, dtype):
+    """The ladder on the full (2W+1) x (n+3W+6) window, every rung on every
+    row, and its whole z^0 row: the reference for _ladder's cut window."""
+    rows, ncols = 2 * w_cap + 1, n + 3 * w_cap + 6
+    arr = np.zeros((rows, ncols), dtype=dtype)
+    arr[w_cap, w_cap + 2] = 1
+    adds = 0
+
+    def add(dz, e):
+        nonlocal adds
+        if abs(e) >= ncols:
+            return
+        dst, src = (arr[dz:], arr[:-dz]) if dz > 0 else (arr[:dz], arr[-dz:])
+        if e >= 0:
+            dst[:, e:] += src[:, :ncols - e]
+        else:
+            dst[:, :e] += src[:, -e:]
+        adds += 1
+
+    for dz, e0 in ((1, 1), (-1, 1), (-1, 1 + v_exp)):
+        for e in range(e0, ncols, 2):
+            add(dz, e)
+    for e in range(u_exp, ncols):
+        s = 1
+        while s < rows:
+            add(s, s * e)
+            s *= 2
+    return arr[w_cap], adds
+
+
+@pytest.mark.parametrize("order", [1, 5, 30, 60, 200, 300])
+def test_cut_window_matches_full_width_ladder(order):
+    # every (u, v) with u in -1..4 and u + v >= -2, so the WindowOverflow
+    # domain edge is in; the small windows at the small orders only, where
+    # they are cheap.  The int64 runs are exact mod 2^64 and both add the
+    # same terms into the kept columns q^-(W+2)..q^(n-1)
+    for u in range(-1, 5):
+        for v in range(-2 - u, 5):
+            for window in (None, 6, 12) if order <= 60 else (None,):
+                w = _ct_window(order) if window is None else window
+                row, _ = _ladder(u, v, order, w, np.int64)
+                full, _ = full_width_ladder(u, v, order, w, np.int64)
+                assert len(row) == order + w + 2
+                assert row.tolist() == full[:len(row)].tolist(), (u, v, window)
+
+
+def test_ct_box_runs_float64_only_at_order_200(monkeypatch):
+    # the row below q^200 stays under 2^52, so exact_run needs no int64 run
+    dtypes = []
+
+    def spy(*args):
+        dtypes.append(args[-1])
+        return _ladder(*args)
+
+    monkeypatch.setattr(zlaurent, "_ladder", spy)
+    for u, v in [(u, v) for u in range(4) for v in range(-1, 4)]:
+        dtypes.clear()
+        assert eq_to_order(double_sum_ct(u, v, 200), direct_sum((u, v), 200), 200) is None
+        assert dtypes == [np.float64], (u, v)
+
+
 @pytest.mark.parametrize("u,v,b", CASES)
 def test_ct_matches_nahm_sum(u, v, b):
     ct = double_sum_ct(u, v, 60)
@@ -89,14 +150,14 @@ def test_window_overflow_outside_domain(u, v):
 
 
 def test_oversized_window_refused_before_allocation(monkeypatch):
-    # order 31,672 is the first whose (2W+1) x (n+3W+6) window passes the cap
-    with pytest.raises(ValueError, match="517 x 32452 window slots"):
-        double_sum_ct(0, 0, 31672)
-    # at order 20 the window is 39 x 83 = 3237 slots, at 21 it is 39 x 84
-    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 3237)
+    # order 31,944 is the first whose (2W+1) x (n+W+2) window passes the cap
+    with pytest.raises(ValueError, match="521 x 32206 window slots"):
+        double_sum_ct(0, 0, 31944)
+    # at order 20 the window is 39 x 41 = 1599 slots, at 21 it is 39 x 42
+    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 1599)
     assert eq_to_order(double_sum_ct(0, 0, 20), direct_sum((0, 0), 20), 20) is None
     monkeypatch.setattr(zlaurent, "_ladder", lambda *args: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match="39 x 84 window slots"):
+    with pytest.raises(ValueError, match="39 x 42 window slots"):
         double_sum_ct(0, 0, 21)
     with pytest.raises(ValueError, match="window slots"):
         double_sum_ct(0, 0, 20, window=20)
