@@ -17,7 +17,8 @@ import os
 import sys
 
 from .errors import NahmForgeError
-from .nahm import NahmQuadruple, _rational, dual_quadruple, nahm_sum, quadruple
+from .nahm import (NahmQuadruple, _rational, check_parity_mask, dual_quadruple,
+                   nahm_sum, quadruple)
 from .recognizer import hunt
 from .series import QSeries
 from . import modular, registry
@@ -63,8 +64,7 @@ def _parse_parity(text: str, rank: int):
         if not 0 <= i < rank:
             raise ValueError(f"parity coordinate {i} out of range")
         mask[i] = int(res)
-        if mask[i] not in (0, 1):
-            raise ValueError("parity residues must be 0 or 1")
+    check_parity_mask(mask, rank)
     return tuple(mask) if any(p is not None for p in mask) else None
 
 

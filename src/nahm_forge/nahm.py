@@ -10,7 +10,9 @@ from the last coordinate down:
     E(n) = C + sum_k h_k (n_k + sum_{j<k} L_kj n_j + t_k)^2,   h_k > 0
 (the Fincke-Pohst scheme).  Square k involves only n_0..n_k, so for a prefix
 n_0..n_{k-1} the partial sum S is the exact minimum of E over all real
-completions of that prefix.
+completions of that prefix.  A NahmQuadruple completes its squares once, at
+construction: a pivot h_k <= 0 refuses it as not positive definite, and the
+walk, lambda_bound and dual_quadruple read the stored integer form.
 
 The walk runs on integers.  P_k, the lcm of the denominators of t_k and the
 L_kj, makes u = P_k (t_k + sum_j L_kj n_j) an integer; W, the lcm of the
@@ -50,28 +52,6 @@ from .products import MAX_WINDOW, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                for cc in range(col, n):
-                    a[r][cc] -= f * a[col][cc]
-    return det
 
 
 def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -124,11 +104,8 @@ class NahmQuadruple:
             for j in range(i + 1, r):
                 if ad[i][j] != ad[j][i]:
                     raise NonSymmetric(f"A*diag(d) is not symmetric at ({i},{j})")
-        for k in range(1, r + 1):
-            minor = [[ad[i][j] for j in range(k)] for i in range(k)]
-            if _det(minor) <= 0:
-                raise NotPositiveDefinite(
-                    f"leading principal minor {k} of A*diag(d) is not positive")
+        # not a field: out of ==, hash and repr
+        object.__setattr__(self, "_squares", _completed_squares(ad, b))
 
     @property
     def rank(self) -> int:
@@ -140,11 +117,12 @@ class NahmQuadruple:
                 for i in range(self.rank)]
 
     def lambda_bound(self) -> Fraction:
-        """Positive rational lower bound for the least eigenvalue of A*diag(d)."""
-        ad = self.symmetrized()
-        det = _det(ad)
-        tr = sum(ad[i][i] for i in range(self.rank))
-        return det / tr ** (self.rank - 1) if self.rank > 1 else det
+        """Positive rational lower bound for the least eigenvalue of A*diag(d):
+        det / tr^(r-1), the determinant being the product of the pivots."""
+        W, _, H, P, _, _ = self._squares
+        det = prod(Fraction(2 * h * p * p, W) for h, p in zip(H, P))
+        tr = sum(self.A[i][i] * self.d[i] for i in range(self.rank))
+        return det / tr ** (self.rank - 1)
 
     def to_json(self, parity: Optional[ParityMask] = None) -> dict:
         out = {"A": [[str(x) for x in row] for row in self.A],
@@ -200,47 +178,46 @@ def quadruple(A, b, c, d) -> NahmQuadruple:
                          _frac(Fraction(c)), tuple(d))
 
 
-def check_parity_mask(mask: ParityMask, rank: int):
-    if len(mask) != rank:
+def check_parity_mask(mask: Optional[ParityMask], rank: int):
+    """ValueError unless mask is None or one None, 0 or 1 per coordinate."""
+    if mask is not None and len(mask) != rank:
         raise ValueError("parity mask length must equal the rank")
-    for p in mask:
+    for p in mask or ():
         if p is not None and p not in (0, 1):
             raise ValueError("parity residues must be 0 or 1")
-
-
-def _ceil_sqrt(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    return Fraction(isqrt(p * q) + 1, q)
 
 
 def box_radius(quad: NahmQuadruple, bound: Fraction) -> int:
     """Integer R with E(n) >= bound whenever some n_i > R."""
     lam = quad.lambda_bound()
     l1 = sum(abs(x) for x in quad.b)
-    s = _ceil_sqrt(l1 * l1 + 2 * lam * bound)
+    v = l1 * l1 + 2 * lam * bound      # s >= sqrt(v), 0 if v <= 0
+    s = Fraction(isqrt(v.numerator * v.denominator) + 1, v.denominator) if v > 0 else 0
     return int((l1 + s) / lam)
 
 
-def _completed_squares(quad: NahmQuadruple):
+def _completed_squares(m: list, b: Sequence):
     """(W, C, H, P, T, Lam), all integers, with
-        W E(n) = C + sum_k H_k (P_k n_k + sum_{j<k} Lam_kj n_j + T_k)^2.
+        W E(n) = C + sum_k H_k (P_k n_k + sum_{j<k} Lam_kj n_j + T_k)^2
+    for E(n) = (1/2) n^T m n + n^T b, m symmetric (and overwritten).
 
     Squares are completed exactly from the last coordinate down, so square k
-    only involves n_0..n_k; each h_k is a pivot of the positive definite A*D
-    (halved), hence positive.  P_k clears the denominators of square k's
-    linear form, and W those of the constant and of every h_k / P_k^2, so
-    W > 0 and every H_k > 0.
+    only involves n_0..n_k.  Its h_k is half the k-th pivot, the ratio of two
+    consecutive trailing principal minors of m, so by Sylvester's criterion
+    every h_k > 0 exactly when m is positive definite (else
+    NotPositiveDefinite).  P_k clears the denominators of square k's linear
+    form, and W those of the constant and of every h_k / P_k^2, so W > 0 and
+    every H_k > 0.
     """
-    m = quad.symmetrized()
-    b = list(quad.b)
-    r = quad.rank
+    b = list(b)
+    r = len(b)
     const = Fraction(0)
     h, L, t = [None] * r, [None] * r, [None] * r
     for k in range(r - 1, -1, -1):
         piv = m[k][k]
+        if piv <= 0:
+            raise NotPositiveDefinite(
+                f"trailing principal minor {r - k} of A*diag(d) is not positive")
         h[k] = piv / 2
         L[k] = [m[k][j] / piv for j in range(k)]
         t[k] = b[k] / piv
@@ -265,10 +242,9 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
     """
     order = _frac(order)
     r = quad.rank
-    if mask is None:
-        mask = (None,) * r
     check_parity_mask(mask, r)
-    W, const, H, P, T, Lam = _completed_squares(quad)
+    mask = mask or (None,) * r
+    W, const, H, P, T, Lam = quad._squares
     top = ceil((order - quad.c) * W) - 1   # W E(n) < W (order - c) iff <= top
     n = [0] * r
 
@@ -354,22 +330,24 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     the PochFactors factors[k] at n_k (length + per_n*n_k; integer a and m),
     over the points n of quad, n in row weights.n (0 if weights is None) up
     to cap.  The window, from every point below `order` whatever the mask,
-    has one row per prefix n[:-1] and at least ceil(order - c) slots (n = 0,
-    the first point listed), so ValueError refuses one past MAX_WINDOW as
-    soon as the prefixes listed so far show it, and before allocating."""
+    has one row per prefix n[:-1], one grade per u-power up to the largest
+    weights.n kept, and at least ceil(order - c) slots (n = 0, the first
+    point listed), so ValueError refuses one past MAX_WINDOW at one grade as
+    soon as the prefixes listed so far show it, and at all its grades before
+    allocating.  A malformed parity mask raises ValueError."""
     order = _frac(order)
     bound, r = order - quad.c, quad.rank
+    check_parity_mask(mask, r)
     pts, rows, last = [], 0, None
     for n, e in enumerate_lattice(quad, order):
         if n[:-1] != last:              # the walk is lexicographic: a new row
             rows, last = rows + 1, n[:-1]
-            _check_window(rows, cap + 1, ceil(bound))
+            _check_window(rows, 1, ceil(bound))
         pts.append((n, e))
     den = lcm(*(e.denominator for _, e in pts))
     keys = [e.numerator * (den // e.denominator) for _, e in pts]
     lo = min(keys, default=0)
     slots = ceil(bound * den) - lo if pts else 0
-    _check_window(rows, cap + 1, slots)
     kept = np.array([(*n, 0, key - lo) for (n, _), key in zip(pts, keys)],
                     np.int64).reshape(-1, r + 2)
     kept[:, r] = kept[:, :r] @ np.array(weights or (0,) * r, np.int64)
@@ -377,7 +355,9 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     for i, p in enumerate(mask or ()):
         keep &= True if p is None else kept[:, i] % 2 == p
     kept = kept[keep]
-    shape, plan = (1 + int(kept[:, r].max(initial=0)), slots), _levels(kept, r)
+    shape = (1 + int(kept[:, r].max(initial=0)), slots)
+    _check_window(rows, *shape)
+    plan = _levels(kept, r)
     nonneg = all(f.sign * f.power < 0 for fs in factors for f in fs)
     flat = exact_run(partial(_horner, plan, factors, den, shape), nonneg)
     # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
@@ -418,13 +398,11 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:
-    """The dual (A^-1, A^-1 b, b^T (AD)^-1 b / 2 - tr(D)/24 - c, d)."""
+    """The dual (A^-1, A^-1 b, b^T (AD)^-1 b / 2 - tr(D)/24 - c, d).
+    b^T (AD)^-1 b / 2 is -min E = -C/W of the completed squares."""
     a_inv = _mat_inv([list(row) for row in quad.A])
-    b_star = tuple(sum(a_inv[i][j] * quad.b[j] for j in range(quad.rank))
-                   for i in range(quad.rank))
-    ad_inv = _mat_inv(quad.symmetrized())
-    quad_form = sum(quad.b[i] * ad_inv[i][j] * quad.b[j]
-                    for i in range(quad.rank) for j in range(quad.rank))
-    c_star = quad_form / 2 - Fraction(sum(quad.d), 24) - quad.c
+    b_star = tuple(sum(map(mul, row, quad.b)) for row in a_inv)
+    W, C = quad._squares[:2]
+    c_star = -Fraction(C, W) - Fraction(sum(quad.d), 24) - quad.c
     return NahmQuadruple(tuple(tuple(row) for row in a_inv), b_star,
                          c_star, quad.d)

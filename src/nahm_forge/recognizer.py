@@ -15,6 +15,8 @@ from .errors import NotIntegralLattice, ZeroLeadingTerm
 from .nahm import nahm_sum, quadruple
 from .series import QSeries, Rat, _coeff, _frac
 
+MIN_REPEATS = 3  # full periods an eventual period must show in the scan
+
 
 @dataclass(frozen=True)
 class ExponentProfile:
@@ -137,31 +139,31 @@ def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
     return c
 
 
-def with_period(profile: ExponentProfile, min_repeats: int = 3) -> ExponentProfile:
+def with_period(profile: ExponentProfile) -> ExponentProfile:
     """Copy of the profile carrying the smallest eventual period (if any).
 
     A period p qualifies when a_n = a_(n+p) for all n past some offset that
     is at most half the scan (else a run of equal values at its end reads
-    as period 1) and still leaves at least min_repeats full periods in it.
+    as period 1) and still leaves at least MIN_REPEATS full periods in it.
     """
     a = profile.a
     length = len(a)
-    for p in range(1, length // max(min_repeats, 1) + 1):
+    for p in range(1, length // MIN_REPEATS + 1):
         bad = -1
         for i in range(length - p - 1, -1, -1):
             if a[i] != a[i + p]:
                 bad = i
                 break
         offset = bad + 1
-        if offset <= min(length // 2, length - min_repeats * p):
+        if offset <= min(length // 2, length - MIN_REPEATS * p):
             return ExponentProfile(profile.delta, profile.const, profile.a,
                                    profile.substitution, p, offset)
     return profile
 
 
-def detect_period(profile: ExponentProfile, min_repeats: int = 3) -> Optional[int]:
+def detect_period(profile: ExponentProfile) -> Optional[int]:
     """Smallest p with a_n eventually p-periodic over the scanned range."""
-    return with_period(profile, min_repeats).period
+    return with_period(profile).period
 
 
 def normalize_and_profile(s: QSeries, max_n: int) -> ExponentProfile:
@@ -193,7 +195,7 @@ class HuntHit:
 
 
 def hunt(A, d, b_grid: Sequence, order: Rat, max_n: Optional[int] = None,
-         max_abs: int = 4, min_repeats: int = 3) -> list[HuntHit]:
+         max_abs: int = 4) -> list[HuntHit]:
     """Evaluate the sum at c = 0 for every b in the grid and report the b
     whose peeled exponent sequence is integral, bounded by max_abs, and
     eventually periodic."""
@@ -209,7 +211,7 @@ def hunt(A, d, b_grid: Sequence, order: Rat, max_n: Optional[int] = None,
         prof = normalize_and_profile(s, n_scan)
         if not prof.is_integral() or not prof.is_bounded(max_abs):
             continue
-        prof = with_period(prof, min_repeats)
+        prof = with_period(prof)
         if prof.period is None:
             continue
         hits.append(HuntHit(tuple(_frac(Fraction(x)) for x in b), prof,

@@ -247,6 +247,28 @@ def nahm_param_naive(A, b, c, d, order, box: int, weights, deg: int,
     return coeffs
 
 
+def det_leibniz(m) -> Fraction:
+    """Determinant by the Leibniz formula: the signed sum over permutations."""
+    from itertools import permutations
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                           for j in range(i + 1, len(perm)))
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def solve_cramer(m, v) -> list:
+    """m^-1 v by Cramer's rule, each component a ratio of Leibniz determinants."""
+    det = det_leibniz(m)
+    return [det_leibniz([[v[i] if j == k else x for j, x in enumerate(row)]
+                         for i, row in enumerate(m)]) / det
+            for k in range(len(m))]
+
+
 def peel_naive(coeffs: dict, order, max_n: int) -> tuple:
     """Exponents a_1..a_max_n of q^delta * c * prod (1-q^n)^(a_n), by the
     literal peel: after dividing out the leading monomial, the q^n

@@ -250,6 +250,8 @@ def test_verify_failure_exit1(capsys, monkeypatch):
      "i:r"),
     (["modular-check", "--relation", "conj1.1", "--tau", "1"], "RE,IM"),
     (["modular-check", "--relation", "conj1.1", "--tau", "0,1,2"], "RE,IM"),
+    (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1]", "--order", "5", "--parity", "0:2"],
+     "parity residues must be 0 or 1"),
 ])
 def test_malformed_arguments_exit2(capsys, argv, message):
     code, _, err = run(capsys, *argv)

@@ -20,7 +20,10 @@ from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
 from nahm_forge.registry import NahmSide, SingleSum, registry, sf, single_sum
 
 from _naive import naive_single_sum
-from _oracles import nahm_naive, nahm_param_naive, partitions_from_parts, specialize
+from _oracles import (
+    det_leibniz, nahm_naive, nahm_param_naive, partitions_from_parts, solve_cramer,
+    specialize,
+)
 
 
 RR = quadruple([[2]], [0], 0, [1])
@@ -42,6 +45,48 @@ def test_quadruple_validation():
     assert quadruple([[2]], [0], 0, ["2"]).d == (2,)
     with pytest.raises(ValueError, match="empty"):
         quadruple([], [], 0, [])
+
+
+def _random_symmetrizable(rng):
+    """(S, A, b, c, d) with S = A*diag(d) a random symmetric matrix of rank <= 3."""
+    r = rng.randint(1, 3)
+    d = [rng.randint(1, 3) for _ in range(r)]
+    S = [[None] * r for _ in range(r)]
+    for i in range(r):
+        S[i][i] = F(rng.randint(-1, 6), rng.randint(1, 2))
+        for j in range(i):
+            S[i][j] = S[j][i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    A = [[S[i][j] / d[j] for j in range(r)] for i in range(r)]
+    b = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+    return S, A, b, F(rng.randint(-2, 2), rng.randint(1, 4)), d
+
+
+def test_validity_bound_and_dual_against_leibniz_determinants():
+    # the completed squares decide validity and give lambda_bound and the
+    # dual's c; here every figure comes from Leibniz determinants instead
+    rng, refused = random.Random(2022), 0
+    for _ in range(600):
+        S, A, b, c, d = _random_symmetrizable(rng)
+        r = len(d)
+        minors = [det_leibniz([row[:k] for row in S[:k]]) for k in range(1, r + 1)]
+        if min(minors) <= 0:
+            with pytest.raises(NotPositiveDefinite):
+                quadruple(A, b, c, d)
+            refused += 1
+            continue
+        quad = quadruple(A, b, c, d)
+        assert quad.lambda_bound() == minors[-1] / sum(S[i][i] for i in range(r)) ** (r - 1)
+        form = sum(x * y for x, y in zip(b, solve_cramer(S, b)))
+        assert dual_quadruple(quad).c == form / 2 - F(sum(d), 24) - c
+    assert 100 < refused < 500
+
+
+@pytest.mark.parametrize("mask", [(0, None, 1), (2, None), (0,), (None, -1)])
+def test_malformed_parity_mask_refused(mask):
+    with pytest.raises(ValueError, match="parity"):
+        nahm_sum(CAPPARELLI, 10, mask=mask)
+    with pytest.raises(ValueError, match="parity"):
+        nahm_sum_param(CAPPARELLI, 10, 2, (1, 0), mask=mask)
 
 
 def test_rr_first_seven_coefficients():
@@ -316,6 +361,18 @@ def test_oversized_window_refused_before_it_is_allocated(monkeypatch):
     monkeypatch.setattr(nahm, "MAX_WINDOW", 29)
     with pytest.raises(ValueError, match="3 x 10 window slots"):
         nahm_sum_param(RR, 10, 2, (1,))
+
+
+def test_param_window_counts_only_the_grades_kept(monkeypatch):
+    # RR below q^10 has n = 0..3, so a cap of 50 keeps the grades 0..3 only
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 40)
+    p = nahm_sum_param(RR, 10, 50, (1,))
+    assert [row.coeffs for row in p.rows[:4]] == [
+        row.coeffs for row in nahm_sum_param(RR, 10, 3, (1,)).rows]
+    assert not any(row.coeffs for row in p.rows[4:])
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 39)
+    with pytest.raises(ValueError, match="1 x 4 x 10 window slots"):
+        nahm_sum_param(RR, 10, 50, (1,))
 
 
 def test_rank_two_lattice_refused_while_it_is_listed(monkeypatch):

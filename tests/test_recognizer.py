@@ -161,11 +161,11 @@ def test_detect_period_rejects_disagreement():
     # a lone 5 at a_20 of a 41-term scan: only offsets past it can work, and
     # 20 is the longest preperiod allowed, half the scan
     a = [-1 if i % 2 == 0 else 0 for i in range(41)]
-    out = with_period(ExponentProfile(F(0), F(1), tuple(a[:19] + [5] + a[20:])), 3)
+    out = with_period(ExponentProfile(F(0), F(1), tuple(a[:19] + [5] + a[20:])))
     assert (out.period, out.offset) == (2, 20)
     # at a_21, in the middle, the preperiod would pass half the scan
     late = ExponentProfile(F(0), F(1), tuple(a[:20] + [5] + a[21:]))
-    assert with_period(late, 3).period is None
+    assert with_period(late).period is None
 
 
 def test_long_preperiod_tail_is_no_period():

@@ -61,6 +61,13 @@ def test_verify_param_record():
     assert rep.result == "pass"
 
 
+def test_param_records_pass_at_order_800():
+    # a window of 27 prefix rows x 800 slots was once refused at 801 u-grades,
+    # though the points below q^800 reach far fewer of them
+    for rid in [r.id for r in R.registry() if r.params]:
+        assert R.verify(rid, 800).result == "pass", rid
+
+
 def test_conjectures_report_conjecture_pass():
     rep = R.verify("conj-KR-1", 60)
     assert rep.result == "conjecture_pass"
