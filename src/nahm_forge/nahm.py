@@ -22,9 +22,12 @@ H_k y^2 with y = P_k n_k + u.  Since S' + H_k y^2 is an integer, it is below
 W (order - c) exactly when it is at most top := ceil(W (order - c)) - 1,
 that is when |y| <= isqrt((top - S') // H_k).  The walk takes exactly the
 n_k >= 0 of the masked parity with such a y, so every one it tries lies
-below the bound: the enumeration is complete by proof, needs no box radius
-and no filter, and yields points in lexicographic order with E(n) = S' / W
-at the leaves.
+below the bound: the enumeration is complete by proof and needs no box
+radius and no filter.  It yields rows in lexicographic order: per prefix
+n_0..n_(r-2), the last coordinates and their S' as arrays, int64 while S',
+every H_k and every P_k stay inside 2^62, so that no product overflows, and
+Python ints past that.  enumerate_lattice lists them with E(n) = S' / W; the
+sums key E(n) as S' / g on the lattice of W / g, g = gcd(W, every S').
 
 The sum is a Horner scheme by level, one array row per prefix n_0..n_(k-1)
 at depth k.  Walking x = n_k from the largest down, every row takes the
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -148,7 +151,6 @@ class NahmQuadruple:
         if par is not None:
             mask = tuple(_json_list(par, "parity"))
             check_parity_mask(mask, quad.rank)
-            mask = tuple(None if p is None else int(p) for p in mask)
             if all(p is None for p in mask):
                 mask = None
         return quad, mask
@@ -179,11 +181,12 @@ def quadruple(A, b, c, d) -> NahmQuadruple:
 
 
 def check_parity_mask(mask: Optional[ParityMask], rank: int):
-    """ValueError unless mask is None or one None, 0 or 1 per coordinate."""
+    """ValueError unless mask is None or one None, 0 or 1 per coordinate;
+    a bool or a float is no residue."""
     if mask is not None and len(mask) != rank:
         raise ValueError("parity mask length must equal the rank")
     for p in mask or ():
-        if p is not None and p not in (0, 1):
+        if p is not None and (type(p) is not int or p not in (0, 1)):
             raise ValueError("parity residues must be 0 or 1")
 
 
@@ -234,18 +237,17 @@ def _completed_squares(m: list, b: Sequence):
             [[int(x * P[k]) for x in L[k]] for k in range(r)])
 
 
-def enumerate_lattice(quad: NahmQuadruple, order: Rat,
-                      mask: Optional[ParityMask] = None
-                      ) -> Iterator[tuple[tuple, Fraction]]:
-    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c,
-    in lexicographic order.  See the module docstring for completeness.
-    """
+def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None):
+    """Yield (prefix, x, S') for every prefix n_0..n_(r-2) with points below
+    order - c, in lexicographic order: its last coordinates x, ascending,
+    and S' = W E(n) for them, as arrays (see the module docstring)."""
     order = _frac(order)
     r = quad.rank
     check_parity_mask(mask, r)
     mask = mask or (None,) * r
     W, const, H, P, T, Lam = quad._squares
     top = ceil((order - quad.c) * W) - 1   # W E(n) < W (order - c) iff <= top
+    ints = np.int64 if max(top, -const, *H, *P) < 2 ** 62 else object
     n = [0] * r
 
     def walk(k: int, s: int):
@@ -256,16 +258,31 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
         lo = max(0, -((R + u) // pk))
         if p is not None and lo % 2 != p:
             lo += 1
-        for x in range(lo, (R - u) // pk + 1, 1 if p is None else 2):
+        xs = range(lo, (R - u) // pk + 1, 1 if p is None else 2)
+        if k + 1 == r:
+            if xs:
+                x = np.arange(xs.start, xs.stop, xs.step, dtype=ints)
+                y = pk * x + u
+                yield tuple(n[:-1]), x, s + hk * y * y
+            return
+        for x in xs:
             n[k] = x
             y = pk * x + u
-            if k + 1 < r:
-                yield from walk(k + 1, s + hk * y * y)
-            else:
-                yield tuple(n), Fraction(s + hk * y * y, W)
+            yield from walk(k + 1, s + hk * y * y)
 
     if const <= top:
         yield from walk(0, const)
+
+
+def enumerate_lattice(quad: NahmQuadruple, order: Rat,
+                      mask: Optional[ParityMask] = None
+                      ) -> Iterator[tuple[tuple, Fraction]]:
+    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c,
+    in lexicographic order: the points of _rows one by one."""
+    W = quad._squares[0]
+    for prefix, xs, ss in _rows(quad, order, mask):
+        for x, s in zip(xs.tolist(), ss.tolist()):
+            yield (*prefix, x), Fraction(s, W)
 
 
 def _denominators(quad: NahmQuadruple) -> list:
@@ -287,15 +304,18 @@ def _levels(kept, rank: int) -> list:
     for k in range(rank - 1, -1, -1) if len(kept) else ():
         starts = np.flatnonzero(np.r_[True, (cols[1:, :k] != cols[:-1, :k]).any(1)])
         ends = np.r_[starts[1:], len(cols)]
-        top = cols[ends - 1, k].tolist()    # a prefix's last point is its top
-        rows = sorted(range(len(top)), key=top.__getitem__, reverse=True)
-        row = np.array(sorted(range(len(rows)), key=rows.__getitem__))
+        top = cols[ends - 1, k]             # a prefix's last point is its top
+        rows = np.argsort(-top, kind="stable")
+        row = np.argsort(rows)              # the inverse permutation
         at_row, levels = np.repeat(row, ends - starts), {}
-        for x in range(top[rows[0]] + 1):
-            if len(i := np.flatnonzero(cols[:, k] == x)):
-                dst = (at_row[i], *kept[i, -2:].T) if src is None else at_row[i]
-                levels[x] = int(low[i].min()), dst, None if src is None else src[i]
-        plan.append(([top[j] for j in rows], levels))
+        by = np.argsort(cols[:, k], kind="stable")  # the points level by level
+        x = cols[by, k]
+        first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        floors = np.minimum.reduceat(low[by], first).tolist()
+        for x, i, floor in zip(x[first].tolist(), np.split(by, first[1:]), floors):
+            dst = (at_row[i], *kept[i, -2:].T) if src is None else at_row[i]
+            levels[x] = floor, dst, None if src is None else src[i]
+        plan.append((top[rows].tolist(), levels))
         cols, low, src = cols[starts], np.minimum.reduceat(low, starts), row
     return plan
 
@@ -310,9 +330,8 @@ def _horner(plan: list, factors: Sequence, den: int, shape: tuple, dtype):
         live, lo = 0, shape[-1]
         for x in range(tops[0], -1, -1):
             for sign, a, m, power, length, per_n in lad if live else ():
-                if length is not None:
-                    adds += rungs(arr[:live, ..., lo:], sign, a, m, power,
-                                  length + per_n * x, length + per_n * (x + 1))
+                adds += rungs(arr[:live, ..., lo:], sign, a, m, power,
+                              length + per_n * x, length + per_n * (x + 1))
             while live < len(tops) and tops[live] >= x:
                 live += 1
             if x in levels:
@@ -327,36 +346,42 @@ def _horner(plan: list, factors: Sequence, den: int, shape: tuple, dtype):
 def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
                 mask: Optional[ParityMask] = None, weights=None, cap: int = 0):
     """Rows 0..cap of the sum below `order` of q^(E(n) + c) times, for each k,
-    the PochFactors factors[k] at n_k (length + per_n*n_k; integer a and m),
-    over the points n of quad, n in row weights.n (0 if weights is None) up
-    to cap.  The window, from every point below `order` whatever the mask,
-    has one row per prefix n[:-1], one grade per u-power up to the largest
-    weights.n kept, and at least ceil(order - c) slots (n = 0, the first
-    point listed), so ValueError refuses one past MAX_WINDOW at one grade as
-    soon as the prefixes listed so far show it, and at all its grades before
-    allocating.  A malformed parity mask raises ValueError."""
+    the finite PochFactors factors[k] at n_k (length + per_n*n_k; integer a
+    and m), over the points n of quad, n in row weights.n (0 if weights is
+    None) up to cap.  The window, from every point below `order` whatever
+    the mask, has one row per prefix n[:-1], one grade per u-power up to the
+    largest weights.n kept, and at least ceil(order - c) slots (n = 0, the
+    first point listed), so ValueError refuses one past MAX_WINDOW at one
+    grade as soon as the prefixes listed so far show it, and at all its
+    grades before allocating.  A malformed parity mask raises ValueError."""
     order = _frac(order)
     bound, r = order - quad.c, quad.rank
     check_parity_mask(mask, r)
-    pts, rows, last = [], 0, None
-    for n, e in enumerate_lattice(quad, order):
-        if n[:-1] != last:              # the walk is lexicographic: a new row
-            rows, last = rows + 1, n[:-1]
-            _check_window(rows, 1, ceil(bound))
-        pts.append((n, e))
-    den = lcm(*(e.denominator for _, e in pts))
-    keys = [e.numerator * (den // e.denominator) for _, e in pts]
-    lo = min(keys, default=0)
-    slots = ceil(bound * den) - lo if pts else 0
-    kept = np.array([(*n, 0, key - lo) for (n, _), key in zip(pts, keys)],
-                    np.int64).reshape(-1, r + 2)
+    W, rows = quad._squares[0], []
+    _check_window(1, 1, ceil(bound))    # n = 0 opens the first row: refused unlisted
+    for row in _rows(quad, order):
+        rows.append(row)
+        _check_window(len(rows), 1, ceil(bound))
+    if not rows:
+        return [QSeries({}, quad.c.denominator, order) for _ in range(cap + 1)]
+    prefixes, xs, ss = zip(*rows)
+    # E(n) = S'/W lies on the lattice of den = W/g, g = gcd(W, every S')
+    ss = np.concatenate(ss)
+    g = gcd(W, int(np.gcd.reduce(ss)))
+    den, keys = W // g, ss // g
+    lo = int(keys.min())
+    slots = ceil(bound * den) - lo
+    kept = np.zeros((len(keys), r + 2), np.int64)
+    kept[:, :r - 1] = np.repeat(prefixes, list(map(len, xs)), axis=0)
+    kept[:, r - 1] = np.concatenate(xs)
     kept[:, r] = kept[:, :r] @ np.array(weights or (0,) * r, np.int64)
     keep = kept[:, r] <= cap
     for i, p in enumerate(mask or ()):
         keep &= True if p is None else kept[:, i] % 2 == p
     kept = kept[keep]
     shape = (1 + int(kept[:, r].max(initial=0)), slots)
-    _check_window(rows, *shape)
+    _check_window(len(rows), *shape)
+    kept[:, -1] = keys[keep] - lo       # below slots, so int64 even past 2^62
     plan = _levels(kept, r)
     nonneg = all(f.sign * f.power < 0 for fs in factors for f in fs)
     flat = exact_run(partial(_horner, plan, factors, den, shape), nonneg)
@@ -364,8 +389,8 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     out_den = lcm(den, quad.c.denominator)
     f, off = out_den // den, int(quad.c * out_den)
     return [QSeries({(lo + i) * f + off: v for i, v in
-                     enumerate(flat[g * slots:(g + 1) * slots]) if v}, out_den, order)
-            for g in range(cap + 1)]
+                     enumerate(flat[j * slots:(j + 1) * slots]) if v}, out_den, order)
+            for j in range(cap + 1)]
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,

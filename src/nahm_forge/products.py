@@ -4,10 +4,12 @@ and Jacobi-triple bilateral sums, all as exact :class:`QSeries`.
 Every factor is a ladder of binomials (1 - sign*q^(a+k*m)), one PochFactor
 in products and in the Nahm sums alike; multiplying or dividing a dense
 coefficient window by one binomial is one O(length) pass of rungs, the
-kernel the Nahm sums share.  product() puts every rung into one map
-e -> power of (1 - q^e); the ladders that run to the window top pair into
-theta functions J_(r,M) and eta factors (q^M; q^M)_inf, applied as their
-sparse Jacobi-triple-product series, and the rest of the map runs on rungs.
+kernel the Nahm sums share.  product() puts every rung into a map
+e -> power of (1 - q^e) or of 1 + q^e; the ladders that run to the window
+top pair into theta functions J_(r,M) and eta factors (q^M; q^M)_inf,
+applied as their sparse Jacobi-triple-product series, and the rest of the
+maps runs on rungs.  A single sum's fixed factors take the same plan,
+starting from the sum's window.
 """
 
 from __future__ import annotations
@@ -159,18 +161,18 @@ def product(factors, order: Rat) -> QSeries:
     window holds the exponents from 0 up to the order less that shift, on
     the grid of the gcd g of every a and m, and ValueError refuses one past
     MAX_WINDOW before it is allocated.  Every rung in the window goes into
-    one map e -> power of (1 - q^e), with 1 + q^e = (1 - q^2e)/(1 - q^e),
-    and a rung at e = 0 into the constant.  A ladder that runs to the
-    window top is there the same as an infinite one, and if it starts in
-    the lower half (from higher up, its class would put back more rungs
-    below it than it takes out) then by the Jacobi triple product (Andrews,
-    The Theory of Partitions, 1976, Thm 2.8) such ladders of step M are, as
-    far as residues r and M - r share a power, powers of J_(r,M) =
-    (q^r, q^(M-r), q^M; q^M)_inf and of eta factors (q^M; q^M)_inf =
-    J_(M,3M), each a sparse series of about 2 sqrt(2n/M) terms below the
-    window top n (see _thetas).  The map less their rungs runs on rungs,
-    and the theta series then multiply by slice adds or divide by an exact
-    sweep.
+    one map e -> power of (1 - q^e) or one of 1 + q^e, and a rung at e = 0
+    into the constant.  A ladder that runs to the window top is there the
+    same as an infinite one, and if it starts in the lower half (from
+    higher up, its class would put back more rungs below it than it takes
+    out) then by the Jacobi triple product (Andrews, The Theory of
+    Partitions, 1976, Thm 2.8) such ladders of step M, a ladder of
+    1 + q^e as (1 - q^2e)/(1 - q^e), are, as far as residues r and M - r
+    share a power, powers of J_(r,M) = (q^r, q^(M-r), q^M; q^M)_inf and of
+    eta factors (q^M; q^M)_inf = J_(M,3M), each a sparse series of about
+    2 sqrt(2n/M) terms below the window top n (see _thetas).  The maps less
+    their rungs run on rungs, and the theta series then multiply by slice
+    adds or divide by an exact sweep.
     """
     order = _frac(order)
     den, g, const, shift, window = _window(factors, order)
@@ -178,12 +180,19 @@ def product(factors, order: Rat) -> QSeries:
     return QSeries(out, den, order).reduce()
 
 
-def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
-    """(den, g, const, shift, window) with product(factors, order) equal to
-    const * sum of window[i] q^((shift + i*g)/den), where den makes every a
-    and m of the factors an integer and g is their gcd."""
-    den = lcm(*(x.denominator for f in factors for x in (f.a, f.m)))
-    const, shift, ladders = 1, 0, []
+def _window(factors, order: Fraction, start: Optional[QSeries] = None
+            ) -> tuple[int, int, int, int, list]:
+    """(den, g, const, shift, window) with product(factors, order), times
+    the series start if given (exact below order less the shift of the
+    folds), equal to const * sum of window[i] q^((shift + i*g)/den), where
+    den makes every a and m of the factors and every exponent of start an
+    integer and g is the gcd of those a and m and of the exponents of start
+    above its least, where the window starts."""
+    den = lcm(start.den if start else 1,
+              *(x.denominator for f in factors for x in (f.a, f.m)))
+    terms = {k * den // start.den: v for k, v in start.coeffs.items()} if start else {0: 1}
+    low = min(terms, default=0)
+    const, shift, ladders = 1, low, []
     for f in factors:
         f.check_convergent()
         s, a, m, p = f.sign, int(f.a * den), int(f.m * den), f.power
@@ -191,11 +200,12 @@ def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
         const *= (-s) ** (k * abs(p))
         shift += p * (k * a + m * k * (k - 1) // 2)
         ladders.append((s, a, m, p, k, f.length))
-    g = gcd(*(x for ladder in ladders for x in ladder[1:3])) or 1
+    g = gcd(*(x for ladder in ladders for x in ladder[1:3]), *(k - low for k in terms)) or 1
     n = max(-((shift - ceil(order * den)) // g), 0)
     if n > MAX_WINDOW:
         raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
-    powers, groups = np.zeros(n, object), {}  # powers[e]: of 1 - q^e; M -> r -> power
+    # powers[e], plus[e]: of 1 - q^e and of 1 + q^e; groups: M -> r -> power
+    powers, plus, groups = np.zeros(n, object), np.zeros(n, object), {}
     for s, a, m, p, k, length in ladders:
         a, m = a // g, m // g
         top = n if length is None else min(n, a + length * m)
@@ -204,19 +214,26 @@ def _window(factors, order: Fraction) -> tuple[int, int, int, int, list]:
             if p < 0:
                 raise ValueError("cannot divide by the rung 1 - sign*q^0")
             const, b = const * (1 - s) ** p, m
-        for lo, hi in ((m - a - k * m, 1 - a), (b, top)) if k else ((b, top),):
-            if s == -1:         # 1 + q^e = (1 - q^2e)/(1 - q^e)
-                powers[2 * lo:2 * hi:2 * m] += p
-            powers[lo:hi:m] += s * p
-        if top == n > 2 * b - b % m:    # from the lower half to the top
-            for b, M, x in ((b, m, p),) if s == 1 else ((2 * b, 2 * m, p), (b, m, -p)):
-                group = groups.setdefault(M, {})
-                group[b % M] = group.get(b % M, 0) + x
+        if k:                   # the folded rungs, reflected
+            (powers if s == 1 else plus)[m - a - k * m:1 - a:m] += p
+        if not top == n > 2 * b - b % m:       # not from the lower half to the top
+            (powers if s == 1 else plus)[b:top:m] += p
+            continue
+        if s == -1:             # 1 + q^e = (1 - q^2e)/(1 - q^e)
+            powers[2 * b:2 * top:2 * m] += p
+        powers[b:top:m] += s * p
+        for b, M, x in ((b, m, p),) if s == 1 else ((2 * b, 2 * m, p), (b, m, -p)):
+            group = groups.setdefault(M, {})
+            group[b % M] = group.get(b % M, 0) + x
     thetas = _thetas(groups, powers)
     arr = np.zeros(n, object)
-    arr[:1] = 1
+    for k, v in terms.items():
+        if (i := (k - low) // g) < n:
+            arr[i] = v
     for e in np.flatnonzero(powers).tolist():
         rungs(arr, 1, e, e, int(powers[e]), 0, 1)
+    for e in np.flatnonzero(plus).tolist():
+        rungs(arr, -1, e, e, int(plus[e]), 0, 1)
     return den, g, const, shift, _by_thetas(arr, thetas)
 
 

@@ -27,8 +27,8 @@ from typing import Callable, Optional
 from .errors import UnknownId
 from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors as Jf, Jm_factors as Jmf, PochFactor, eta_factors, neg_base_pair, pf,
-    poch_param, product,
+    J_factors as Jf, Jm_factors as Jmf, PochFactor, _window, eta_factors, neg_base_pair,
+    pf, poch_param, product,
 )
 from .series import (
     ParamSeries, QSeries, Rat, _frac, eq_to_order, eq_to_order_param,
@@ -111,19 +111,26 @@ def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
     """sum over n >= 0 of q^e(n) * prod(spec.factors), times the fixed
     product of the PochFactors `factors`, below `order`.
 
-    This is the rank-one Nahm walk of ((2*e2), (e1), e0, (1)): it enumerates
-    exactly the n with e(n) < order and streams every factor as a ladder, so
-    factor bases and steps must be integers with a >= 0.
+    The rank-one Nahm walk of ((2*e2), (e1), e0, (1)) sums exactly the n
+    with e(n) < order, streaming the finite spec.factors as ladders; the
+    fixed and infinite factors then multiply its window on the product plan
+    (products._window).  Every a and m is an integer, a >= 0 if fixed.
     """
     if spec.e2 <= 0:
         raise ValueError("single sums need quadratic exponent growth")
     for f in factors:
         f.check_convergent()
-    factors = (*spec.factors, *factors)
-    if any(f.a.denominator != 1 or f.m.denominator != 1 for f in factors):
-        raise ValueError("single-sum factors need integer a and m")
+    if (any(f.a.denominator != 1 or f.m.denominator != 1 for f in (*spec.factors, *factors))
+            or any(f.a < 0 for f in factors)):
+        raise ValueError("single-sum factors need integer a and m, and fixed ones a >= 0")
     quad = NahmQuadruple(((2 * spec.e2,),), (spec.e1,), spec.e0, (1,))
-    return ladder_sum(quad, order, [factors])
+    body = ladder_sum(quad, order, [[f for f in spec.factors if f.length is not None]])
+    factors = (*factors, *(f for f in spec.factors if f.length is None))
+    if not factors:
+        return body
+    den, g, const, shift, window = _window(factors, order, body)
+    return QSeries({shift + i * g: const * v for i, v in enumerate(window) if v},
+                   den, order).reduce()
 
 
 # ---------------------------------------------------------------------------

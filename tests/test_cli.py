@@ -252,9 +252,14 @@ def test_verify_failure_exit1(capsys, monkeypatch):
     (["modular-check", "--relation", "conj1.1", "--tau", "0,1,2"], "RE,IM"),
     (["nahm", "--A", '[["2"]]', "--b", '["0"]', "--d", "[1]", "--order", "5", "--parity", "0:2"],
      "parity residues must be 0 or 1"),
+    # a quadruple file whose parity residue is the JSON true, not 1
+    (["nahm", "--quadruple", "{tmp}/parity-true.json", "--order", "5"],
+     "parity residues must be 0 or 1"),
 ])
-def test_malformed_arguments_exit2(capsys, argv, message):
-    code, _, err = run(capsys, *argv)
+def test_malformed_arguments_exit2(capsys, tmp_path, argv, message):
+    (tmp_path / "parity-true.json").write_text(
+        '{"A": [["2"]], "b": ["0"], "d": [1], "parity": [true]}')
+    code, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2 and err.startswith("error:") and message in err
 
 

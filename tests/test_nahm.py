@@ -81,12 +81,23 @@ def test_validity_bound_and_dual_against_leibniz_determinants():
     assert 100 < refused < 500
 
 
-@pytest.mark.parametrize("mask", [(0, None, 1), (2, None), (0,), (None, -1)])
+@pytest.mark.parametrize("mask", [(0, None, 1), (2, None), (0,), (None, -1),
+                                  (True, None), (None, 1.0), (False, 0)])
 def test_malformed_parity_mask_refused(mask):
     with pytest.raises(ValueError, match="parity"):
         nahm_sum(CAPPARELLI, 10, mask=mask)
     with pytest.raises(ValueError, match="parity"):
         nahm_sum_param(CAPPARELLI, 10, 2, (1, 0), mask=mask)
+
+
+@pytest.mark.parametrize("residue", [True, False, 1.0, 0.0, "1"])
+def test_quadruple_document_refuses_a_parity_residue_that_is_no_int(residue):
+    # the document schema allows null, 0 or 1; JSON true and 1.0 once read as 1
+    doc = {"A": [["2"]], "b": ["0"], "c": "0", "d": [1], "parity": [residue]}
+    with pytest.raises(ValueError, match="parity residues"):
+        nahm.NahmQuadruple.from_json(doc)
+    assert nahm.NahmQuadruple.from_json({**doc, "parity": [1]}) == (RR, (1,))
+    assert nahm.NahmQuadruple.from_json({**doc, "parity": [None]}) == (RR, None)
 
 
 def test_rr_first_seven_coefficients():
@@ -377,25 +388,73 @@ def test_param_window_counts_only_the_grades_kept(monkeypatch):
 
 def test_rank_two_lattice_refused_while_it_is_listed(monkeypatch):
     # every prefix n_0 is a row of at least ceil(order) slots, so the walk
-    # stops at the first point of the prefix that overflows the window
+    # stops at the first prefix that overflows the window
     quad = quadruple([[2, 1], [1, 2]], [0, 0], 0, [1, 1])
-    seen, real = [], nahm.enumerate_lattice
+    seen, real = [], nahm._rows
 
     def spy(*args):
-        for point in real(*args):
-            seen.append(point[0])
-            yield point
+        for row in real(*args):
+            seen.append(row[0])
+            yield row
 
-    monkeypatch.setattr(nahm, "enumerate_lattice", spy)
+    monkeypatch.setattr(nahm, "_rows", spy)
     with pytest.raises(ValueError, match="3 x 1 x 8000000 window slots"):
         nahm_sum(quad, 8_000_000)
-    assert [n[0] for n in seen[-2:]] == [1, 2] and len(seen) < 6000
+    assert seen == [(0,), (1,), (2,)]
     seen.clear()
     monkeypatch.setattr(nahm, "MAX_WINDOW", 500)
     with pytest.raises(ValueError, match="6 x 1 x 100 window slots"):
         nahm_sum(quad, 100)
-    full = [n for n, _ in real(quad, 100)]
-    assert seen == full[:sum(n[0] < 5 for n in full) + 1]
+    full = [prefix for prefix, _, _ in real(quad, 100)]
+    assert seen == full[:6] == [(x,) for x in range(6)] and len(full) > 6
+    # the first row, of n = 0, is refused before the walk lists it: on rank
+    # one it is the whole lattice, 2*10^9 points at order 4*10^18
+    seen.clear()
+    monkeypatch.setattr(nahm, "MAX_WINDOW", 99)
+    with pytest.raises(ValueError, match="1 x 1 x 100 window slots"):
+        nahm_sum(RR, 100)
+    assert seen == []
+
+
+def test_integer_keys_on_a_lattice_of_halves_and_thirds():
+    # halves in A and thirds in b: W > 1, and E(n) = S'/W reduces to a
+    # lattice of its own, on which the sum keys its exponents
+    quad = quadruple([[1, F(1, 2)], [1, F(3, 2)]], [F(1, 3), F(-2, 3)], F(1, 5), [1, 2])
+    W = quad._squares[0]
+    assert W > 6
+    for n, e in enumerate_lattice(quad, 12):
+        assert e == sum(quad.A[i][j] * quad.d[j] * n[i] * n[j] for i in range(2)
+                        for j in range(2)) / 2 + n[0] * quad.b[0] + n[1] * quad.b[1]
+    for mask in (None, (1, None), (None, 0)):
+        got = nahm_sum(quad, 12, mask)
+        want = nahm_naive(quad.A, quad.b, quad.c, quad.d, 12, box=14, mask=mask)
+        assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want, mask
+        assert lcm(W, 5) % got.den == 0
+
+
+def test_int64_and_python_int_walks_meet_at_2_to_62(monkeypatch):
+    # W = 2^56, so W (order - c) reaches 2^62 at order 64: below it the walk
+    # runs on int64, from there on Python ints; both give the sum of RR
+    quad = quadruple([[2, 1], [1, 2 ** 55]], [0, 0], 0, [1, 1])
+    assert quad._squares[0] == 2 ** 56
+    seen, real = [], nahm._rows
+
+    def spy(q, *args):
+        for row in real(q, *args):
+            seen.append((q, row[2].dtype.name))
+            yield row
+
+    monkeypatch.setattr(nahm, "_rows", spy)
+    for order, ints in ((63, "int64"), (64, "int64"), (65, "object"), (67, "object")):
+        seen.clear()
+        assert nahm_sum(quad, order) == nahm_sum(RR, order)
+        assert nahm_sum(quad, order, (1, None)) == nahm_sum(RR, order, (1,))
+        assert list(enumerate_lattice(quad, order)) == [
+            ((*n, 0), e) for n, e in enumerate_lattice(RR, order)]
+        assert {dtype for q, dtype in seen if q == quad} == {ints}
+    # past 2^62 a window too large is refused as below it, not by an OverflowError
+    with pytest.raises(ValueError, match="1 x 1 x 300000000000000000000 window slots"):
+        nahm_sum(quadruple([[2]], [F(1, 10 ** 20)], 0, [1]), 3)
 
 
 # -- the level-by-level kernel -------------------------------------------------
@@ -425,12 +484,14 @@ def _runs(monkeypatch) -> list:
     (200, ["float64", "int64", "object"]),   # past what the shadow can place
 ])
 def test_each_exact_path_matches_product_times_naive_body(monkeypatch, order, runs):
+    # below the order, 1/(q; q)_order^24 streamed as a ladder of the sum is ETA24
     seen = _runs(monkeypatch)
-    got = single_sum(THETA, order, ETA24)
+    got = single_sum(SingleSum(F(1), F(0), F(0), (sf(1, 1, 1, order, 0, -24),)), order)
     assert seen == runs
     body = {int(e): int(v) for e, v in naive_single_sum(THETA, order).items()}
-    assert eq_to_order(got, product(ETA24, order) * QSeries(body, 1, order),
-                       order) is None
+    want = product(ETA24, order) * QSeries(body, 1, order)
+    assert eq_to_order(got, want, order) is None
+    assert eq_to_order(single_sum(THETA, order, ETA24), want, order) is None
     assert (max(got.coeffs.values()) >= 2 ** 63) == (order >= 45)
 
 

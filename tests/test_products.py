@@ -362,6 +362,28 @@ def test_finite_ladders_reaching_the_window_top_take_theta(recurrence_calls, the
     assert recurrence_calls == []
 
 
+def test_one_plus_rungs_off_the_theta_route_take_one_pass_each(monkeypatch):
+    # (-q^300; q)_inf below q^400 starts in the upper half, so it is no theta
+    # factor: each rung 1 + q^e is one slice add, not (1 - q^2e)/(1 - q^e)
+    seen, real = [], products.rungs
+
+    def spy(arr, sign, a, m, power, start=0, stop=None):
+        adds = real(arr, sign, a, m, power, start, stop)
+        seen.append((sign, a, power, adds))
+        return adds
+
+    monkeypatch.setattr(products, "rungs", spy)
+    got = product((pf(-1, 300, 1),), 400)
+    assert got.coeffs == {0: 1, **{e: 1 for e in range(300, 400)}}
+    assert sorted(seen) == [(-1, e, 1, 1) for e in range(300, 400)]
+    # folded, finite and upper-half ladders of 1 + q^e, multiplied and divided
+    for factors in ((pf(-1, -3, 2, 5),), (pf(-1, 7, 3, 4, -2),),
+                    (pf(-1, 25, 1, None, 2), pf(1, 1, 1, None, -1))):
+        seen.clear()
+        assert _as_dict(product(factors, 40)) == _naive_product(factors, 40)
+        assert -1 in {sign for sign, *_ in seen}
+
+
 def test_finite_inverse_euler_product_past_the_order_is_the_infinite_one():
     # 1/(q; q)_L = 1/(q; q)_inf below q^400 once L >= 399
     infinite = product((pf(1, 1, 1, None, -1),), 400)
