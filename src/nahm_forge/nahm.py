@@ -260,7 +260,8 @@ def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None):
             lo += 1
         xs = range(lo, (R - u) // pk + 1, 1 if p is None else 2)
         if k + 1 == r:
-            if xs:
+            if xs:              # L distinct y put S' + H y^2 on >= L/2 slots
+                _check_window(1, 1, ((xs[-1] - xs[0]) // xs.step + 2) // 2)
                 x = np.arange(xs.start, xs.stop, xs.step, dtype=ints)
                 y = pk * x + u
                 yield tuple(n[:-1]), x, s + hk * y * y

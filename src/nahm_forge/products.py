@@ -6,10 +6,10 @@ in products and in the Nahm sums alike; multiplying or dividing a dense
 coefficient window by one binomial is one O(length) pass of rungs, the
 kernel the Nahm sums share.  product() puts every rung into a map
 e -> power of (1 - q^e) or of 1 + q^e; the ladders that run to the window
-top pair into theta functions J_(r,M) and eta factors (q^M; q^M)_inf,
-applied as their sparse Jacobi-triple-product series, and the rest of the
-maps runs on rungs.  A single sum's fixed factors take the same plan,
-starting from the sum's window.
+top pair into theta functions J_(r,M) and eta factors (q^M; q^M)_inf, as
+sparse Jacobi-triple-product series, and the rest runs on rungs.  The plan
+(_window; a single sum's fixed factors start from the sum's window) ends in
+a numerator window over a divisor of thetas, which _divide divides out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Divergent
-from .series import ParamSeries, QSeries, Rat, _frac
+from .series import ParamSeries, QSeries, Rat, _coeff, _frac
 
 MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum or product may hold
 
@@ -172,22 +172,25 @@ def product(factors, order: Rat) -> QSeries:
     eta factors (q^M; q^M)_inf = J_(M,3M), each a sparse series of about
     2 sqrt(2n/M) terms below the window top n (see _thetas).  The maps less
     their rungs run on rungs, and the theta series then multiply by slice
-    adds or divide by an exact sweep.
+    adds or, as the divisor, divide by an exact sweep (_divide).
     """
     order = _frac(order)
-    den, g, const, shift, window = _window(factors, order)
-    out = {shift + i * g: const * v for i, v in enumerate(window) if v}
-    return QSeries(out, den, order).reduce()
+    return _series(_divide(*_window(factors, order)), order)
 
 
-def _window(factors, order: Fraction, start: Optional[QSeries] = None
-            ) -> tuple[int, int, int, int, list]:
-    """(den, g, const, shift, window) with product(factors, order), times
-    the series start if given (exact below order less the shift of the
-    folds), equal to const * sum of window[i] q^((shift + i*g)/den), where
-    den makes every a and m of the factors and every exponent of start an
-    integer and g is the gcd of those a and m and of the exponents of start
-    above its least, where the window starts."""
+def _series(window: tuple, order: Fraction) -> QSeries:
+    """The QSeries below order of the window (den, shift, g, values)."""
+    den, shift, g, values = window
+    return QSeries({shift + i * g: v for i, v in enumerate(values) if v}, den, order).reduce()
+
+
+def _window(factors, order: Fraction, start: Optional[QSeries] = None) -> tuple:
+    """(window, divisor): product(factors, order), times the series start if
+    given (exact below order less the shift of the folds), is the window
+    (den, shift, g, values), the sum of values[i] q^((shift + i*g)/den), over
+    the divisor {(z, M): t > 0}, the product of the J_(z,M)^t (z, M in q).  den
+    makes every a, m and exponent of start an integer; g is the gcd of those
+    a and m and of the exponents of start less its least, where it starts."""
     den = lcm(start.den if start else 1,
               *(x.denominator for f in factors for x in (f.a, f.m)))
     terms = {k * den // start.den: v for k, v in start.coeffs.items()} if start else {0: 1}
@@ -229,23 +232,24 @@ def _window(factors, order: Fraction, start: Optional[QSeries] = None
     arr = np.zeros(n, object)
     for k, v in terms.items():
         if (i := (k - low) // g) < n:
-            arr[i] = v
+            arr[i] = v * const
     for e in np.flatnonzero(powers).tolist():
         rungs(arr, 1, e, e, int(powers[e]), 0, 1)
     for e in np.flatnonzero(plus).tolist():
         rungs(arr, -1, e, e, int(plus[e]), 0, 1)
-    return den, g, const, shift, _by_thetas(arr, thetas)
+    _times(arr, [(z, M, t) for (z, M), t in thetas.items() if t > 0])
+    q = Fraction(g, den)        # a grid step, in q
+    return (den, shift, g, arr), {(z * q, M * q): -t for (z, M), t in thetas.items() if t < 0}
 
 
-def _thetas(groups: dict, powers) -> list:
-    """The theta factors, as (terms, power) with terms the (e, c) of
-    0 < e < len(powers) in order, of the ladders grouped by step M into
-    residue -> power; their rungs are taken out of powers.  J_(r,M)^t takes
-    the power t that residues r and M - r share (0 < r < M/2), and
-    (q^(M/2); q^(M/2)) and (q^M; q^M) take residues M/2 and 0, merged over
-    all steps; what is left of a ladder that starts above its residue, or
-    of an unshared residue, stays in powers."""
-    eta, thetas = {}, []        # thetas: (z, M, power) for J_(z,M)^power
+def _thetas(groups: dict, powers) -> dict:
+    """The theta factors {(z, M): power of J_(z,M)}, on the grid of powers, of
+    the ladders grouped by step M into residue -> power; their rungs are taken
+    out of powers.  J_(r,M)^t takes the power t that residues r and M - r share
+    (0 < r < M/2), and (q^(M/2); q^(M/2)) and (q^M; q^M), as J_(M,3M), take
+    residues M/2 and 0, merged over all steps; what is left of a ladder that
+    starts above its residue, or of an unshared residue, stays in powers."""
+    eta, thetas = {}, {}
     for M, x in groups.items():
         half = x.get(M // 2, 0) if M % 2 == 0 else 0
         eta[M] = eta.get(M, 0) + x.get(0, 0) - half
@@ -254,39 +258,75 @@ def _thetas(groups: dict, powers) -> list:
             z = x.get(M - r, 0) if 0 < 2 * r < M else 0
             t = (min(y, z) if y > 0 else max(y, z)) if y * z > 0 else 0
             if t:
-                thetas.append((r, M, t))
+                thetas[r, M] = t
                 eta[M] -= t
-    thetas += [(M, 3 * M, y) for M, y in eta.items() if y]
-    for z, M, y in thetas:      # J_(z,M) has the rungs z, M - z and 0 mod M
+    for M, y in eta.items():    # J_(M,3M) may also be some J_(r,3r)
+        if y:
+            thetas[M, 3 * M] = thetas.get((M, 3 * M), 0) + y
+    for (z, M), y in thetas.items():    # J_(z,M) has the rungs z, M - z and 0 mod M
         for e in (z, M - z, M):
             powers[e::M] -= y
-    return [(sorted(_triple_terms(z, 1, M, len(powers)))[1:], y) for z, M, y in thetas]
+    return thetas
 
 
-def _by_thetas(arr, thetas: list) -> list:
-    """arr times the theta factors (terms, power) of _thetas, as a list."""
+def _times(arr, thetas: list):
+    """arr times J_(z,M)^t, t > 0, for (z, M, t) in thetas, one slice add a term."""
     n = len(arr)
-    for terms, y in thetas:
-        for _ in range(y):      # one slice add per term
+    for z, M, t in thetas:
+        terms = sorted(_triple_terms(z, 1, M, n))[1:]     # all but the constant 1
+        for _ in range(t):
             src = arr.copy()
             for e, c in terms:
                 (np.add if c > 0 else np.subtract)(arr[e:], src[:n - e], out=arr[e:])
-    window = arr.tolist()
-    for terms, y in thetas:
+
+
+def _divide(window: tuple, divisor: dict) -> tuple:
+    """The window, values as a list, over its divisor: each theta has constant
+    term 1, so slot i is itself less the terms below it, one slot at a time."""
+    den, shift, g, values = window
+    values, n = values.tolist(), len(values)
+    for (z, M), t in divisor.items():
+        terms = sorted(_triple_terms(int(z * den) // g, 1, int(M * den) // g, n))[1:]
         plus, minus = ([e for e, c in terms if c == sign] for sign in (1, -1))
-        for _ in range(-y):     # the constant term is 1: slot i less the terms below it
+        for _ in range(t):
             for i in range(1, n):
-                v = window[i]
+                v = values[i]
                 for e in minus:
                     if e > i:
                         break
-                    v += window[i - e]
+                    v += values[i - e]
                 for e in plus:
                     if e > i:
                         break
-                    v -= window[i - e]
-                window[i] = v
-    return window
+                    v -= values[i - e]
+                values[i] = v
+    return den, shift, g, values
+
+
+def _combine(parts, order: Fraction) -> tuple:
+    """(window, divisor) below order of the sum of coeff q^shift window /
+    divisor over parts (coeff, shift, window, divisor): the lcm of their
+    divisors over their windows on one grid, each times the thetas its own
+    divisor lacks, by slice adds.  ValueError refuses a grid past MAX_WINDOW."""
+    divisor = {key: max(d.get(key, 0) for *_, d in parts) for *_, d in parts for key in d}
+    keys = [x for key in divisor for x in key]
+    den = lcm(*(w[0] * s.denominator for _, s, w, _ in parts), *(x.denominator for x in keys))
+    starts = [int(s * den) + w[1] * den // w[0] for _, s, w, _ in parts]
+    low = min(starts, default=0)
+    g = gcd(*(k - low for k in starts), *(w[2] * den // w[0] for _, _, w, _ in parts),
+            *(int(x * den) for x in keys)) or 1
+    n = max(-((low - ceil(order * den)) // g), 0)
+    if n > MAX_WINDOW:
+        raise ValueError(f"the terms need {n} window slots, more than {MAX_WINDOW}")
+    total = np.zeros(n, object)
+    for (coeff, _, (d0, _, g0, values), d), start in zip(parts, starts):
+        arr = np.zeros(n, object)
+        dst = arr[(start - low) // g::g0 * den // d0 // g]
+        dst[:len(values)] = values[:len(dst)]
+        _times(arr, [(int(z * den) // g, int(M * den) // g, t - d.get((z, M), 0))
+                     for (z, M), t in divisor.items() if t > d.get((z, M), 0)])
+        total += arr * _coeff(coeff)
+    return (den, low, g, total), divisor
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +431,14 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     if order <= 0 or deg < 0:
         return ParamSeries(rows)
     # a zero-length (q^m; q^m) puts the rungs of every row on the window's grid
-    den, g, const, shift, window = _window((pf(1, m, m, 0), *factors), order)
+    den, shift, g, window = _divide(*_window((pf(1, m, m, 0), *factors), order))
     window, k, e = np.array(window, object), 0, Fraction(0)
     while e < order and upow * k <= deg:
         # row k is row k-1 divided by 1 - q^(k m), both cut at order - e
         window = window[:max(-((shift - ceil((order - e) * den)) // g), 0)]
         if k:
             rungs(window, 1, int(k * m * den) // g, int(k * m * den) // g, -1, 0, 1)
-        row = {shift + i * g: const * v for i, v in enumerate(window.tolist()) if v}
-        rows[upow * k] = QSeries(row, den, order - e).reduce().shift(e).scale((-sign) ** k)
+        row = _series((den, shift, g, window.tolist()), order - e)
+        rows[upow * k] = row.shift(e).scale((-sign) ** k)
         k, e = k + 1, e + a + m * k
     return ParamSeries(rows)

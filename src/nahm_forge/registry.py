@@ -27,8 +27,8 @@ from typing import Callable, Optional
 from .errors import UnknownId
 from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
-    J_factors as Jf, Jm_factors as Jmf, PochFactor, _window, eta_factors, neg_base_pair,
-    pf, poch_param, product,
+    J_factors as Jf, Jm_factors as Jmf, PochFactor, _combine, _divide, _series, _window,
+    eta_factors, neg_base_pair, pf, poch_param,
 )
 from .series import (
     ParamSeries, QSeries, Rat, _frac, eq_to_order, eq_to_order_param,
@@ -69,6 +69,9 @@ class SingleSum:
     def build(self, order: Rat) -> QSeries:
         return single_sum(self, order)
 
+    def _quotient(self, order: Fraction) -> tuple:
+        return _single_window(self, order)
+
 
 @dataclass(frozen=True)
 class ProdTerm:
@@ -84,27 +87,17 @@ class ComboSide:
     terms: tuple
 
     def build(self, order: Rat) -> QSeries:
-        order = _frac(order)
-        total = QSeries.zero(order)
-        for t in self.terms:
-            if t.body is None:
-                part = product(t.factors, order - t.shift)
-            else:
-                part = single_sum(t.body, order - t.shift, t.factors)
-            total = total + part.shift(t.shift).scale(t.coeff)
-        return total
+        return _series(_divide(*self._quotient(_frac(order))), _frac(order))
+
+    def _quotient(self, order: Fraction) -> tuple:
+        return _combine([(t.coeff, t.shift, *_single_window(t.body, order - t.shift, t.factors))
+                         for t in self.terms], order)
 
 
 def combo(*terms) -> ComboSide:
-    out = []
-    for t in terms:
-        if len(t) == 3:
-            coeff, shift, factors = t
-            body = None
-        else:
-            coeff, shift, factors, body = t
-        out.append(ProdTerm(_frac(coeff), _frac(shift), tuple(factors), body))
-    return ComboSide(tuple(out))
+    """The side of terms (coeff, shift, factors) or (coeff, shift, factors, body)."""
+    return ComboSide(tuple(ProdTerm(_frac(coeff), _frac(shift), tuple(factors), *body)
+                           for coeff, shift, factors, *body in terms))
 
 
 def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
@@ -116,6 +109,14 @@ def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
     fixed and infinite factors then multiply its window on the product plan
     (products._window).  Every a and m is an integer, a >= 0 if fixed.
     """
+    return _series(_divide(*_single_window(spec, _frac(order), factors)), _frac(order))
+
+
+def _single_window(spec: Optional[SingleSum], order: Fraction, factors=()) -> tuple:
+    """(window, divisor) of single_sum(spec, order, factors), or of the
+    product of the factors if spec is None (products._window)."""
+    if spec is None:
+        return _window(factors, order)
     if spec.e2 <= 0:
         raise ValueError("single sums need quadratic exponent growth")
     for f in factors:
@@ -125,12 +126,7 @@ def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
         raise ValueError("single-sum factors need integer a and m, and fixed ones a >= 0")
     quad = NahmQuadruple(((2 * spec.e2,),), (spec.e1,), spec.e0, (1,))
     body = ladder_sum(quad, order, [[f for f in spec.factors if f.length is not None]])
-    factors = (*factors, *(f for f in spec.factors if f.length is None))
-    if not factors:
-        return body
-    den, g, const, shift, window = _window(factors, order, body)
-    return QSeries({shift + i * g: const * v for i, v in enumerate(window) if v},
-                   den, order).reduce()
+    return _window((*factors, *(f for f in spec.factors if f.length is None)), order, body)
 
 
 # ---------------------------------------------------------------------------
@@ -736,24 +732,27 @@ def get(rid: str) -> IdentityRecord:
 
 
 def verify(rid: str, order: int) -> VerifyReport:
-    """Build both sides at the requested order and compare exactly."""
+    """Build both sides at the requested order and compare exactly.
+
+    Without a parameter each side is a window N over a divisor D of theta
+    series, D = 1 for a Nahm sum or a closure.  With D the lcm of D_L and
+    D_R, N_L D/D_L - N_R D/D_R is (lhs - rhs) D (products._combine), whose
+    first nonzero exponent is the first mismatch, as D has constant term 1.
+    Only then are both sides built in full, for the report's (exp, lhs, rhs)."""
     if order < 1:       # an order below 1 compares nothing
         raise ValueError(f"order must be at least 1, not {order}")
-    rec = get(rid)
+    rec, o = get(rid), _frac(order)
     t0 = time.perf_counter()
     if rec.params:
-        deg = int(order)
-        mism = eq_to_order_param(rec.lhs(order, deg), rec.rhs(order, deg), _frac(order))
+        mism = eq_to_order_param(rec.lhs(order, int(order)), rec.rhs(order, int(order)), o)
     else:
-        mism = eq_to_order(rec.lhs(_frac(order)), rec.rhs(_frac(order)), _frac(order))
-    if mism is not None:
-        mism = (mism.exponent, mism.lhs, mism.rhs)
+        sides = [data._quotient(o) if hasattr(data, "_quotient") else _window((), o, build(o))
+                 for data, build in ((rec.lhs_data, rec.lhs), (rec.rhs_data, rec.rhs))]
+        diff = _combine([(1, 0, *sides[0]), (-1, 0, *sides[1])], o)[0][3]
+        mism = eq_to_order(rec.lhs(o), rec.rhs(o), o) if diff.any() else None
     ms = int((time.perf_counter() - t0) * 1000)
-    if mism is not None:
-        result = "fail"
-    else:
-        result = "conjecture_pass" if rec.status == "conjecture" else "pass"
-    return VerifyReport(rid, rec.status, int(order), result, mism, ms)
+    result = "fail" if mism else "conjecture_pass" if rec.status == "conjecture" else "pass"
+    return VerifyReport(rid, rec.status, int(order), result, mism and tuple(mism), ms)
 
 
 def _verify_worker(args) -> VerifyReport:

@@ -255,14 +255,15 @@ def recurrence_calls(monkeypatch):
 @pytest.fixture
 def theta_calls(monkeypatch):
     """The window sizes that theta factors are applied on."""
-    calls, real = [], products._by_thetas
+    calls, real = [], products._thetas
 
-    def spy(arr, thetas):
+    def spy(groups, powers):
+        thetas = real(groups, powers)
         if thetas:
-            calls.append(len(arr))
-        return real(arr, thetas)
+            calls.append(len(powers))
+        return thetas
 
-    monkeypatch.setattr(products, "_by_thetas", spy)
+    monkeypatch.setattr(products, "_thetas", spy)
     return calls
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -10,7 +11,7 @@ from nahm_forge.errors import UnknownId
 from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, product
 from nahm_forge.nahm import nahm_sum, quadruple
-from nahm_forge import registry as R
+from nahm_forge import products, registry as R
 from nahm_forge.candidates import FAMILIES
 from nahm_forge.recognizer import normalize_and_profile, with_period
 
@@ -79,6 +80,121 @@ def test_perturbed_rhs_detected_at_injected_exponent():
     rhs = rec.rhs(F(50)) + QSeries.monomial(7, 1, 50)
     m = eq_to_order(lhs, rhs, 50)
     assert m is not None and m.exponent == 7
+
+
+def _with_factor(side, term, index, factor):
+    """The ComboSide with factor `index` of term `term` replaced."""
+    factors = list(side.terms[term].factors)
+    factors[index] = factor
+    return _with_term(side, term, factors=tuple(factors))
+
+
+def _with_term(side, term, **change):
+    t = dataclasses.replace(side.terms[term], **change)
+    return R.ComboSide(side.terms[:term] + (t,) + side.terms[term + 1:])
+
+
+# one change to one side of a record, per shape of identity: (id, side,
+# change); the deep ones agree below q^60 and differ below q^400
+PERTURBED = {
+    "nahm-vs-product-coefficient":
+        ("rr-1", "rhs", lambda s: _with_term(s, 0, coeff=F(2))),
+    "nahm-vs-product-rung":
+        ("rr-1", "rhs", lambda s: _with_factor(s, 0, 1, pf(1, 9, 5, None, -1))),
+    "nahm-vs-product-deep":
+        ("rr-1", "rhs", lambda s: _with_factor(s, 0, 1, pf(1, 4, 5, 30, -1))),
+    "nahm-vs-two-terms-coefficient":
+        ("exam4-1a", "rhs", lambda s: _with_term(s, 1, coeff=F(-3))),
+    "nahm-vs-two-terms-shift":
+        ("exam4-1a", "rhs", lambda s: _with_term(s, 1, shift=F(2))),
+    "nahm-vs-two-sums":
+        ("exam4-1-split", "rhs",
+         lambda s: _with_term(s, 1, body=dataclasses.replace(s.terms[1].body, e1=F(3)))),
+    "product-vs-product-rhs":
+        ("j1-four", "rhs", lambda s: _with_factor(s, 1, 1, pf(1, 8, 8, None, 3))),
+    "product-vs-product-lhs":
+        ("j1-four", "lhs", lambda s: _with_factor(s, 0, 0, pf(1, 1, 1, None, -3))),
+    "single-sum-vs-product":
+        ("msz-254", "lhs",
+         lambda s: dataclasses.replace(s, factors=(R.sf(-1, 2, 1, 1, 1), s.factors[1]))),
+    "closure-vs-product-deep":
+        ("v-closed-1", "rhs",
+         lambda s: _with_factor(s, 0, len(s.terms[0].factors) - 1, pf(1, 2, 2, 40, -1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBED))
+def test_perturbed_record_reports_the_first_mismatch_of_its_sides(case, monkeypatch):
+    # verify compares the sides cross-multiplied by their divisors and
+    # rebuilds them only on a mismatch: the report is that of the sides
+    rid, side, change = PERTURBED[case]
+    rec = R.get(rid)
+    data = change(getattr(rec, side + "_data"))
+    rec = dataclasses.replace(rec, **{side: data.build, side + "_data": data})
+    monkeypatch.setitem(R._BY_ID, rid, rec)
+    for n in (60, 400):
+        want = eq_to_order(rec.lhs(F(n)), rec.rhs(F(n)), n)
+        rep = R.verify(rid, n)
+        assert rep.first_mismatch == want, (case, n)
+        assert (rep.result == "fail") == (want is not None)
+    assert want is not None
+    assert (eq_to_order(rec.lhs(F(60)), rec.rhs(F(60)), 60) is None) == case.endswith("deep")
+
+
+def test_passing_records_never_divide(monkeypatch):
+    # verify cross-multiplies, so no record without a parameter runs the
+    # division sweep; product() still divides through the same step
+    calls, real = [], products._divide
+
+    def spy(window, divisor):
+        calls.append(divisor)
+        return real(window, divisor)
+
+    monkeypatch.setattr(products, "_divide", spy)
+    monkeypatch.setattr(R, "_divide", spy)
+    for rec in R.registry():
+        if not rec.params:
+            assert R.verify(rec.id, 200).result in ("pass", "conjecture_pass"), rec.id
+    assert calls == []
+    factors = (pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1))
+    got = product(factors, 120)
+    assert len(calls) == 1 and calls[0]
+    want = naive_side(R._prods(*factors), 120)
+    assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+
+
+def test_combo_sides_equal_the_sum_of_their_terms():
+    # one walk over the lcm of the terms' divisors, against the terms built
+    # one by one, on grids of halves and thirds, shifted against each other
+    rng = random.Random(7)
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice((F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)))
+            power = rng.choice((-2, -1, 1, 2))
+            factors = [pf(1, m, m, None, rng.choice((-2, -1, 1, 2)))]
+            if rng.random() < 0.5:
+                factors += [pf(1, m / 3, m, None, power), pf(1, 2 * m / 3, m, None, power)]
+            if rng.random() < 0.3:
+                factors.append(pf(-1, m, 2 * m, 4, -power))
+            shift = rng.choice((0, F(1, 2), 1, F(4, 3)))
+            terms.append((rng.choice((-2, -1, 1, 3)), shift, factors))
+        order = F(rng.randint(20, 60), rng.choice((1, 2)))
+        want = QSeries.zero(order)
+        for coeff, shift, factors in terms:
+            want = want + product(factors, order - shift).shift(shift).scale(coeff)
+        assert R.combo(*terms).build(order) == want, terms
+
+
+def test_combo_grid_refused_past_max_window(monkeypatch):
+    # terms on the grids of q^(1/2) and q^(1/3) fit 20 and 30 slots below
+    # q^10, their common grid of q^(1/6) needs 60: refused before allocation
+    side = R.combo((1, 0, (pf(1, F(1, 2), F(1, 2)),)), (1, 0, (pf(1, F(1, 3), F(1, 3)),)))
+    monkeypatch.setattr(products, "MAX_WINDOW", 40)
+    with pytest.raises(ValueError, match="the terms need 60 window slots"):
+        side.build(10)
+    monkeypatch.setattr(products, "MAX_WINDOW", 60)
+    assert side.build(10) == product(side.terms[0].factors, 10) + product(side.terms[1].factors, 10)
 
 
 def test_all_records_pass_at_order_40():
