@@ -419,6 +419,8 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
         raise ValueError("the weight vector must match the rank")
     if any(w < 0 for w in weights):
         raise ValueError("parameter weights must be nonnegative")
+    if deg < 0:
+        raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
     return ParamSeries(_graded_sum(quad, order, _denominators(quad), mask,
                                    weights, deg))
 

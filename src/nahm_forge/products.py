@@ -122,30 +122,32 @@ def exact_run(run, nonneg: bool = True) -> list:
     majorant x* (the gamma_n bound: Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., ch. 3; a running sum of L terms counts L
     adds).  Sign-free and below 2^53, the floats are exact; else exact_row
-    places the residues, and past that the run repeats on Python ints."""
+    places the residues, running int64 only if it can, and past that the
+    run repeats on Python ints."""
     with np.errstate(over="ignore"):
         shadow, adds = run(np.float64)
         top = float(shadow.max(initial=0.0))
         small = top < 2 ** 53 and (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 104
-        residues = shadow.astype(np.int64) if nonneg and small else run(np.int64)[0]
-    flat = exact_row(residues.ravel(), shadow.ravel(), adds, nonneg)
+        residues = shadow.astype(np.int64) if nonneg and small else lambda: run(np.int64)[0]
+        flat = exact_row(residues, shadow.ravel(), adds, nonneg)
     return run(object)[0].ravel().tolist() if flat is None else flat
 
 
 def exact_row(residues, shadow, adds: int, nonneg: bool = True):
-    """x from exact_run's int64 residues and float64 shadow f: the residues
-    while f (1 + adds 2^-51) < 2^63 everywhere, or, sign-free (x = x*), the
+    """x from exact_run's int64 residues (or a function that runs them, only
+    called if they are used) and float64 shadow f: the residues while
+    f (1 + adds 2^-51) < 2^63 everywhere, or, sign-free (x = x*), the
     integer of their class mod 2^64 nearest f while the bound is below 2^62;
     else, or if f is not finite, None."""
     top = float(shadow.max(initial=0.0))
     if not isfinite(top) or adds >= 2 ** 51:
         return None
-    if (int(top) + 1) * (2 ** 51 + adds) <= 2 ** 114:
-        return residues.tolist()
-    if not nonneg or int(top) * adds >= 2 ** 113:
+    near = (int(top) + 1) * (2 ** 51 + adds) > 2 ** 114
+    if near and (not nonneg or int(top) * adds >= 2 ** 113):
         return None
+    residues = (residues() if callable(residues) else residues).ravel().tolist()
     return [b + (r - b + 2 ** 63) % 2 ** 64 - 2 ** 63
-            for r, b in zip(residues.tolist(), map(int, shadow.tolist()))]
+            for r, b in zip(residues, map(int, shadow.tolist()))] if near else residues
 
 
 def poch(f: PochFactor, order: Rat) -> QSeries:
@@ -427,8 +429,10 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     if a < 0 or upow < 1 or any(f.a < 0 for f in factors):
         raise ValueError("parameter products need a >= 0 and upow >= 1, "
                          "and factors with a >= 0")
+    if deg < 0:
+        raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
     rows = [QSeries.zero(order)] * (deg + 1)
-    if order <= 0 or deg < 0:
+    if order <= 0:
         return ParamSeries(rows)
     # a zero-length (q^m; q^m) puts the rungs of every row on the window's grid
     den, shift, g, window = _divide(*_window((pf(1, m, m, 0), *factors), order))

@@ -8,21 +8,23 @@ Soundness of the z-window W: pushing content to z-power +-S through the
 ladder factors costs at least S^2/2 - O(S) in the q-exponent (each rung of a
 quadratic ladder adds a distinct exponent a + k*m), so any content that ever
 leaves the window can only influence q-exponents at or above the truncation
-order.  The test suite exercises window doubling to confirm the pruning.
+order.  The tests rerun the ladder at a wider window to confirm the pruning.
 
-Each add is arr += z^dz q^e arr, so every term of the result picks each add
-at most once, and the window keeps only what can still reach the z^0 row
-below q^n (_ct_shape):
-  (a) columns q^-(W+2)..q^(n+L-1), with L the sum of -e over the adds with
-      e < 0 (0 for u >= 0, v >= -1): the adds still to come move content
-      left by at most L, so nothing at q^(n+L) or above gets below q^n;
+The rungs of (-qz, -q/z, -q^(1+v)/z; q^2)_inf are adds arr += z^(+-1) q^e arr.
+By Euler (Andrews, The Theory of Partitions, Cor. 2.2), 1/(q^u z; q)_inf =
+sum_k z^k q^(uk)/(q; q)_k, so the z^0 row is the Horner sum from k = W down
+acc <- (row z^-(k-1)) + q^u acc/(1 - q^k): one rungs division, one add.
+Every term of the result picks each add at most once, and the window keeps
+only what can still reach the z^0 row below q^n (_ct_shape):
+  (a) columns q^-L..q^(n+L-1), L the sum of -e over the adds with e < 0 (the
+      rungs 1+v, 3+v, ... below 0, and |u| W for the shifts by q^u when
+      u < 0; 0 for u >= 0, v >= -1): nothing gets left of q^-L, or from
+      q^(n+L) or above below q^n;
   (b) the returned row is the z^0 row below q^n, the only part read;
-  (c) rows z^-W..z^W while the multiply rungs run, which move z both ways,
-      then z^-W..z^0 for the rungs of 1/(q^u z; q)_inf, which only raise
-      the z-power: no row above z^0 can reach z^0 again, and z-steps up to
-      W, so doubling passes 2^j <= W, reach it from every row kept.
+  (c) rows z^-W..z^W, as the multiply rungs move z both ways; Euler's sum
+      only raises z, so the Horner reads z^-W..z^0, the sum over k <= W.
 
-Exactness of the dense kernel: every rung adds nonnegative terms, so
+Exactness of the dense kernel: every rung and add sums nonnegative terms, so
 products.exact_run, shared with the Nahm sums, takes each z^0 coefficient
 from a float64 run (exact below 2^53) or an int64 run of the ladder, or
 reruns it on Python ints; its docstring holds the proof.
@@ -33,12 +35,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import ceil, isqrt
-from typing import Optional
 
 import numpy as np
 
 from .errors import WindowOverflow
-from .products import MAX_WINDOW, exact_run, pf, poch
+from .products import MAX_WINDOW, exact_run, pf, poch, rungs
 from .series import QSeries, Rat
 
 
@@ -50,56 +51,44 @@ def _ct_window(order: int) -> int:
     return w
 
 
-def _ct_shape(u_exp: int, v_exp: int, n: int, w_cap: int) -> tuple[int, int]:
-    """(rows, cols) of the ladder window: z^-W..z^W, and q^-(W+2)..q^(n+L-1)
-    with L the sum of -e over the adds with e < 0: the rungs 1+v, 3+v, ...
-    below 0, and each rung e < 0 of 1/(q^u z; q) times 1 + 2 + ... + 2^j,
-    the doubling passes 2^j <= W."""
-    reach = (sum(range(-1 - v_exp, 0, -2))
-             + sum(range(1, 1 - u_exp)) * ((1 << w_cap.bit_length()) - 1))
-    return 2 * w_cap + 1, n + w_cap + 2 + reach
+def _ct_shape(u_exp: int, v_exp: int, n: int, w_cap: int) -> tuple[int, int, int]:
+    """(rows, cols, L) of the window z^-W..z^W by q^-L..q^(n+L-1), L the sum
+    of -e over the adds with e < 0 (module docstring, part (a))."""
+    reach = sum(range(-1 - v_exp, 0, -2)) + max(-u_exp, 0) * w_cap
+    return 2 * w_cap + 1, n + 2 * reach, reach
 
 
 def _ladder(u_exp: int, v_exp: int, n: int, w_cap: int, dtype):
-    """The z^0 row of the integrand ladder below q^n, and the array adds.
-
-    Row i of the _ct_shape window holds z^(i-W), column k holds q^(k-W-2);
-    every add drops what it pushes out of the window.
-    """
-    rows, ncols = _ct_shape(u_exp, v_exp, n, w_cap)
+    """The z^0 row below q^n of the integrand ladder, and its adds; row i of
+    the _ct_shape window holds z^(i-W), column k holds q^(k-L)."""
+    rows, ncols, reach = _ct_shape(u_exp, v_exp, n, w_cap)
     arr = np.zeros((rows, ncols), dtype=dtype)
-    arr[w_cap, w_cap + 2] = 1
+    arr[w_cap, reach] = 1
     adds = 0
 
-    def add(dz: int, e: int):
-        """arr += z^dz q^e arr."""
+    def add(dst, src, e: int):
+        """dst += q^e src, dropping what leaves the window."""
         nonlocal adds
-        if abs(e) >= ncols:
-            return
-        dst, src = (arr[dz:], arr[:-dz]) if dz > 0 else (arr[:dz], arr[-dz:])
-        if e >= 0:
-            dst[:, e:] += src[:, :ncols - e]
-        else:
-            dst[:, :e] += src[:, -e:]
-        adds += 1
+        if abs(e) < ncols:
+            if e >= 0:
+                dst[..., e:] += src[..., :ncols - e]
+            else:
+                dst[..., :e] += src[..., -e:]
+            adds += 1
 
     # (-q z; q^2)_inf (-q / z; q^2)_inf (-q^(1+v) / z; q^2)_inf
     for dz, e0 in ((1, 1), (-1, 1), (-1, 1 + v_exp)):
+        dst, src = (arr[1:], arr[:-1]) if dz > 0 else (arr[:-1], arr[1:])
         for e in range(e0, ncols, 2):
-            add(dz, e)
-    # 1 / (q^u z; q)_inf, each rung as prod_j (1 + z^(2^j) q^(2^j e)), only
-    # raises the z-power, so it runs on the rows z^-W..z^0 alone
-    arr = arr[:w_cap + 1]
-    for e in range(u_exp, ncols):
-        s = 1
-        while s <= w_cap:
-            add(s, s * e)
-            s *= 2
-    return arr[w_cap, :n + w_cap + 2], adds
+            add(dst, src, e)
+    # 1 / (q^u z; q)_inf: for k = W..1, row z^-k / (1 - q^k) times q^u into z^-(k-1)
+    for k in range(w_cap, 0, -1):
+        adds += rungs(arr[w_cap - k], 1, k, k, -1, 0, 1)
+        add(arr[w_cap - k + 1], arr[w_cap - k], u_exp)
+    return arr[w_cap, :n + reach], adds
 
 
-def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
-                  window: Optional[int] = None) -> QSeries:
+def double_sum_ct(u_exp: int, v_exp: int, order: Rat) -> QSeries:
     """Constant term of (-q^(1+v)/z, -qz, -q/z, q^2; q^2)_inf / (q^u z; q)_inf.
 
     This is the product-form integrand whose z^0 coefficient equals the
@@ -108,13 +97,15 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat,
     """
     order = Fraction(order)
     n = ceil(order)
-    w_cap = window if window is not None else _ct_window(n)
-    rows, ncols = _ct_shape(u_exp, v_exp, n, w_cap)
+    if n <= 0:
+        return QSeries.zero(order)
+    w_cap = _ct_window(n)
+    rows, ncols, reach = _ct_shape(u_exp, v_exp, n, w_cap)
     if rows * ncols > MAX_WINDOW:
         raise ValueError(f"the constant term needs {rows} x {ncols} window "
                          f"slots, more than {MAX_WINDOW}")
     row = exact_run(partial(_ladder, u_exp, v_exp, n, w_cap))
-    if any(row[:w_cap + 2]):
+    if any(row[:reach]):
         raise WindowOverflow("constant term picked up negative exponents")
-    body = QSeries(dict(enumerate(row[w_cap + 2:])), 1, order)
+    body = QSeries(dict(enumerate(row[reach:])), 1, order)
     return body * poch(pf(1, 2, 2), order)

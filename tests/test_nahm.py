@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nahm_forge.errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
 from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
-from nahm_forge.products import exact_row, pf, poch_param, product
+from nahm_forge.products import exact_row, exact_run, pf, poch_param, product
 from nahm_forge import nahm, products
 from nahm_forge.nahm import (
     box_radius, dual_quadruple, enumerate_lattice, nahm_sum, nahm_sum_param,
@@ -481,7 +481,7 @@ def _runs(monkeypatch) -> list:
     (24, ["float64"]),                       # below 2^53 the float run is exact
     (26, ["float64", "int64"]),              # below 2^63 the residues are
     (45, ["float64", "int64"]),              # nearest in class past 2^63
-    (200, ["float64", "int64", "object"]),   # past what the shadow can place
+    (200, ["float64", "object"]),            # past what the shadow can place
 ])
 def test_each_exact_path_matches_product_times_naive_body(monkeypatch, order, runs):
     # below the order, 1/(q; q)_order^24 streamed as a ladder of the sum is ETA24
@@ -532,6 +532,23 @@ def test_exact_row_signed_bound():
     assert exact_row(residues, np.array([above, 5.0]), adds) is not None
 
 
+def test_unplaceable_shadow_skips_the_int64_run():
+    # a signed run past 2^63: the shadow shows exact_row cannot place its
+    # residues, so the int64 run is not made
+    seen = []
+
+    def run(dtype):
+        seen.append(np.dtype(dtype).name)
+        arr = np.ones(2, dtype)
+        for _ in range(70):
+            arr += arr
+        arr[0] -= 3
+        return arr, 70
+
+    assert exact_run(run, nonneg=False) == [2 ** 70 - 3, 2 ** 70]
+    assert seen == ["float64", "object"]
+
+
 # -- parameters ----------------------------------------------------------------
 
 def test_param_sum_cao_wang():
@@ -556,6 +573,15 @@ def test_param_degree_zero_slice():
     p = nahm_sum_param(quad, 12, 25, (1, 2))
     # u-degree 0 means n = (0, 0): the constant series 1
     assert p.rows[0].coeffs == {0: 1}
+
+
+@pytest.mark.parametrize("order", [10, 0])
+def test_negative_degree_cap_refused(order):
+    quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
+    with pytest.raises(ValueError, match="u-degree cap must be nonnegative, not -1"):
+        poch_param(1, 1, 1, 2, order, -1)
+    with pytest.raises(ValueError, match="u-degree cap must be nonnegative, not -1"):
+        nahm_sum_param(quad, order, -1, (1, 2))
 
 
 # -- duality -------------------------------------------------------------------

@@ -8,7 +8,7 @@ from nahm_forge.errors import WindowOverflow
 from nahm_forge.series import eq_to_order
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge.products import exact_row, exact_run
-from nahm_forge.zlaurent import _ct_window, _ladder, double_sum_ct
+from nahm_forge.zlaurent import _ct_shape, _ct_window, _ladder, double_sum_ct
 
 
 CASES = [(0, 0, (0, 0)), (-1, 2, (-1, 2)), (1, 0, (1, 0))]
@@ -19,15 +19,18 @@ def direct_sum(b, order):
 
 
 def full_width_ladder(u_exp, v_exp, n, w_cap, dtype):
-    """The ladder on the full (2W+1) x (n+3W+6) window, every rung on every
-    row, and its whole z^0 row: the reference for _ladder's cut window."""
-    rows, ncols = 2 * w_cap + 1, n + 3 * w_cap + 6
+    """The ladder on the full window, every rung on every row and each rung
+    of 1/(q^u z; q)_inf as doubling passes prod_j (1 + z^(2^j) q^(2^j e)),
+    2^j <= 2W, and its whole z^0 row: the reference for _ladder's Horner
+    scheme on its cut window, and M.  Column k holds q^(k-M), with M the sum
+    of -e over every add with e < 0, so nothing drops on the left."""
+    rows, passes = 2 * w_cap + 1, [1 << j for j in range((2 * w_cap).bit_length())]
+    reach = sum(range(-1 - v_exp, 0, -2)) + sum(range(1, 1 - u_exp)) * sum(passes)
+    ncols = n + 2 * reach
     arr = np.zeros((rows, ncols), dtype=dtype)
-    arr[w_cap, w_cap + 2] = 1
-    adds = 0
+    arr[w_cap, reach] = 1
 
     def add(dz, e):
-        nonlocal adds
         if abs(e) >= ncols:
             return
         dst, src = (arr[dz:], arr[:-dz]) if dz > 0 else (arr[:dz], arr[-dz:])
@@ -35,17 +38,14 @@ def full_width_ladder(u_exp, v_exp, n, w_cap, dtype):
             dst[:, e:] += src[:, :ncols - e]
         else:
             dst[:, :e] += src[:, -e:]
-        adds += 1
 
     for dz, e0 in ((1, 1), (-1, 1), (-1, 1 + v_exp)):
         for e in range(e0, ncols, 2):
             add(dz, e)
     for e in range(u_exp, ncols):
-        s = 1
-        while s < rows:
+        for s in passes:
             add(s, s * e)
-            s *= 2
-    return arr[w_cap], adds
+    return arr[w_cap], reach
 
 
 @pytest.mark.parametrize("order", [1, 5, 30, 60, 200, 300])
@@ -53,15 +53,41 @@ def test_cut_window_matches_full_width_ladder(order):
     # every (u, v) with u in -1..4 and u + v >= -2, so the WindowOverflow
     # domain edge is in; the small windows at the small orders only, where
     # they are cheap.  The int64 runs are exact mod 2^64 and both add the
-    # same terms into the kept columns q^-(W+2)..q^(n-1)
+    # same terms into the kept columns q^-L..q^(n-1), and the oracle's z^0
+    # row holds nothing further left
     for u in range(-1, 5):
         for v in range(-2 - u, 5):
             for window in (None, 6, 12) if order <= 60 else (None,):
                 w = _ct_window(order) if window is None else window
+                reach = _ct_shape(u, v, order, w)[2]
                 row, _ = _ladder(u, v, order, w, np.int64)
-                full, _ = full_width_ladder(u, v, order, w, np.int64)
-                assert len(row) == order + w + 2
-                assert row.tolist() == full[:len(row)].tolist(), (u, v, window)
+                full, left = full_width_ladder(u, v, order, w, np.int64)
+                assert len(row) == order + reach
+                assert row.tolist() == full[left - reach:left + order].tolist(), \
+                    (u, v, window)
+                assert not full[:left - reach].any(), (u, v, window)
+
+
+def test_horner_divides_once_per_row_with_no_negative_columns(monkeypatch):
+    # 1/(q^u z; q)_inf is W divisions by rungs, one per row z^-W..z^-1, and
+    # on u >= 0, v >= -1 the window starts at q^0
+    powers = []
+
+    def spy(arr, sign, a, m, power, *args):
+        powers.append(power)
+        return products.rungs(arr, sign, a, m, power, *args)
+
+    monkeypatch.setattr(zlaurent, "rungs", spy)
+    w = _ct_window(60)
+    for u, v in [(0, -1), (3, 2), (-1, 2), (1, -2)]:
+        for dtype in (np.float64, np.int64, object):
+            powers.clear()
+            _ladder(u, v, 60, w, dtype)
+            assert powers == [-1] * w, (u, v, dtype)
+    assert _ct_shape(-1, 2, 60, w)[2] == w and _ct_shape(1, -2, 60, w)[2] == 1
+    for u in range(5):
+        for v in range(-1, 5):
+            assert _ct_shape(u, v, 60, w) == (2 * w + 1, 60, 0), (u, v)
 
 
 def test_ct_box_runs_float64_only_at_order_200(monkeypatch):
@@ -88,9 +114,20 @@ def test_ct_matches_nahm_sum(u, v, b):
 
 @pytest.mark.parametrize("u,v,b", CASES)
 def test_window_doubling_is_stable(u, v, b):
-    base = double_sum_ct(u, v, 40)
-    wide = double_sum_ct(u, v, 40, window=2 * 18)
-    assert eq_to_order(base, wide, 40) is None
+    # the z^0 row below q^40 is the same at W = 36, about twice _ct_window(40)
+    rows = []
+    for w in (_ct_window(40), 36):
+        reach = _ct_shape(u, v, 40, w)[2]
+        row = exact_run(partial(_ladder, u, v, 40, w))
+        assert not any(row[:reach])
+        rows.append(row[reach:])
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_nonpositive_order_is_the_empty_series(order):
+    ct = double_sum_ct(0, 0, order)
+    assert ct == direct_sum((0, 0), order) and not ct.coeffs
 
 
 @pytest.mark.parametrize("u,v", [(0, -1), (-1, 2)])
@@ -150,14 +187,16 @@ def test_window_overflow_outside_domain(u, v):
 
 
 def test_oversized_window_refused_before_allocation(monkeypatch):
-    # order 31,944 is the first whose (2W+1) x (n+W+2) window passes the cap
-    with pytest.raises(ValueError, match="521 x 32206 window slots"):
-        double_sum_ct(0, 0, 31944)
-    # at order 20 the window is 39 x 41 = 1599 slots, at 21 it is 39 x 42
-    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 1599)
+    # order 32,198 is the first whose (2W+1) x (n+2L) window passes the cap:
+    # at 32,197 it is 521 x 32197 = 16,774,637 slots
+    assert _ct_shape(0, 0, 32197, _ct_window(32197)) == (521, 32197, 0)
+    monkeypatch.setattr(zlaurent, "_ladder", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match="523 x 32198 window slots"):
+        double_sum_ct(0, 0, 32198)
+    # at order 20 the window is 39 x 20 = 780 slots, at 21 it is 39 x 21
+    monkeypatch.undo()
+    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 780)
     assert eq_to_order(double_sum_ct(0, 0, 20), direct_sum((0, 0), 20), 20) is None
     monkeypatch.setattr(zlaurent, "_ladder", lambda *args: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match="39 x 42 window slots"):
+    with pytest.raises(ValueError, match="39 x 21 window slots"):
         double_sum_ct(0, 0, 21)
-    with pytest.raises(ValueError, match="window slots"):
-        double_sum_ct(0, 0, 20, window=20)
