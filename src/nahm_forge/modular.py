@@ -1,5 +1,5 @@
-"""Complex-numeric evaluation of eta, the Weber functions, theta series, and
-the two six-component vectors built from parity-restricted double sums, plus
+"""Complex-numeric evaluation of q-Pochhammer ladders, theta series, and the
+two six-component vectors built from parity-restricted double sums, plus
 verification of their modular transformation laws.
 
 Every fractional power of the nome is computed directly from tau as
@@ -233,19 +233,6 @@ def _one_den(*coeffs: Fraction) -> tuple[int, ...]:
     return (*(int(c * den) for c in coeffs), den)
 
 
-_PLAIN = (1, 1, 1, 1)
-_ALTERNATING = (1, -1, 1, -1)
-
-
-@lru_cache(maxsize=256)
-def _theta_quad(j: Rat, m: Rat) -> tuple[int, int, int, int]:
-    """m (n + j/2m)^2 = m n^2 + j n + j^2/4m over one denominator."""
-    j, m = Fraction(j), Fraction(m)
-    if m <= 0:
-        raise ValueError(f"theta series need m > 0, got {m}")
-    return _one_den(m, j, j * j / (4 * m))
-
-
 @lru_cache(maxsize=256)
 def _triple_form(m: Rat, zexp: Rat, base_sign: int, z_sign: int) -> tuple:
     """(quad, signs) for m n(n-1)/2 + zexp n = (m/2) n^2 + (zexp - m/2) n and
@@ -260,53 +247,6 @@ def _theta_triple(tau: complex, m: Rat, zexp: Rat, base_sign: int,
     """Bilateral sum over n of (-1)^n base_sign^C(n,2) z_sign^n q^(m n(n-1)/2 + zexp n)."""
     quad, signs = _triple_form(m, zexp, base_sign, z_sign)
     return _theta_series(tau, quad, signs, eps)
-
-
-def _theta_sum(tau: complex, j: Rat, m: Rat, eps: float,
-               alternating: bool) -> tuple[complex, float]:
-    """Sum over k of q^(m (k + j/2m)^2), with sign (-1)^k if alternating."""
-    return _theta_series(tau, _theta_quad(j, m),
-                         _ALTERNATING if alternating else _PLAIN, eps)
-
-
-def eval_h(j: Rat, m: Rat, tau: complex, eps: float = 1e-16) -> complex:
-    """h_(j,m): sum over k of q^(m (k + j/2m)^2)."""
-    _check_eps(eps)
-    return _theta_sum(_check_tau(tau), j, m, eps, alternating=False)[0]
-
-
-def eval_g(j: Rat, m: Rat, tau: complex, eps: float = 1e-16) -> complex:
-    """g_(j,m): the alternating-sign companion of h_(j,m)."""
-    _check_eps(eps)
-    return _theta_sum(_check_tau(tau), j, m, eps, alternating=True)[0]
-
-
-def _scaled_ladder(tau: complex, eps: float, pre: float, sign: int,
-                   a: float) -> complex:
-    """q^pre prod_k (1 - sign q^(a+k))."""
-    tau = _check_tau(tau)
-    _check_eps(eps)
-    return qpow(tau, pre) * _ladder(tau, sign, a, 1, eps)[0]
-
-
-def eval_eta(tau: complex, eps: float = 1e-16) -> complex:
-    """q^(1/24) (q; q)_inf."""
-    return _scaled_ladder(tau, eps, 1 / 24, 1, 1)
-
-
-def eval_weber_f(tau: complex, eps: float = 1e-16) -> complex:
-    """q^(-1/48) (-q^(1/2); q)_inf."""
-    return _scaled_ladder(tau, eps, -1 / 48, -1, 0.5)
-
-
-def eval_weber_f1(tau: complex, eps: float = 1e-16) -> complex:
-    """q^(-1/48) (q^(1/2); q)_inf."""
-    return _scaled_ladder(tau, eps, -1 / 48, 1, 0.5)
-
-
-def eval_weber_f2(tau: complex, eps: float = 1e-16) -> complex:
-    """q^(1/24) (-q; q)_inf."""
-    return _scaled_ladder(tau, eps, 1 / 24, -1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Everything here is deliberately naive and self-contained: partition counting
 by recursion, series arithmetic by dictionary convolution over Fractions,
 products by literal factor multiplication.  None of it shares code with the
-package under test.
+package under test, except the last section: eta, the Weber functions and the
+theta functions h and g as thin wrappers over modular's numeric kernels, so
+that the tests check those kernels against the modular laws.
 """
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
+
+from nahm_forge.modular import (_check_eps, _check_tau, _ladder, _one_den,
+                                _theta_series, qpow)
 
 
 def partitions_from_parts(n: int, parts: tuple) -> int:
@@ -339,3 +344,65 @@ def ladder_naive(tau: complex, sign: int, a, m, factors: int = 1000) -> tuple:
         value *= 1 - sign * x
         size *= 1 + abs(x)
     return value, size
+
+
+# -- eta, Weber and theta functions on modular's numeric kernels ------------
+
+_PLAIN = (1, 1, 1, 1)
+_ALTERNATING = (1, -1, 1, -1)
+
+
+@lru_cache(maxsize=256)
+def _theta_quad(j, m) -> tuple:
+    """m (n + j/2m)^2 = m n^2 + j n + j^2/4m over one denominator."""
+    j, m = Fraction(j), Fraction(m)
+    if m <= 0:
+        raise ValueError(f"theta series need m > 0, got {m}")
+    return _one_den(m, j, j * j / (4 * m))
+
+
+def theta_sum(tau: complex, j, m, eps: float, alternating: bool) -> tuple:
+    """Sum over k of q^(m (k + j/2m)^2), with sign (-1)^k if alternating, and
+    its cutoff error, from modular._theta_series."""
+    return _theta_series(tau, _theta_quad(j, m),
+                         _ALTERNATING if alternating else _PLAIN, eps)
+
+
+def eval_h(j, m, tau: complex, eps: float = 1e-16) -> complex:
+    """h_(j,m): sum over k of q^(m (k + j/2m)^2)."""
+    _check_eps(eps)
+    return theta_sum(_check_tau(tau), j, m, eps, alternating=False)[0]
+
+
+def eval_g(j, m, tau: complex, eps: float = 1e-16) -> complex:
+    """g_(j,m): the alternating-sign companion of h_(j,m)."""
+    _check_eps(eps)
+    return theta_sum(_check_tau(tau), j, m, eps, alternating=True)[0]
+
+
+def _scaled_ladder(tau: complex, eps: float, pre: float, sign: int,
+                   a: float) -> complex:
+    """q^pre prod_k (1 - sign q^(a+k)), from modular._ladder."""
+    tau = _check_tau(tau)
+    _check_eps(eps)
+    return qpow(tau, pre) * _ladder(tau, sign, a, 1, eps)[0]
+
+
+def eval_eta(tau: complex, eps: float = 1e-16) -> complex:
+    """q^(1/24) (q; q)_inf."""
+    return _scaled_ladder(tau, eps, 1 / 24, 1, 1)
+
+
+def eval_weber_f(tau: complex, eps: float = 1e-16) -> complex:
+    """q^(-1/48) (-q^(1/2); q)_inf."""
+    return _scaled_ladder(tau, eps, -1 / 48, -1, 0.5)
+
+
+def eval_weber_f1(tau: complex, eps: float = 1e-16) -> complex:
+    """q^(-1/48) (q^(1/2); q)_inf."""
+    return _scaled_ladder(tau, eps, -1 / 48, 1, 0.5)
+
+
+def eval_weber_f2(tau: complex, eps: float = 1e-16) -> complex:
+    """q^(1/24) (-q; q)_inf."""
+    return _scaled_ladder(tau, eps, 1 / 24, -1, 1)

@@ -11,7 +11,9 @@ from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import J, pf, poch, product, jacobi_triple
 from nahm_forge import modular as M
 
-from _oracles import ladder_naive, theta_naive, triple_naive
+from _oracles import (eval_eta, eval_g, eval_h, eval_weber_f, eval_weber_f1,
+                      eval_weber_f2, ladder_naive, theta_naive, theta_sum,
+                      triple_naive)
 
 
 def test_alpha_values():
@@ -38,36 +40,36 @@ def test_translation_diag_squares_to_published_block():
 
 def test_eta_inversion_law():
     for tau in (1j, 1 + 2j):
-        lhs = M.eval_eta(-1 / tau)
-        rhs = cmath.sqrt(-1j * tau) * M.eval_eta(tau)
+        lhs = eval_eta(-1 / tau)
+        rhs = cmath.sqrt(-1j * tau) * eval_eta(tau)
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_eta_translation_law():
     tau = 0.3 + 0.8j
-    assert abs(M.eval_eta(tau + 1) - cmath.exp(1j * cmath.pi / 12) * M.eval_eta(tau)) < 1e-12
+    assert abs(eval_eta(tau + 1) - cmath.exp(1j * cmath.pi / 12) * eval_eta(tau)) < 1e-12
 
 
 def test_weber_inversion_laws():
     tau = 2j
-    assert abs(M.eval_weber_f(-1 / tau) - M.eval_weber_f(tau)) < 1e-10
-    assert abs(M.eval_weber_f1(-1 / tau) - math.sqrt(2) * M.eval_weber_f2(tau)) < 1e-10
-    assert abs(M.eval_weber_f2(-1 / tau) - M.eval_weber_f1(tau) / math.sqrt(2)) < 1e-10
+    assert abs(eval_weber_f(-1 / tau) - eval_weber_f(tau)) < 1e-10
+    assert abs(eval_weber_f1(-1 / tau) - math.sqrt(2) * eval_weber_f2(tau)) < 1e-10
+    assert abs(eval_weber_f2(-1 / tau) - eval_weber_f1(tau) / math.sqrt(2)) < 1e-10
 
 
 def test_weber_translation_laws():
     tau = 1j
     e = cmath.exp(-1j * cmath.pi / 24)
-    assert abs(M.eval_weber_f(tau + 1) - e * M.eval_weber_f1(tau)) < 1e-10
-    assert abs(M.eval_weber_f1(tau + 1) - e * M.eval_weber_f(tau)) < 1e-10
-    assert abs(M.eval_weber_f2(tau + 1) -
-               cmath.exp(1j * cmath.pi / 12) * M.eval_weber_f2(tau)) < 1e-10
+    assert abs(eval_weber_f(tau + 1) - e * eval_weber_f1(tau)) < 1e-10
+    assert abs(eval_weber_f1(tau + 1) - e * eval_weber_f(tau)) < 1e-10
+    assert abs(eval_weber_f2(tau + 1) -
+               cmath.exp(1j * cmath.pi / 12) * eval_weber_f2(tau)) < 1e-10
 
 
 def test_theta_g_h_relation():
     tau = 2j
-    lhs = M.eval_g(1, 7, tau)
-    rhs = M.eval_h(2, 28, tau) - M.eval_h(26, 28, tau)
+    lhs = eval_g(1, 7, tau)
+    rhs = eval_h(2, 28, tau) - eval_h(26, 28, tau)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -77,10 +79,10 @@ def test_theta_symmetries_random():
         j = rng.randint(1, 9)
         m = F(rng.randint(2, 9), rng.choice([1, 2]))
         tau = rng.uniform(-0.4, 0.4) + 1j * rng.uniform(0.6, 1.4)
-        assert abs(M.eval_h(j, m, tau) - M.eval_h(-j, m, tau)) < 1e-12
-        assert abs(M.eval_h(j, m, tau) - M.eval_h(2 * m + j, m, tau)) < 1e-12
-        assert abs(M.eval_h(j, m, 2 * tau) - M.eval_h(2 * j, 2 * m, tau)) < 1e-12
-        assert abs(M.eval_g(j, m, 2 * tau) - M.eval_g(2 * j, 2 * m, tau)) < 1e-12
+        assert abs(eval_h(j, m, tau) - eval_h(-j, m, tau)) < 1e-12
+        assert abs(eval_h(j, m, tau) - eval_h(2 * m + j, m, tau)) < 1e-12
+        assert abs(eval_h(j, m, 2 * tau) - eval_h(2 * j, 2 * m, tau)) < 1e-12
+        assert abs(eval_g(j, m, 2 * tau) - eval_g(2 * j, 2 * m, tau)) < 1e-12
 
 
 def test_eval_series_constant():
@@ -160,11 +162,11 @@ V_WEBER_FORMS = ((1, 1, 2), (1, 3, 2), (1, 5, 2), (2, 5, 0.5), (2, 1, 0.5), (2, 
 
 
 def test_v_products_match_weber_closed_forms():
-    weber = {1: M.eval_weber_f1, 2: M.eval_weber_f2}
+    weber = {1: eval_weber_f1, 2: eval_weber_f2}
     for tau in M.TAU_DEFAULT:
         vals, _ = M._eval_products("v", tau, 1e-16)
         for idx, (w, j, sc) in enumerate(V_WEBER_FORMS):
-            want = weber[w](2 * tau) * M.eval_g(j, 7, sc * tau) / M.eval_eta(2 * tau)
+            want = weber[w](2 * tau) * eval_g(j, 7, sc * tau) / eval_eta(2 * tau)
             assert abs(vals[idx] - want) < 1e-12, (tau, idx)
 
 
@@ -236,7 +238,7 @@ def _close(got, err, want, size):
 def test_numeric_terms_match_naive_oracles(tau):
     for eps in (1e-15, 1e-17):
         for j, m, alternating in THETA_CASES:
-            got, err = M._theta_sum(tau, j, m, eps, alternating)
+            got, err = theta_sum(tau, j, m, eps, alternating)
             assert _close(got, err, *theta_naive(tau, j, m, alternating)), (j, m)
         for case in TRIPLE_CASES:
             got, err = M._theta_triple(tau, *case, eps)
@@ -258,9 +260,9 @@ def test_eval_series_rejects_large_nome():
 
 
 @pytest.mark.parametrize("call", [
-    lambda eps: M.eval_h(1, 7, 1j, eps=eps),
-    lambda eps: M.eval_g(1, 7, 1j, eps=eps),
-    lambda eps: M.eval_eta(1j, eps=eps),
+    lambda eps: eval_h(1, 7, 1j, eps=eps),
+    lambda eps: eval_g(1, 7, 1j, eps=eps),
+    lambda eps: eval_eta(1j, eps=eps),
     lambda eps: M.eval_U(1j, eps=eps),
     lambda eps: M.check_transformation("conj1.1", 1j, eps=eps),
 ])
@@ -276,7 +278,7 @@ def test_rejects_nonfinite_tau():
         with pytest.raises(ValueError):
             M.check_transformation("conj1.1", tau)
         with pytest.raises(ValueError):
-            M.eval_eta(tau)
+            eval_eta(tau)
 
 
 def test_check_transformation_rejects_nonfinite_tol():
@@ -291,4 +293,4 @@ def test_theta_rejects_nonpositive_m():
     # OverflowError from deep inside the term loop
     for m in (0, -1, F(-1, 2)):
         with pytest.raises(ValueError):
-            M.eval_h(1, m, 1j)
+            eval_h(1, m, 1j)
