@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .candidates import family
 from .errors import TailTooLarge
 from .nahm import nahm_sum, quadruple
 from .series import QSeries, Rat
@@ -307,7 +308,7 @@ def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
 # the six-component vectors
 # ---------------------------------------------------------------------------
 
-_BASE_QUAD = ((1, Fraction(1, 2)), (1, 1))
+_BASE_QUAD = family(3).A
 _COMPONENT_DATA = (
     # (sigma, b, prefactor exponent)
     (0, (0, 0), Fraction(-3, 56)),

@@ -51,10 +51,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import MAX_WINDOW, exact_run, pf, rungs
+from .products import _check_window, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
+_check_sum = partial(_check_window, "the sum needs")
 
 
 def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -237,10 +238,10 @@ def _completed_squares(m: list, b: Sequence):
             [[int(x * P[k]) for x in L[k]] for k in range(r)])
 
 
-def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None):
-    """Yield (prefix, x, S') for every prefix n_0..n_(r-2) with points below
-    order - c, in lexicographic order: its last coordinates x, ascending,
-    and S' = W E(n) for them, as arrays (see the module docstring)."""
+def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None, window=False):
+    """Yield (prefix, x, S') per prefix n_0..n_(r-2) with points below order - c,
+    lexicographically: its last coordinates x, ascending, and their S' = W E(n),
+    as arrays (module docstring); with window, also refuse a row past a sum's."""
     order = _frac(order)
     r = quad.rank
     check_parity_mask(mask, r)
@@ -260,8 +261,15 @@ def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None):
             lo += 1
         xs = range(lo, (R - u) // pk + 1, 1 if p is None else 2)
         if k + 1 == r:
-            if xs:              # L distinct y put S' + H y^2 on >= L/2 slots
-                _check_window(1, 1, ((xs[-1] - xs[0]) // xs.step + 2) // 2)
+            if xs:  # refused unbuilt: L distinct y put S' on >= L/2 slots, and in the
+                # window, with S' = a, b at the ends and c nearest the vertex y = 0 (c <=
+                # max(a, b) by convexity), keys span >= (max(a, b) - c) // gcd(W, a, b, c) + 1
+                _check_sum(1, 1, (len(xs) + 1) // 2)
+                if window:
+                    y0, y1 = pk * lo + u, pk * xs[-1] + u
+                    yv = y0 + pk * xs.step * min(max(0, -y0 // (pk * xs.step)), len(xs) - 1)
+                    a, b, c = s + hk * y0 * y0, s + hk * y1 * y1, s + hk * yv * yv
+                    _check_sum(1, 1, (max(a, b) - c) // gcd(W, a, b, c) + 1)
                 x = np.arange(xs.start, xs.stop, xs.step, dtype=ints)
                 y = pk * x + u
                 yield tuple(n[:-1]), x, s + hk * y * y
@@ -289,12 +297,6 @@ def enumerate_lattice(quad: NahmQuadruple, order: Rat,
 def _denominators(quad: NahmQuadruple) -> list:
     """The factors of 1/prod_k (q^{d_k}; q^{d_k})_{n_k}."""
     return [[pf(1, d, d, 0, -1, 1)] for d in quad.d]
-
-
-def _check_window(*sizes: int):
-    if prod(sizes) > MAX_WINDOW:
-        raise ValueError(f"the sum needs {' x '.join(map(str, sizes))} window "
-                         f"slots, more than {MAX_WINDOW}")
 
 
 def _levels(kept, rank: int) -> list:
@@ -359,10 +361,10 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     bound, r = order - quad.c, quad.rank
     check_parity_mask(mask, r)
     W, rows = quad._squares[0], []
-    _check_window(1, 1, ceil(bound))    # n = 0 opens the first row: refused unlisted
-    for row in _rows(quad, order):
+    _check_sum(1, 1, ceil(bound))    # n = 0 opens the first row: refused unlisted
+    for row in _rows(quad, order, None, True):
         rows.append(row)
-        _check_window(len(rows), 1, ceil(bound))
+        _check_sum(len(rows), 1, ceil(bound))
     if not rows:
         return [QSeries({}, quad.c.denominator, order) for _ in range(cap + 1)]
     prefixes, xs, ss = zip(*rows)
@@ -381,7 +383,7 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
         keep &= True if p is None else kept[:, i] % 2 == p
     kept = kept[keep]
     shape = (1 + int(kept[:, r].max(initial=0)), slots)
-    _check_window(len(rows), *shape)
+    _check_sum(len(rows), *shape)
     kept[:, -1] = keys[keep] - lo       # below slots, so int64 even past 2^62
     plan = _levels(kept, r)
     nonneg = all(f.sign * f.power < 0 for fs in factors for f in fs)

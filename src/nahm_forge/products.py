@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isfinite, lcm
+from math import ceil, gcd, isfinite, lcm, prod
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,14 @@ from .errors import Divergent
 from .series import ParamSeries, QSeries, Rat, _coeff, _frac
 
 MAX_WINDOW = 2 ** 24  # most dense slots, over all rows, that a sum or product may hold
+
+
+def _check_window(lead: str, *sizes: int):
+    """ValueError if a window of these sizes holds more than MAX_WINDOW
+    slots; lead opens the message, e.g. "the product needs"."""
+    if prod(sizes) > MAX_WINDOW:
+        raise ValueError(f"{lead} {' x '.join(map(str, sizes))} window slots, "
+                         f"more than {MAX_WINDOW}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +215,7 @@ def _window(factors, order: Fraction, start: Optional[QSeries] = None) -> tuple:
         ladders.append((s, a, m, p, k, f.length))
     g = gcd(*(x for ladder in ladders for x in ladder[1:3]), *(k - low for k in terms)) or 1
     n = max(-((shift - ceil(order * den)) // g), 0)
-    if n > MAX_WINDOW:
-        raise ValueError(f"the product needs {n} window slots, more than {MAX_WINDOW}")
+    _check_window("the product needs", n)
     # powers[e], plus[e]: of 1 - q^e and of 1 + q^e; groups: M -> r -> power
     powers, plus, groups = np.zeros(n, object), np.zeros(n, object), {}
     for s, a, m, p, k, length in ladders:
@@ -318,8 +325,7 @@ def _combine(parts, order: Fraction) -> tuple:
     g = gcd(*(k - low for k in starts), *(w[2] * den // w[0] for _, _, w, _ in parts),
             *(int(x * den) for x in keys)) or 1
     n = max(-((low - ceil(order * den)) // g), 0)
-    if n > MAX_WINDOW:
-        raise ValueError(f"the terms need {n} window slots, more than {MAX_WINDOW}")
+    _check_window("the terms need", n)
     total = np.zeros(n, object)
     for (coeff, _, (d0, _, g0, values), d), start in zip(parts, starts):
         arr = np.zeros(n, object)

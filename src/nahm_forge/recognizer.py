@@ -44,14 +44,8 @@ class ExponentProfile:
         """Eventual a-value for each residue class 1..period (period class last)."""
         if self.period is None:
             return None
-        p = self.period
-        table = [0] * p
-        for r in range(1, p + 1):
-            n = len(self.a)
-            while n >= 1 and (n - r) % p != 0:
-                n -= 1
-            table[r - 1] = self.a[n - 1]
-        return table
+        a, p = self.a, self.period    # a[n - 1], n the last scanned n = r mod p
+        return [a[len(a) - 1 - (len(a) - r) % p] for r in range(1, p + 1)]
 
     def rebuild(self, order: Rat) -> QSeries:
         """Reconstruct the series (in the peeled variable) from the profile.

@@ -10,9 +10,10 @@ Records fall into a few structural families:
 * the closed product forms of the six parity-restricted vector components.
 
 Most sides are described by small data objects (NahmSide / SingleSum /
-ComboSide) interpreted by generic builders; the test suite recomputes those
-with an independent naive evaluator.  Irregular sides (parameter identities,
-the vector components' left sides) are plain constructor closures.  Conjectural entries can never report better than
+ComboSide, and ParamNahmSide / ParamProdSide with the parameter) interpreted
+by generic builders; the test suite recomputes those with an independent
+naive evaluator.  Only the vector components' left sides are constructor
+closures.  Conjectural entries can never report better than
 "conjecture_pass" no matter how far they are checked.
 """
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Callable, Optional
 
+from .candidates import FAMILIES
 from .errors import UnknownId
 from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
 from .products import (
@@ -129,6 +131,40 @@ def _single_window(spec: Optional[SingleSum], order: Fraction, factors=()) -> tu
     return _window((*factors, *(f for f in spec.factors if f.length is None)), order, body)
 
 
+@dataclass(frozen=True)
+class ParamNahmSide:
+    """The Nahm sum of quad carrying u^(weights . n), its u^k row times sign^k."""
+    quad: NahmQuadruple
+    weights: tuple
+    sign: int = 1
+
+    def build(self, order: Rat, deg: int) -> ParamSeries:
+        p = nahm_sum_param(self.quad, order, deg, self.weights)
+        if self.sign == 1:
+            return p
+        return ParamSeries([row.scale(self.sign ** k) for k, row in enumerate(p.rows)])
+
+
+@dataclass(frozen=True)
+class ParamProdSide:
+    """(sign u q^a; q^m)_inf times the fixed product of the PochFactors
+    factors, times the polynomial in u whose u^k row is the Laurent
+    polynomial poly[k] in q (exponent -> coefficient), if poly is given."""
+    sign: int
+    a: Rat
+    m: Rat
+    factors: tuple = ()
+    poly: tuple = ()
+
+    def build(self, order: Rat, deg: int) -> ParamSeries:
+        if not self.poly:
+            return poch_param(self.sign, 1, self.a, self.m, order, deg, self.factors)
+        # built past order by the least exponent of poly, the product is exact below order
+        order = _frac(order) - min(min(row) for row in self.poly)
+        return (ParamSeries.polynomial([QSeries(row, 1, order) for row in self.poly], deg)
+                * poch_param(self.sign, 1, self.a, self.m, order, deg, self.factors))
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -173,8 +209,8 @@ def _rec(rid, status, lhs_data, rhs_data, anchor, note="") -> IdentityRecord:
                           (), lhs_data, rhs_data, note)
 
 
-def _prec(rid, status, lhs, rhs, anchor, params, note="") -> IdentityRecord:
-    return IdentityRecord(rid, status, lhs, rhs, anchor, params, None, None, note)
+def _prec(rid, status, lhs, rhs, anchor) -> IdentityRecord:
+    return IdentityRecord(rid, status, lhs.build, rhs.build, anchor, ("u",))
 
 
 def _nahm(A, b, d, mask=None) -> NahmSide:
@@ -187,65 +223,6 @@ def _prods(*factors) -> ComboSide:
 
 def _eta(exps: dict) -> ComboSide:
     return combo((1, 0, eta_factors(exps)))
-
-
-# -- parameter-carrying constructors ----------------------------------------
-
-def _lebesgue_lhs(order, deg):
-    """sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n.  By the q-binomial theorem
-    (Andrews, The Theory of Partitions, Thm 3.3), (u;q)_n/(q;q)_n is the sum
-    over j + k = n of (-u)^k q^(k(k-1)/2)/((q;q)_j (q;q)_k), so this is the
-    rank-two Nahm sum of (-u)^k q^(j^2/2 + jk + k^2 + j/2)/((q;q)_j (q;q)_k)
-    over (j, k)."""
-    quad = quadruple([[1, 1], [1, 2]], [F(1, 2), 0], 0, [1, 1])
-    p = nahm_sum_param(quad, order, deg, (0, 1))
-    return ParamSeries([row.scale((-1) ** k) for k, row in enumerate(p.rows)])
-
-
-def _lebesgue_rhs(order, deg):
-    return poch_param(1, 1, 1, 2, order, deg, factors=(pf(-1, 1, 1),))
-
-
-def _cao_wang_lhs(order, deg):
-    quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
-    return nahm_sum_param(quad, order, deg, (1, 2))
-
-
-def _cao_wang_rhs(order, deg):
-    return poch_param(-1, 1, 0, 1, order, deg)
-
-
-def _li_wang_lhs(order, deg):
-    quad = quadruple([[1, F(-1, 2)], [-1, 1]], [-1, 0], 0, [2, 4])
-    return nahm_sum_param(quad, order, deg, (0, 1))
-
-
-def _li_wang_rhs(order, deg):
-    return poch_param(-1, 1, 0, 2, order, deg, factors=(pf(-1, 0, 2),))
-
-
-def _new_exam1_lhs(order, deg):
-    quad = quadruple([[2, 1], [2, 2]], [-3, 0], 0, [2, 4])
-    return nahm_sum_param(quad, order, deg, (1, 2))
-
-
-def _new_exam1_rhs(order, deg):
-    order = _frac(order) + 1
-    tri = ParamSeries.polynomial(        # 1 + u*q + u*q^-1
-        [QSeries.one(order), QSeries({-1: 1, 1: 1}, 1, order)], deg)
-    return tri * poch_param(-1, 1, 3, 2, order, deg)
-
-
-def _new_exam2_lhs(order, deg):
-    quad = quadruple([[1, F(-1, 2)], [-1, 1]], [-3, 3], 0, [2, 4])
-    return nahm_sum_param(quad, order, deg, (0, 1))
-
-
-def _new_exam2_rhs(order, deg):
-    order = _frac(order)
-    tri = ParamSeries.polynomial(        # 2*q^-2 * (1 + u*q + q^2)
-        [QSeries({-2: 2, 0: 2}, 1, order), QSeries({-1: 2}, 1, order)], deg)
-    return tri * poch_param(-1, 1, 3, 2, order + 2, deg, factors=(pf(-1, 2, 2),))
 
 
 def _triple_factors(m, zexp, base_sign, z_sign) -> tuple:
@@ -279,17 +256,7 @@ def _v_component_lhs(idx):
 # the inventory
 # ---------------------------------------------------------------------------
 
-A1 = ((2, 1), (2, 2))
-A2 = ((1, F(-1, 2)), (-1, 1))
-A3 = ((1, F(1, 2)), (1, 1))
-A4 = ((2, -1), (-2, 2))
-A6 = ((1, F(-1, 2)), (F(-3, 2), 1))
-A7 = ((2, 1), (3, 2))
-A8 = ((2, -1), (-3, 2))
-A10 = ((1, F(-1, 2)), (-1, F(3, 4)))
-A12 = ((1, F(-1, 2)), (-1, F(3, 2)))
-A13 = ((3, 1), (4, 2))
-A14 = ((1, F(-1, 2)), (-2, F(3, 2)))
+A1, A2, A3, A4, A5, A6, A7, A8, A9, A10, A11, A12, A13, A14 = (f.A for f in FAMILIES)
 
 
 def _build_registry() -> list[IdentityRecord]:
@@ -306,11 +273,17 @@ def _build_registry() -> list[IdentityRecord]:
              _prods(pf(1, 2, 5, None, -1), pf(1, 3, 5, None, -1)),
              "second Rogers-Ramanujan identity"))
     add(_rec("capparelli", "known",
-             _nahm(((4, 2), (6, 4)), (0, 0), (1, 3)),
+             _nahm(A5, (0, 0), (1, 3)),
              _prods(pf(-1, 2, 6), pf(-1, 3, 6), pf(-1, 4, 6), pf(-1, 6, 6)),
              "Capparelli partition identity"))
-    add(_prec("lebesgue-param", "known", _lebesgue_lhs, _lebesgue_rhs,
-              "Lebesgue identity with free parameter", ("u",)))
+    # sum_n q^(n(n+1)/2) (u;q)_n/(q;q)_n.  By the q-binomial theorem (Andrews,
+    # The Theory of Partitions, Thm 3.3), (u;q)_n/(q;q)_n is the sum over
+    # j + k = n of (-u)^k q^(k(k-1)/2)/((q;q)_j (q;q)_k), so this is the
+    # rank-two Nahm sum of (-u)^k q^(j^2/2 + jk + k^2 + j/2)/((q;q)_j (q;q)_k)
+    add(_prec("lebesgue-param", "known",
+              ParamNahmSide(quadruple([[1, 1], [1, 2]], [F(1, 2), 0], 0, [1, 1]), (0, 1), -1),
+              ParamProdSide(1, 1, 2, (pf(-1, 1, 1),)),
+              "Lebesgue identity with free parameter"))
     add(_rec("msz-254", "known",
              SingleSum(F(1), F(1), F(0),
                        (sf(-1, 1, 1, 1, 1), sf(1, 2, 2, 0, 1, -1))),
@@ -429,10 +402,13 @@ def _build_registry() -> list[IdentityRecord]:
              _prods(pf(-1, 1, 2)), "Cao-Wang specialization"))
     add(_rec("exam1-5", "known", _nahm(A1, (1, 2), (1, 2)),
              _eta({6: 2, 2: -1, 3: -1}), "Bressoud instance, family 1"))
-    add(_prec("cao-wang-param", "known", _cao_wang_lhs, _cao_wang_rhs,
-              "Cao-Wang parametrized identity", ("u",)))
-    add(_prec("thm-new-exam1-param", "theorem", _new_exam1_lhs, _new_exam1_rhs,
-              "new companion family to the Cao-Wang identity", ("u",)))
+    add(_prec("cao-wang-param", "known",
+              ParamNahmSide(quadruple(A1, (-1, -1), 0, (1, 2)), (1, 2)),
+              ParamProdSide(-1, 0, 1), "Cao-Wang parametrized identity"))
+    add(_prec("thm-new-exam1-param", "theorem",   # (1 + u q + u/q) (-u q^3; q^2)_inf
+              ParamNahmSide(quadruple(A1, (-3, 0), 0, (2, 4)), (1, 2)),
+              ParamProdSide(-1, 3, 2, poly=({0: 1}, {-1: 1, 1: 1})),
+              "new companion family to the Cao-Wang identity"))
 
     # -- family 2 ------------------------------------------------------------
     add(_rec("exam2-1", "known", _nahm(A2, (0, 0), (2, 4)),
@@ -445,10 +421,13 @@ def _build_registry() -> list[IdentityRecord]:
              _prods(pf(-1, 0, 2), pf(-1, 1, 2)), "Li-Wang specialization"))
     add(_rec("exam2-5", "known", _nahm(A2, (0, 2), (2, 4)),
              _eta({2: 2, 6: 2, 1: -1, 3: -1, 4: -2}), "Li-Wang identity"))
-    add(_prec("li-wang-param", "known", _li_wang_lhs, _li_wang_rhs,
-              "Li-Wang parametrized identity", ("u",)))
-    add(_prec("thm-new-exam2-param", "theorem", _new_exam2_lhs, _new_exam2_rhs,
-              "new dual companion family", ("u",)))
+    add(_prec("li-wang-param", "known",
+              ParamNahmSide(quadruple(A2, (-1, 0), 0, (2, 4)), (0, 1)),
+              ParamProdSide(-1, 0, 2, (pf(-1, 0, 2),)), "Li-Wang parametrized identity"))
+    add(_prec("thm-new-exam2-param", "theorem",   # 2 q^-2 (1 + u q + q^2) (-u q^3, -q^2; q^2)_inf
+              ParamNahmSide(quadruple(A2, (-3, 3), 0, (2, 4)), (0, 1)),
+              ParamProdSide(-1, 3, 2, (pf(-1, 2, 2),), ({-2: 2, 0: 2}, {-1: 2})),
+              "new dual companion family"))
 
     # -- family 3 ------------------------------------------------------------
     mod7 = [((3, 4), "Li-Wang modulus-7 identity"),

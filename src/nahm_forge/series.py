@@ -152,8 +152,6 @@ class QSeries:
             g = gcd(g, k)
             if g == 1:
                 return self
-        if g == 1:
-            return self
         return QSeries({k // g: v for k, v in self.coeffs.items()},
                        self.den // g, self.order)
 

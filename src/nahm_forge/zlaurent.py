@@ -40,7 +40,7 @@ from math import ceil, isqrt
 import numpy as np
 
 from .errors import WindowOverflow
-from .products import MAX_WINDOW, exact_run, rungs
+from .products import _check_window, exact_run, rungs
 from .series import QSeries, Rat
 
 
@@ -99,9 +99,7 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat) -> QSeries:
         return QSeries.zero(order)
     w_cap, box = _ct_window(u_exp, v_exp, n), _ct_window(u_exp, v_exp, 1)
     rows, ncols, reach = _ct_shape(u_exp, v_exp, n, w_cap)
-    if rows * ncols > MAX_WINDOW:
-        raise ValueError(f"the constant term needs {rows} x {ncols} window "
-                         f"slots, more than {MAX_WINDOW}")
+    _check_window("the constant term needs", rows, ncols)
     if any((j - i) ** 2 + j * j + v_exp * j + u_exp * i < 0
            for i in range(box + 1) for j in range(2 * box + 1)):
         raise WindowOverflow("constant term picked up negative exponents")

@@ -367,21 +367,39 @@ def test_oversized_window_refused_before_it_is_allocated(monkeypatch):
     with pytest.raises(ValueError, match="window slots"):
         nahm_sum(quadruple([[2]], [F(1, 10 ** 11)], 0, [1]), 3)
     # the bound counts every row: RR below q^10 has 10 slots, 3 rows at cap 2
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 30)
+    monkeypatch.setattr(products, "MAX_WINDOW", 30)
     nahm_sum_param(RR, 10, 2, (1,))
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 29)
+    monkeypatch.setattr(products, "MAX_WINDOW", 29)
     with pytest.raises(ValueError, match="3 x 10 window slots"):
         nahm_sum_param(RR, 10, 2, (1,))
 
 
+def test_long_row_refused_from_its_range(monkeypatch):
+    # A = 10^-11 puts the 774,597 points n <= 774,596 below q^3 on one row:
+    # S' = n^2 spans 774,596^2 from its vertex n = 0 to its far end, over
+    # gcd(W, 0, 774,596^2) = 16 with W = 2*10^11, so it is refused unbuilt
+    def no_array(*args, **kwargs):
+        raise AssertionError("a row array was built")
+
+    monkeypatch.setattr(nahm.np, "arange", no_array)
+    with pytest.raises(ValueError, match="1 x 1 x 37499935202 window slots"):
+        nahm_sum(quadruple([[F(1, 10 ** 11)]], [0], 0, [1]), 3)
+    with pytest.raises(AssertionError, match="a row array was built"):
+        nahm_sum(RR, 3)         # a row that fits is built by np.arange
+    # a listing has no window: two points 10^20 + 1 slots apart are listed
+    monkeypatch.undo()
+    quad = quadruple([[2]], [F(1, 10 ** 20)], 0, [1])
+    assert list(enumerate_lattice(quad, 3)) == [((0,), 0), ((1,), 1 + F(1, 10 ** 20))]
+
+
 def test_param_window_counts_only_the_grades_kept(monkeypatch):
     # RR below q^10 has n = 0..3, so a cap of 50 keeps the grades 0..3 only
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 40)
+    monkeypatch.setattr(products, "MAX_WINDOW", 40)
     p = nahm_sum_param(RR, 10, 50, (1,))
     assert [row.coeffs for row in p.rows[:4]] == [
         row.coeffs for row in nahm_sum_param(RR, 10, 3, (1,)).rows]
     assert not any(row.coeffs for row in p.rows[4:])
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 39)
+    monkeypatch.setattr(products, "MAX_WINDOW", 39)
     with pytest.raises(ValueError, match="1 x 4 x 10 window slots"):
         nahm_sum_param(RR, 10, 50, (1,))
 
@@ -402,7 +420,7 @@ def test_rank_two_lattice_refused_while_it_is_listed(monkeypatch):
         nahm_sum(quad, 8_000_000)
     assert seen == [(0,), (1,), (2,)]
     seen.clear()
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 500)
+    monkeypatch.setattr(products, "MAX_WINDOW", 500)
     with pytest.raises(ValueError, match="6 x 1 x 100 window slots"):
         nahm_sum(quad, 100)
     full = [prefix for prefix, _, _ in real(quad, 100)]
@@ -410,7 +428,7 @@ def test_rank_two_lattice_refused_while_it_is_listed(monkeypatch):
     # the first row, of n = 0, is refused before the walk lists it: on rank
     # one it is the whole lattice, 2*10^9 points at order 4*10^18
     seen.clear()
-    monkeypatch.setattr(nahm, "MAX_WINDOW", 99)
+    monkeypatch.setattr(products, "MAX_WINDOW", 99)
     with pytest.raises(ValueError, match="1 x 1 x 100 window slots"):
         nahm_sum(RR, 100)
     assert seen == []
@@ -453,7 +471,7 @@ def test_int64_and_python_int_walks_meet_at_2_to_62(monkeypatch):
             ((*n, 0), e) for n, e in enumerate_lattice(RR, order)]
         assert {dtype for q, dtype in seen if q == quad} == {ints}
     # past 2^62 a window too large is refused as below it, not by an OverflowError
-    with pytest.raises(ValueError, match="1 x 1 x 300000000000000000000 window slots"):
+    with pytest.raises(ValueError, match="1 x 1 x 100000000000000000002 window slots"):
         nahm_sum(quadruple([[2]], [F(1, 10 ** 20)], 0, [1]), 3)
 
 

@@ -15,8 +15,10 @@ from nahm_forge import products, registry as R
 from nahm_forge.candidates import FAMILIES
 from nahm_forge.recognizer import normalize_and_profile, with_period
 
-from _naive import naive_side, naive_single_sum
-from _oracles import poch_naive, poch_param_naive, ser_add, ser_inv, ser_mul
+from _naive import naive_factor, naive_side, naive_single_sum
+from _oracles import (
+    nahm_param_naive, poch_naive, poch_param_naive, ser_add, ser_inv, ser_mul,
+)
 
 
 def test_registry_shape():
@@ -400,6 +402,57 @@ def test_lebesgue_lhs_against_literal_sum(deg):
     for r, row in enumerate(lhs.rows):
         assert row.order == order
         assert {e: F(v) for e, v in row.items()} == rows.get(r, {}), r
+
+
+def _umul(x: dict, y: dict, order, deg: int) -> dict:
+    """The product of two maps (u-power, exponent) -> coefficient, below
+    order and up to u-degree deg."""
+    out = {}
+    for (i, e), v in x.items():
+        for (j, f), w in y.items():
+            if i + j <= deg and e + f < order:
+                out[i + j, e + f] = out.get((i + j, e + f), 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+A1, A2 = [[2, 1], [2, 2]], [[1, F(-1, 2)], [-1, 1]]
+# per record: the left side as (A, b, d, weights, sign of u), the right side
+# as (sign, a, m) of (sign u q^a; q^m)_inf, its fixed factors and the
+# polynomial in u multiplying it, as (u-power, exponent) -> coefficient
+PARAM_SIDES = {
+    "lebesgue-param": (([[1, 1], [1, 2]], [F(1, 2), 0], [1, 1], (0, 1), -1),
+                       ((1, 1, 2), (pf(-1, 1, 1),), {(0, 0): 1})),
+    "cao-wang-param": ((A1, [-1, -1], [1, 2], (1, 2), 1), ((-1, 0, 1), (), {(0, 0): 1})),
+    "thm-new-exam1-param": ((A1, [-3, 0], [2, 4], (1, 2), 1),
+                            ((-1, 3, 2), (), {(0, 0): 1, (1, 1): 1, (1, -1): 1})),
+    "li-wang-param": ((A2, [-1, 0], [2, 4], (0, 1), 1),
+                      ((-1, 0, 2), (pf(-1, 0, 2),), {(0, 0): 1})),
+    "thm-new-exam2-param": ((A2, [-3, 3], [2, 4], (0, 1), 1),
+                            ((-1, 3, 2), (pf(-1, 2, 2),),
+                             {(0, -2): 2, (0, 0): 2, (1, -1): 2})),
+}
+
+
+@pytest.mark.parametrize("rid", sorted(PARAM_SIDES))
+def test_param_sides_against_naive(rid):
+    # both sides at order 20 and u-degree 20, row by row: the left by a box
+    # scan of the Nahm sum, the right by literal products
+    order = deg = 20
+    (A, b, d, weights, usign), ((sign, a, m), factors, poly) = PARAM_SIDES[rid]
+    lhs = nahm_param_naive(A, b, 0, d, order, 20, weights, deg)
+    want_l = {(k, e): v * usign ** k for e, row in lhs.items() for k, v in row.items()}
+    top = order - min(e for _, e in poly)     # the product, exact below order
+    rhs = poch_param_naive(sign, 1, a, m, None, top, deg)
+    for f in factors:
+        rhs = _umul(rhs, {(0, e): v for e, v in naive_factor(f, top).items()}, top, deg)
+    want_r = _umul(rhs, {(k, F(e)): v for (k, e), v in poly.items()}, order, deg)
+    assert want_l == want_r
+    rec = R.get(rid)
+    for side, want in ((rec.lhs(order, deg), want_l), (rec.rhs(order, deg), want_r)):
+        assert side.deg == deg and all(row.order == order for row in side.rows)
+        got = {(k, F(e, row.den)): F(v) for k, row in enumerate(side.rows)
+               for e, v in row.coeffs.items()}
+        assert got == want
 
 
 def _side_fails(order, *deg):

@@ -274,7 +274,7 @@ def test_oversized_window_refused_before_allocation(monkeypatch):
         double_sum_ct(0, 0, 32769)
     # at order 20 the window is 13 x 20 = 260 slots, at 21 it is 13 x 21
     monkeypatch.undo()
-    monkeypatch.setattr(zlaurent, "MAX_WINDOW", 260)
+    monkeypatch.setattr(products, "MAX_WINDOW", 260)
     assert eq_to_order(double_sum_ct(0, 0, 20), direct_sum((0, 0), 20), 20) is None
     monkeypatch.setattr(zlaurent, "_ladder", lambda *args: pytest.fail("allocated"))
     with pytest.raises(ValueError, match="13 x 21 window slots"):
