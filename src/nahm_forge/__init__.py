@@ -15,9 +15,9 @@ from .nahm import (
     NahmQuadruple, dual_quadruple, enumerate_lattice, nahm_sum,
     nahm_sum_param, quadruple,
 )
-from .recognizer import ExponentProfile, detect_period, extract_profile, hunt
+from .recognizer import ExponentProfile, extract_profile, hunt
 from .zlaurent import double_sum_ct
-from .modular import check_transformation, eval_U, eval_V, relations
+from .modular import check_transformation, relations
 from .registry import IdentityRecord, VerifyReport, verify, verify_all
 
 __version__ = "0.1.0"

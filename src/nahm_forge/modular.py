@@ -414,33 +414,6 @@ def _eval_products(vec: str, tau: complex, eps: float) -> tuple[np.ndarray, floa
 _ROUTE_ORDER = 60
 
 
-def _eval_vector(vec: str, tau: complex, order: int,
-                 eps: float) -> tuple[np.ndarray, float]:
-    tau = _check_tau(tau)
-    _check_eps(eps)
-    pvals, perr = _eval_products(vec, tau, eps)
-    svals, stail = _eval_vec_series(_component(vec), tau, order)
-    dev = float(np.max(np.abs(svals - pvals)))
-    allowance = stail + perr + 5e-11 * float(np.max(np.abs(pvals)) + 1.0)
-    if dev > allowance:
-        raise TailTooLarge(
-            f"series and product pipelines disagree by {dev:.3g} "
-            f"(allowed {allowance:.3g})")
-    return pvals, perr
-
-
-def eval_U(tau: complex, order: int = _ROUTE_ORDER,
-           eps: float = 1e-16) -> tuple[np.ndarray, float]:
-    """Evaluate the first vector both ways and return (values, error bound)."""
-    return _eval_vector("u", tau, order, eps)
-
-
-def eval_V(tau: complex, order: int = _ROUTE_ORDER,
-           eps: float = 1e-16) -> tuple[np.ndarray, float]:
-    """Evaluate the second vector both ways and return (values, error bound)."""
-    return _eval_vector("v", tau, order, eps)
-
-
 # ---------------------------------------------------------------------------
 # transformation checks
 # ---------------------------------------------------------------------------

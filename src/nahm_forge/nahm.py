@@ -21,13 +21,14 @@ positive integer and S' = W S an integer at every depth.  Square k adds
 H_k y^2 with y = P_k n_k + u.  Since S' + H_k y^2 is an integer, it is below
 W (order - c) exactly when it is at most top := ceil(W (order - c)) - 1,
 that is when |y| <= isqrt((top - S') // H_k).  The walk takes exactly the
-n_k >= 0 of the masked parity with such a y, so every one it tries lies
-below the bound: the enumeration is complete by proof and needs no box
-radius and no filter.  It yields rows in lexicographic order: per prefix
-n_0..n_(r-2), the last coordinates and their S' as arrays, int64 while S',
-every H_k and every P_k stay inside 2^62, so that no product overflows, and
-Python ints past that.  enumerate_lattice lists them with E(n) = S' / W; the
-sums key E(n) as S' / g on the lattice of W / g, g = gcd(W, every S').
+n_k >= 0 with such a y, so every one it tries lies below the bound: the
+enumeration is complete by proof and needs no box radius.  It yields rows
+in lexicographic order: per prefix n_0..n_(r-2), the last coordinates and
+their S' as arrays, int64 while S', every H_k and every P_k stay inside
+2^62, so that no product overflows, and Python ints past that.  A parity
+mask only filters the points walked.  enumerate_lattice lists them with
+E(n) = S' / W; the sums key E(n) as S' / g on the lattice of W / g,
+g = gcd(W, every S').
 
 The sum is a Horner scheme by level, one array row per prefix n_0..n_(k-1)
 at depth k.  Walking x = n_k from the largest down, every row takes the
@@ -51,7 +52,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import _check_window, exact_run, pf, rungs
+from .products import _check_window, _exact, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
@@ -85,9 +86,9 @@ class NahmQuadruple:
     d: tuple
 
     def __post_init__(self):
-        A = tuple(tuple(_frac(x) for x in row) for row in self.A)
-        b = tuple(_frac(x) for x in self.b)
-        c = _frac(self.c)
+        A = tuple(tuple(_exact("an entry of A", x) for x in row) for row in self.A)
+        b = tuple(_exact("an entry of b", x) for x in self.b)
+        c = _exact("c", self.c)
         d = tuple(_frac(x) for x in self.d)
         if any(x.denominator != 1 for x in d):
             raise ValueError("symmetrizer entries must be integers")
@@ -175,10 +176,9 @@ def _rational(x) -> Fraction:
 
 
 def quadruple(A, b, c, d) -> NahmQuadruple:
-    """Convenience constructor accepting ints/Fractions/strings."""
-    return NahmQuadruple(tuple(tuple(_frac(Fraction(x)) for x in row) for row in A),
-                         tuple(_frac(Fraction(x)) for x in b),
-                         _frac(Fraction(c)), tuple(d))
+    """Convenience constructor accepting ints/Fractions/strings; a float in
+    A, b or c is refused."""
+    return NahmQuadruple(tuple(map(tuple, A)), tuple(b), c, tuple(d))
 
 
 def check_parity_mask(mask: Optional[ParityMask], rank: int):
@@ -238,14 +238,12 @@ def _completed_squares(m: list, b: Sequence):
             [[int(x * P[k]) for x in L[k]] for k in range(r)])
 
 
-def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None, window=False):
+def _rows(quad: NahmQuadruple, order: Rat, window=False):
     """Yield (prefix, x, S') per prefix n_0..n_(r-2) with points below order - c,
     lexicographically: its last coordinates x, ascending, and their S' = W E(n),
     as arrays (module docstring); with window, also refuse a row past a sum's."""
     order = _frac(order)
     r = quad.rank
-    check_parity_mask(mask, r)
-    mask = mask or (None,) * r
     W, const, H, P, T, Lam = quad._squares
     top = ceil((order - quad.c) * W) - 1   # W E(n) < W (order - c) iff <= top
     ints = np.int64 if max(top, -const, *H, *P) < 2 ** 62 else object
@@ -255,11 +253,9 @@ def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None, wi
         # s <= top is W times the least E over real completions of n_0..n_{k-1}
         u = T[k] + sum(map(mul, Lam[k], n))
         R = isqrt((top - s) // H[k])
-        p, hk, pk = mask[k], H[k], P[k]
+        hk, pk = H[k], P[k]
         lo = max(0, -((R + u) // pk))
-        if p is not None and lo % 2 != p:
-            lo += 1
-        xs = range(lo, (R - u) // pk + 1, 1 if p is None else 2)
+        xs = range(lo, (R - u) // pk + 1)
         if k + 1 == r:
             if xs:  # refused unbuilt: L distinct y put S' on >= L/2 slots, and in the
                 # window, with S' = a, b at the ends and c nearest the vertex y = 0 (c <=
@@ -267,10 +263,10 @@ def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None, wi
                 _check_sum(1, 1, (len(xs) + 1) // 2)
                 if window:
                     y0, y1 = pk * lo + u, pk * xs[-1] + u
-                    yv = y0 + pk * xs.step * min(max(0, -y0 // (pk * xs.step)), len(xs) - 1)
+                    yv = y0 + pk * min(max(0, -y0 // pk), len(xs) - 1)
                     a, b, c = s + hk * y0 * y0, s + hk * y1 * y1, s + hk * yv * yv
                     _check_sum(1, 1, (max(a, b) - c) // gcd(W, a, b, c) + 1)
-                x = np.arange(xs.start, xs.stop, xs.step, dtype=ints)
+                x = np.arange(xs.start, xs.stop, dtype=ints)
                 y = pk * x + u
                 yield tuple(n[:-1]), x, s + hk * y * y
             return
@@ -286,12 +282,16 @@ def _rows(quad: NahmQuadruple, order: Rat, mask: Optional[ParityMask] = None, wi
 def enumerate_lattice(quad: NahmQuadruple, order: Rat,
                       mask: Optional[ParityMask] = None
                       ) -> Iterator[tuple[tuple, Fraction]]:
-    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c,
-    in lexicographic order: the points of _rows one by one."""
+    """Yield every (n, E(n)) with E(n) = (1/2) n^T A D n + n^T b < order - c
+    and n of the masked parity, in lexicographic order: the points of _rows
+    one by one."""
+    check_parity_mask(mask, quad.rank)
     W = quad._squares[0]
-    for prefix, xs, ss in _rows(quad, order, mask):
+    for prefix, xs, ss in _rows(quad, order):
         for x, s in zip(xs.tolist(), ss.tolist()):
-            yield (*prefix, x), Fraction(s, W)
+            n = (*prefix, x)
+            if all(p is None or v % 2 == p for v, p in zip(n, mask or ())):
+                yield n, Fraction(s, W)
 
 
 def _denominators(quad: NahmQuadruple) -> list:
@@ -362,7 +362,7 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     check_parity_mask(mask, r)
     W, rows = quad._squares[0], []
     _check_sum(1, 1, ceil(bound))    # n = 0 opens the first row: refused unlisted
-    for row in _rows(quad, order, None, True):
+    for row in _rows(quad, order, True):
         rows.append(row)
         _check_sum(len(rows), 1, ceil(bound))
     if not rows:
@@ -419,8 +419,8 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
     """
     if len(weights) != quad.rank:
         raise ValueError("the weight vector must match the rank")
-    if any(w < 0 for w in weights):
-        raise ValueError("parameter weights must be nonnegative")
+    if any(type(w) is not int or w < 0 for w in weights):
+        raise ValueError(f"parameter weights must be nonnegative ints, not {tuple(weights)}")
     if deg < 0:
         raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
     return ParamSeries(_graded_sum(quad, order, _denominators(quad), mask,

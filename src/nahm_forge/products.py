@@ -383,9 +383,7 @@ def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
 
     Equals the product (q^m, zsign*q^zexp, zsign*q^(m-zexp); q^m)_inf.
     """
-    zexp = _frac(zexp)
-    m = _frac(m)
-    order = _frac(order)
+    zexp, m, order = _exact("zexp", zexp), _exact("m", m), _frac(order)
     if m <= 0:
         raise ValueError("triple-product modulus must be positive")
     den = lcm(zexp.denominator, m.denominator)
@@ -427,9 +425,7 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     divided by 1 - q^(k*m) (one rung pass).  The parameter contributes no
     q-exponent, so upow >= 1 makes the symbol converge for every a >= 0.
     """
-    a = _frac(a)
-    m = _frac(m)
-    order = _frac(order)
+    a, m, order = _exact("base a", a), _exact("step m", m), _frac(order)
     if m <= 0:
         raise ValueError("step must be positive")
     if a < 0 or upow < 1 or any(f.a < 0 for f in factors):

@@ -155,11 +155,6 @@ def with_period(profile: ExponentProfile) -> ExponentProfile:
     return profile
 
 
-def detect_period(profile: ExponentProfile) -> Optional[int]:
-    """Smallest p with a_n eventually p-periodic over the scanned range."""
-    return with_period(profile).period
-
-
 def normalize_and_profile(s: QSeries, max_n: int) -> ExponentProfile:
     """Profile a series, substituting q -> q^den first when needed."""
     s = s.reduce()

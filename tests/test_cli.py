@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nahm_forge.candidates import family
 from nahm_forge.cli import main, _parse_grid
+from nahm_forge.modular import check_transformation, relations
+from nahm_forge.recognizer import hunt
 
 
 def run(capsys, *argv):
@@ -166,6 +169,23 @@ def test_modular_check_all(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 11 and all(r["pass"] for r in data)
+
+
+def test_documented_experiments(capsys):
+    # README "Experiments" at small order: the rediscovery grid of family 1,
+    # every relation at one point, and the whole registry
+    code, out, _ = run(capsys, "hunt", "--A", '[["2","1"],["2","2"]]', "--d", "[1,2]",
+                       "--b-grid=-2:2:1/2;-2:4:1", "--order", "41", "--max-n", "40",
+                       "--json")
+    grid = [(F(x, 2), F(y)) for x in range(-4, 5) for y in range(-2, 5)]
+    hits = hunt(family(1).A, family(1).d, grid, 41, max_n=40)
+    assert code == 0 and hits and json.loads(out) == [h.to_json() for h in hits]
+    code, out, _ = run(capsys, "modular-check", "--relation", "all", "--tau", "0,1",
+                       "--json")
+    assert code == 0 and json.loads(out) == [
+        check_transformation(rel, 1j).to_json() for rel in relations()]
+    code, out, _ = run(capsys, "verify-all", "--order", "20", "--param-order", "10")
+    assert code == 0 and out.endswith("records, 0 failures\n")
 
 
 def test_grid_parser():

@@ -392,6 +392,28 @@ def test_long_row_refused_from_its_range(monkeypatch):
     assert list(enumerate_lattice(quad, 3)) == [((0,), 0), ((1,), 1 + F(1, 10 ** 20))]
 
 
+@pytest.mark.parametrize("w", [F(1, 2), 0.5, 1.5, True])
+def test_noninteger_weight_refused(w):
+    # np.int64 once truncated 1/2 and 0.5 to the unweighted sum in row 0 and
+    # 1.5 to the weight-1 rows
+    with pytest.raises(ValueError, match="weights must be nonnegative ints"):
+        nahm_sum_param(RR, 10, 4, (w,))
+
+
+def test_float_quadruple_entry_refused():
+    # 0.1 was read as 3602879701896397/36028797018963968; as b, it was then
+    # refused as "1 x 1 x 335067812276364904 window slots", naming no input
+    for args, what in ((([[0.5]], [0], 0, [1]), "an entry of A"),
+                       (([[2]], [0.1], 0, [1]), "an entry of b"),
+                       (([[2]], [0], 0.1, [1]), "c")):
+        with pytest.raises(ValueError, match=f"^{what} must be .* not the float"):
+            quadruple(*args)
+        with pytest.raises(ValueError, match=f"^{what} must be .* not the float"):
+            nahm.NahmQuadruple(*args)
+    assert quadruple([["1/2"]], ["1/10"], F(1, 10), [1]) == quadruple(
+        [[F(1, 2)]], [F(1, 10)], "1/10", [1])
+
+
 def test_param_window_counts_only_the_grades_kept(monkeypatch):
     # RR below q^10 has n = 0..3, so a cap of 50 keeps the grades 0..3 only
     monkeypatch.setattr(products, "MAX_WINDOW", 40)

@@ -463,6 +463,19 @@ def test_factor_refuses_a_float_step_or_base():
     assert product([pf(1, "10/3", 5)], 10) == product([pf(1, F(10, 3), 5)], 10)
 
 
+def test_triple_and_param_products_refuse_a_float():
+    with pytest.raises(ValueError, match="zexp must be .* float 0.5"):
+        jacobi_triple(0.5, 1, 3, 10)
+    with pytest.raises(ValueError, match="^m must be .* float 3.0"):
+        jacobi_triple(1, 1, 3.0, 10)
+    with pytest.raises(ValueError, match="base a .* float 0.1"):
+        poch_param(1, 1, 0.1, 1, 10, 2)
+    with pytest.raises(ValueError, match="step m .* float 2.0"):
+        poch_param(1, 1, 1, 2.0, 10, 2)
+    assert jacobi_triple("1/2", 1, 3, 10) == jacobi_triple(F(1, 2), 1, 3, 10)
+    assert poch_param(1, 1, "1/3", 1, 10, 2).rows == poch_param(1, 1, F(1, 3), 1, 10, 2).rows
+
+
 def test_eta_factors_sorted_nonzero_and_positive():
     exps = {3: 2, 1: -1, 6: -1, 2: 0}
     assert eta_factors(exps) == (pf(1, 1, 1, None, -1), pf(1, 3, 3, None, 2),

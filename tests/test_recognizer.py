@@ -10,7 +10,7 @@ from nahm_forge.series import QSeries, eq_to_order
 from nahm_forge.products import pf, poch, product, eta_quotient
 from nahm_forge.nahm import nahm_sum, quadruple
 from nahm_forge.recognizer import (
-    ExponentProfile, detect_period, extract_profile, hunt,
+    ExponentProfile, extract_profile, hunt,
     normalize_and_profile, with_period,
 )
 
@@ -24,7 +24,7 @@ def test_rr_profile_mod5():
     assert prof.is_integral()
     for n, a_n in enumerate(prof.a, start=1):
         assert a_n == (-1 if n % 5 in (1, 4) else 0)
-    assert detect_period(prof) == 5
+    assert with_period(prof).period == 5
 
 
 def test_distinct_odd_profile():
@@ -41,7 +41,7 @@ def test_distinct_odd_profile():
     # cross-check against the eta-quotient form (q^2)^2 / ((q)(q^4))
     alt = eta_quotient({2: 2, 1: -1, 4: -1}, 61)
     assert eq_to_order(s, alt, 61) is None
-    assert detect_period(prof) == 4
+    assert with_period(prof).period == 4
 
 
 def test_constant_series_profile():
@@ -177,7 +177,7 @@ def test_long_preperiod_tail_is_no_period():
 
 def test_detect_period_none_for_growth():
     prof = ExponentProfile(F(0), F(1), tuple(n * n for n in range(1, 30)))
-    assert detect_period(prof) is None
+    assert with_period(prof).period is None
 
 
 def test_hunt_finds_new_family():
@@ -233,6 +233,11 @@ def test_hunt_dual_family_hits():
     target = target.shift(-2).scale(2).truncate(70)
     n = min(rebuilt.order, target.order)
     assert eq_to_order(rebuilt.truncate(n), target.truncate(n), n) is None
+
+
+def test_hunt_refuses_a_float_offset():
+    with pytest.raises(ValueError, match="an entry of b must be .* float 0.1"):
+        hunt([[2]], [1], [(0.1,)], 10)
 
 
 def test_hunt_rejects_unbounded():
