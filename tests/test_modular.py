@@ -259,6 +259,7 @@ def test_eval_series_rejects_large_nome():
     lambda eps: eval_g(1, 7, 1j, eps=eps),
     lambda eps: eval_eta(1j, eps=eps),
     lambda eps: M.check_transformation("conj1.1", 1j, eps=eps),
+    lambda eps: M.check_transformation("u-routes", 1j, eps=eps),
 ])
 def test_rejects_nonpositive_or_nonfinite_eps(call):
     for eps in (0, 0.0, -1e-16, math.nan, math.inf):
