@@ -17,8 +17,8 @@ import os
 import sys
 
 from .errors import NahmForgeError
-from .nahm import (NahmQuadruple, _rational, check_parity_mask, dual_quadruple,
-                   nahm_sum, quadruple)
+from .nahm import (NahmQuadruple, _json_matrix, _json_vector, _rational,
+                   check_parity_mask, dual_quadruple, nahm_sum)
 from .recognizer import hunt
 from .series import QSeries
 from . import modular, registry
@@ -29,20 +29,6 @@ def _json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-
-
-def _parse_vector(text: str):
-    data = _json(text)
-    if not isinstance(data, list):
-        raise ValueError(f"expected a JSON list, e.g. [\"0\",\"1\"], got {text!r}")
-    return tuple(_rational(x) for x in data)
-
-
-def _parse_matrix(text: str):
-    data = _json(text)
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError(f"expected a JSON list of rows, e.g. [[\"2\"]], got {text!r}")
-    return tuple(tuple(_rational(x) for x in row) for row in data)
 
 
 def _fields(text: str, sep: str, form: str) -> list:
@@ -92,15 +78,15 @@ def _parse_grid(text: str):
 
 
 def _load_quadruple(args) -> tuple[NahmQuadruple, tuple | None]:
+    """--quadruple FILE, or --A, --b, --c and --d, read by NahmQuadruple.from_json."""
     if args.quadruple:
         with open(args.quadruple, "r", encoding="utf-8") as fh:
-            quad, mask = NahmQuadruple.from_json(_json(fh.read()))
+            data = _json(fh.read())
+    elif args.A and args.b and args.d:
+        data = {"A": _json(args.A), "b": _json(args.b), "c": args.c, "d": _json(args.d)}
     else:
-        if not (args.A and args.b and args.d):
-            raise ValueError("need either --quadruple FILE or --A, --b and --d")
-        quad = quadruple(_parse_matrix(args.A), _parse_vector(args.b),
-                         _rational(args.c), _parse_vector(args.d))
-        mask = None
+        raise ValueError("need either --quadruple FILE or --A, --b and --d")
+    quad, mask = NahmQuadruple.from_json(data)
     if getattr(args, "parity", None):
         mask = _parse_parity(args.parity, quad.rank)
     return quad, mask
@@ -143,7 +129,7 @@ def cmd_verify_all(args) -> int:
 
 def cmd_nahm(args) -> int:
     quad, mask = _load_quadruple(args)
-    s = nahm_sum(quad, _rational(args.order), mask=mask)
+    s = nahm_sum(quad, args.order, mask=mask)
     payload = {"den": s.den, "order": str(s.order),
                "terms": [[str(e), str(c)] for e, c in s.items()]}
     _emit(args, payload, _series_lines(s))
@@ -160,11 +146,9 @@ def cmd_dual(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    A = _parse_matrix(args.A)
-    d = _parse_vector(args.d)
+    A, d = _json_matrix(_json(args.A)), _json_vector(_json(args.d), "d")
     grid = _parse_grid(args.b_grid)
-    hits = hunt(A, d, grid, _rational(args.order), max_n=args.max_n,
-                max_abs=args.max_exp)
+    hits = hunt(A, d, grid, args.order, max_n=args.max_n, max_abs=args.max_exp)
     payload = [h.to_json() for h in hits]
     lines = [json.dumps(h.to_json()) for h in hits]
     lines.append(f"# {len(hits)} hits out of {len(grid)} grid points")

@@ -262,8 +262,7 @@ def _growth(n):
     return (n + 2.0) ** 3 * np.exp(np.pi * np.sqrt(2.0 * np.maximum(n, 0.0) / 3.0))
 
 
-def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
-                   ) -> tuple[complex, float]:
+def eval_series_at(s: QSeries, tau: complex) -> tuple[complex, float]:
     """Evaluate a truncated series at tau; returns (value, tail bound).
 
     The tail bound uses the dominating growth model above, scaled by the
@@ -299,8 +298,6 @@ def eval_series_at(s: QSeries, tau: complex, tol: Optional[float] = None
         term *= ratio
         if term > 1e280:
             raise TailTooLarge("series tail bound diverges at this point")
-    if tol is not None and tail > tol:
-        raise TailTooLarge(f"tail bound {tail:.3g} exceeds tolerance {tol:.3g}")
     return value, tail
 
 

@@ -52,7 +52,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import _check_window, _exact, exact_run, pf, rungs
+from .products import _check_window, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
@@ -86,11 +86,11 @@ class NahmQuadruple:
     d: tuple
 
     def __post_init__(self):
-        A = tuple(tuple(_exact("an entry of A", x) for x in row) for row in self.A)
-        b = tuple(_exact("an entry of b", x) for x in self.b)
-        c = _exact("c", self.c)
-        d = tuple(_frac(x) for x in self.d)
-        if any(x.denominator != 1 for x in d):
+        A = tuple(tuple(_frac(x, "an entry of A") for x in row) for row in self.A)
+        b = tuple(_frac(x, "an entry of b") for x in self.b)
+        c = _frac(self.c, "c")
+        d = [None if isinstance(x, (bool, float)) else _frac(x, "d") for x in self.d]
+        if any(x is None or x.denominator != 1 for x in d):
             raise ValueError("symmetrizer entries must be integers")
         d = tuple(map(int, d))
         object.__setattr__(self, "A", A)
@@ -142,12 +142,8 @@ class NahmQuadruple:
         """Read to_json's layout; a malformed document raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("a quadruple is a JSON object with keys A, b, c, d")
-        A = _json_list(data.get("A"), "A")
-        quad = cls(tuple(tuple(map(_rational, _json_list(row, "a row of A")))
-                         for row in A),
-                   tuple(map(_rational, _json_list(data.get("b"), "b"))),
-                   _rational(data.get("c", 0)),
-                   tuple(map(_rational, _json_list(data.get("d"), "d"))))
+        quad = cls(_json_matrix(data.get("A")), _json_vector(data.get("b"), "b"),
+                   _rational(data.get("c", 0)), _json_vector(data.get("d"), "d"))
         par = data.get("parity")
         mask = None
         if par is not None:
@@ -164,6 +160,18 @@ def _json_list(x, what: str) -> list:
     return x
 
 
+def _json_vector(x, what: str) -> tuple:
+    """A JSON list of rationals (_rational) as a tuple of Fractions."""
+    return tuple(map(_rational, _json_list(x, what)))
+
+
+def _json_matrix(x) -> tuple:
+    """A JSON list of rows of rationals as a tuple of tuples of Fractions."""
+    if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
+        raise ValueError("A must be a JSON list of rows, e.g. [[\"2\"]]")
+    return tuple(tuple(map(_rational, row)) for row in x)
+
+
 def _rational(x) -> Fraction:
     """A JSON number or a rational string as a Fraction, else ValueError.
     A float is read as the decimal it prints as, so 0.1 is 1/10, as typed."""
@@ -176,8 +184,8 @@ def _rational(x) -> Fraction:
 
 
 def quadruple(A, b, c, d) -> NahmQuadruple:
-    """Convenience constructor accepting ints/Fractions/strings; a float in
-    A, b or c is refused."""
+    """Convenience constructor accepting ints/Fractions/strings; a float or
+    a bool in A, b or c is refused."""
     return NahmQuadruple(tuple(map(tuple, A)), tuple(b), c, tuple(d))
 
 
@@ -242,7 +250,7 @@ def _rows(quad: NahmQuadruple, order: Rat, window=False):
     """Yield (prefix, x, S') per prefix n_0..n_(r-2) with points below order - c,
     lexicographically: its last coordinates x, ascending, and their S' = W E(n),
     as arrays (module docstring); with window, also refuse a row past a sum's."""
-    order = _frac(order)
+    order = _frac(order, "the order")
     r = quad.rank
     W, const, H, P, T, Lam = quad._squares
     top = ceil((order - quad.c) * W) - 1   # W E(n) < W (order - c) iff <= top
@@ -357,7 +365,7 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     first point listed), so ValueError refuses one past MAX_WINDOW at one
     grade as soon as the prefixes listed so far show it, and at all its
     grades before allocating.  A malformed parity mask raises ValueError."""
-    order = _frac(order)
+    order = _frac(order, "the order")
     bound, r = order - quad.c, quad.rank
     check_parity_mask(mask, r)
     W, rows = quad._squares[0], []

@@ -49,8 +49,8 @@ class PochFactor:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "a", _exact("base a", self.a))
-        object.__setattr__(self, "m", _exact("step m", self.m))
+        object.__setattr__(self, "a", _frac(self.a, "base a"))
+        object.__setattr__(self, "m", _frac(self.m, "step m"))
         if self.m <= 0:
             raise ValueError("step must be positive")
         if self.length is not None and self.length < 0:
@@ -66,28 +66,20 @@ class PochFactor:
             raise Divergent(f"infinite product with base {self.sign}*q^{self.a}")
 
 
-def _exact(name: str, v) -> Fraction:
-    """v as a Fraction, refusing a float: its binary fraction is no exponent meant."""
-    if isinstance(v, float):
-        raise ValueError(f"{name} must be an int, Fraction or rational string, "
-                         f"not the float {v!r}")
-    return _frac(v)
-
-
 def pf(sign: int, a: Rat, m: Rat, length: Optional[int] = None,
        power: int = 1, per_n: int = 0) -> PochFactor:
     """Shorthand PochFactor constructor."""
     return PochFactor(sign, a, m, length, power, per_n)
 
 
-def neg_base_pair(sign: int, a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, PochFactor]:
+def neg_base_pair(sign: int, a: Rat, m: Rat) -> tuple[PochFactor, PochFactor]:
     """(sign*q^a; -q^m)_inf rewritten over the base q^(2m).
 
     Splitting even and odd rungs gives
     (x; -q^m)_inf = (x; q^(2m))_inf * (-x*q^m; q^(2m))_inf.
     """
-    a, m = _exact("base a", a), _exact("step m", m)
-    return (pf(sign, a, 2 * m, None, power), pf(-sign, a + m, 2 * m, None, power))
+    a, m = _frac(a, "base a"), _frac(m, "step m")
+    return pf(sign, a, 2 * m), pf(-sign, a + m, 2 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,7 @@ def product(factors, order: Rat) -> QSeries:
     their rungs run on rungs, and the theta series then multiply by slice
     adds or, as the divisor, divide by an exact sweep (_divide).
     """
-    order = _frac(order)
+    order = _frac(order, "the order")
     return _series(_divide(*_window(factors, order)), order)
 
 
@@ -343,7 +335,7 @@ def _combine(parts, order: Fraction) -> tuple:
 
 def J_factors(a: Rat, m: Rat, power: int = 1) -> tuple[PochFactor, ...]:
     """(q^a, q^(m-a), q^m; q^m)_inf as factors; requires 0 < a < m."""
-    a, m = _exact("a", a), _exact("m", m)
+    a, m = _frac(a, "a"), _frac(m, "m")
     if not 0 < a < m:
         raise ValueError("J(a, m) needs 0 < a < m")
     return (pf(1, a, m, None, power), pf(1, m - a, m, None, power),
@@ -383,7 +375,7 @@ def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
 
     Equals the product (q^m, zsign*q^zexp, zsign*q^(m-zexp); q^m)_inf.
     """
-    zexp, m, order = _exact("zexp", zexp), _exact("m", m), _frac(order)
+    zexp, m, order = _frac(zexp, "zexp"), _frac(m, "m"), _frac(order, "the order")
     if m <= 0:
         raise ValueError("triple-product modulus must be positive")
     den = lcm(zexp.denominator, m.denominator)
@@ -396,8 +388,8 @@ def jacobi_triple(zexp: Rat, zsign: int, m: Rat, order: Rat) -> QSeries:
 def eta_factors(exps: dict) -> tuple[PochFactor, ...]:
     """prod over moduli m of (q^m; q^m)_inf^exps[m] as factors."""
     factors = []
-    for m, e in sorted(exps.items(), key=lambda kv: _frac(kv[0])):
-        if _frac(m) <= 0:
+    for m, e in sorted((_frac(m, "a modulus"), e) for m, e in exps.items()):
+        if m <= 0:
             raise ValueError("moduli must be positive")
         if e:
             factors.append(pf(1, m, m, None, e))
@@ -413,24 +405,23 @@ def eta_quotient(exps: dict, order: Rat) -> QSeries:
 # Products with a formal parameter
 # ---------------------------------------------------------------------------
 
-def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
+def poch_param(sign: int, a: Rat, m: Rat, order: Rat, deg: int,
                factors=()) -> ParamSeries:
-    """(sign * u^upow * q^a; q^m)_inf times the fixed product of the
-    PochFactors `factors`, as a ParamSeries with u-degree cap deg.
+    """(sign * u * q^a; q^m)_inf times the fixed product of the PochFactors
+    `factors`, as a ParamSeries with u-degree cap deg.
 
     By the q-binomial theorem (Andrews, The Theory of Partitions, Thm 2.1
-    and Cor. 2.2) the u^(upow*k) row of the symbol is
+    and Cor. 2.2) the u^k row of the symbol is
         (-sign)^k q^(a*k + m*k(k-1)/2) / (q^m; q^m)_k,
     so the fixed product is expanded once and each row is the one before
     divided by 1 - q^(k*m) (one rung pass).  The parameter contributes no
-    q-exponent, so upow >= 1 makes the symbol converge for every a >= 0.
+    q-exponent, so the symbol converges for every a >= 0.
     """
-    a, m, order = _exact("base a", a), _exact("step m", m), _frac(order)
+    a, m, order = _frac(a, "base a"), _frac(m, "step m"), _frac(order, "the order")
     if m <= 0:
         raise ValueError("step must be positive")
-    if a < 0 or upow < 1 or any(f.a < 0 for f in factors):
-        raise ValueError("parameter products need a >= 0 and upow >= 1, "
-                         "and factors with a >= 0")
+    if a < 0 or any(f.a < 0 for f in factors):
+        raise ValueError("parameter products need a >= 0, and factors with a >= 0")
     if deg < 0:
         raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
     rows = [QSeries.zero(order)] * (deg + 1)
@@ -439,12 +430,12 @@ def poch_param(sign: int, upow: int, a: Rat, m: Rat, order: Rat, deg: int,
     # a zero-length (q^m; q^m) puts the rungs of every row on the window's grid
     den, shift, g, window = _divide(*_window((pf(1, m, m, 0), *factors), order))
     window, k, e = np.array(window, object), 0, Fraction(0)
-    while e < order and upow * k <= deg:
+    while e < order and k <= deg:
         # row k is row k-1 divided by 1 - q^(k m), both cut at order - e
         window = window[:max(-((shift - ceil((order - e) * den)) // g), 0)]
         if k:
             rungs(window, 1, int(k * m * den) // g, int(k * m * den) // g, -1, 0, 1)
         row = _series((den, shift, g, window.tolist()), order - e)
-        rows[upow * k] = row.shift(e).scale((-sign) ** k)
+        rows[k] = row.shift(e).scale((-sign) ** k)
         k, e = k + 1, e + a + m * k
     return ParamSeries(rows)

@@ -5,7 +5,7 @@ grid search over offset vectors b that flags bounded-periodic product forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, lcm
 from operator import mul
@@ -35,7 +35,7 @@ class ExponentProfile:
     offset: int = 0
 
     def is_integral(self) -> bool:
-        return all(_frac(x).denominator == 1 for x in self.a)
+        return all(x.denominator == 1 for x in self.a)
 
     def is_bounded(self, max_abs: int) -> bool:
         return all(abs(x) <= max_abs for x in self.a)
@@ -54,9 +54,9 @@ class ExponentProfile:
         determine nothing beyond the last peeled index.  This is the peel's
         recurrence run backwards (exponent_product).
         """
-        order = _frac(order)
+        order = _frac(order, "the order")
         arr_order = min(order - self.delta, Fraction(len(self.a) + 1))
-        exps = {d: _coeff(_frac(x)) for d, x in enumerate(self.a, 1)}
+        exps = {d: _coeff(x) for d, x in enumerate(self.a, 1)}
         c = exponent_product(exps, max(ceil(arr_order), 0), self.is_integral())
         out = {k: v for k, v in enumerate(c) if v}
         return QSeries(out, 1, arr_order).shift(self.delta).scale(self.const)
@@ -85,7 +85,7 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
     delta, const = ld
     n_max = max(min(max_n, ceil(s.order - delta) - 1), 0)
     base = int(delta)
-    scale = lcm(*(_frac(v).denominator for v in s.coeffs.values()))
+    scale = lcm(*(v.denominator for v in s.coeffs.values()))
     C = [0] * (n_max + 1)
     for k, v in s.coeffs.items():
         if k - base <= n_max:
@@ -104,7 +104,7 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
             B[m] -= B[d]
     top = c0 ** n_max
     a = tuple(Fraction(B[m], m * top) for m in range(1, n_max + 1))
-    return ExponentProfile(delta, _frac(const), a)
+    return ExponentProfile(delta, _frac(const, "the leading coefficient"), a)
 
 
 def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
@@ -150,8 +150,7 @@ def with_period(profile: ExponentProfile) -> ExponentProfile:
                 break
         offset = bad + 1
         if offset <= min(length // 2, length - MIN_REPEATS * p):
-            return ExponentProfile(profile.delta, profile.const, profile.a,
-                                   profile.substitution, p, offset)
+            return replace(profile, period=p, offset=offset)
     return profile
 
 
@@ -163,8 +162,7 @@ def normalize_and_profile(s: QSeries, max_n: int) -> ExponentProfile:
         s = s.power_substitute(sub)
     prof = extract_profile(s, max_n)
     if sub > 1:
-        prof = ExponentProfile(prof.delta, prof.const, prof.a, sub,
-                               prof.period, prof.offset)
+        prof = replace(prof, substitution=sub)
     return prof
 
 
@@ -188,7 +186,7 @@ def hunt(A, d, b_grid: Sequence, order: Rat, max_n: Optional[int] = None,
     """Evaluate the sum at c = 0 for every b in the grid and report the b
     whose peeled exponent sequence is integral, bounded by max_abs, and
     eventually periodic."""
-    order = _frac(order)
+    order = _frac(order, "the order")
     hits = []
     for b in b_grid:
         quad = quadruple(A, b, 0, d)
@@ -203,6 +201,5 @@ def hunt(A, d, b_grid: Sequence, order: Rat, max_n: Optional[int] = None,
         prof = with_period(prof)
         if prof.period is None:
             continue
-        hits.append(HuntHit(tuple(_frac(Fraction(x)) for x in b), prof,
-                            len(prof.a)))
+        hits.append(HuntHit(quad.b, prof, len(prof.a)))
     return hits

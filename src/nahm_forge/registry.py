@@ -89,7 +89,8 @@ class ComboSide:
     terms: tuple
 
     def build(self, order: Rat) -> QSeries:
-        return _series(_divide(*self._quotient(_frac(order))), _frac(order))
+        order = _frac(order, "the order")
+        return _series(_divide(*self._quotient(order)), order)
 
     def _quotient(self, order: Fraction) -> tuple:
         return _combine([(t.coeff, t.shift, *_single_window(t.body, order - t.shift, t.factors))
@@ -98,25 +99,25 @@ class ComboSide:
 
 def combo(*terms) -> ComboSide:
     """The side of terms (coeff, shift, factors) or (coeff, shift, factors, body)."""
-    return ComboSide(tuple(ProdTerm(_frac(coeff), _frac(shift), tuple(factors), *body)
-                           for coeff, shift, factors, *body in terms))
+    return ComboSide(tuple(ProdTerm(_frac(c, "coeff"), _frac(s, "shift"), tuple(fs), *body)
+                           for c, s, fs, *body in terms))
 
 
-def single_sum(spec: SingleSum, order: Rat, factors=()) -> QSeries:
-    """sum over n >= 0 of q^e(n) * prod(spec.factors), times the fixed
-    product of the PochFactors `factors`, below `order`.
+def single_sum(spec: SingleSum, order: Rat) -> QSeries:
+    """sum over n >= 0 of q^e(n) * prod(spec.factors) below `order`.
 
     The rank-one Nahm walk of ((2*e2), (e1), e0, (1)) sums exactly the n
     with e(n) < order, streaming the finite spec.factors as ladders; the
-    fixed and infinite factors then multiply its window on the product plan
-    (products._window).  Every a and m is an integer, a >= 0 if fixed.
+    infinite ones then multiply its window on the product plan
+    (products._window).  Every a and m is an integer.
     """
-    return _series(_divide(*_single_window(spec, _frac(order), factors)), _frac(order))
+    order = _frac(order, "the order")
+    return _series(_divide(*_single_window(spec, order)), order)
 
 
 def _single_window(spec: Optional[SingleSum], order: Fraction, factors=()) -> tuple:
-    """(window, divisor) of single_sum(spec, order, factors), or of the
-    product of the factors if spec is None (products._window)."""
+    """(window, divisor) of single_sum(spec, order) times the product of the
+    fixed factors, or of that product alone if spec is None (products._window)."""
     if spec is None:
         return _window(factors, order)
     if spec.e2 <= 0:
@@ -158,11 +159,11 @@ class ParamProdSide:
 
     def build(self, order: Rat, deg: int) -> ParamSeries:
         if not self.poly:
-            return poch_param(self.sign, 1, self.a, self.m, order, deg, self.factors)
+            return poch_param(self.sign, self.a, self.m, order, deg, self.factors)
         # built past order by the least exponent of poly, the product is exact below order
-        order = _frac(order) - min(min(row) for row in self.poly)
+        order = _frac(order, "the order") - min(min(row) for row in self.poly)
         return (ParamSeries.polynomial([QSeries(row, 1, order) for row in self.poly], deg)
-                * poch_param(self.sign, 1, self.a, self.m, order, deg, self.factors))
+                * poch_param(self.sign, self.a, self.m, order, deg, self.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,6 @@ class IdentityRecord:
     params: tuple = ()
     lhs_data: object = None
     rhs_data: object = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,9 @@ class VerifyReport:
         return out
 
 
-def _rec(rid, status, lhs_data, rhs_data, anchor, note="") -> IdentityRecord:
+def _rec(rid, status, lhs_data, rhs_data, anchor) -> IdentityRecord:
     return IdentityRecord(rid, status, lhs_data.build, rhs_data.build, anchor,
-                          (), lhs_data, rhs_data, note)
+                          (), lhs_data, rhs_data)
 
 
 def _prec(rid, status, lhs, rhs, anchor) -> IdentityRecord:
@@ -245,7 +245,7 @@ def _component_rhs(vec: str, idx: int, shift: Rat) -> ComboSide:
 
 def _v_component_lhs(idx):
     def build(order):
-        order = _frac(order)
+        order = _frac(order, "the order")
         pre = modular.PRODUCT_FORMS["v"][idx][0]
         pre, body = modular.component_series_v(idx, ceil(order - pre) + 2)
         return body.shift(pre).truncate(order)
@@ -720,7 +720,7 @@ def verify(rid: str, order: int) -> VerifyReport:
     Only then are both sides built in full, for the report's (exp, lhs, rhs)."""
     if order < 1:       # an order below 1 compares nothing
         raise ValueError(f"order must be at least 1, not {order}")
-    rec, o = get(rid), _frac(order)
+    rec, o = get(rid), _frac(order, "the order")
     t0 = time.perf_counter()
     if rec.params:
         mism = eq_to_order_param(rec.lhs(order, int(order)), rec.rhs(order, int(order)), o)

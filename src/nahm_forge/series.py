@@ -38,8 +38,15 @@ def _coeff(v: Rat) -> Rat:
     return v
 
 
-def _frac(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
+def _frac(v, what: str) -> Fraction:
+    """v as a Fraction, the one gate an exact value enters by: a float or a
+    bool is refused (its binary value is no rational meant); what names v."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, (float, bool)):
+        raise ValueError(f"{what} must be an int, Fraction or rational string, not "
+                         f"the {'bool' if isinstance(v, bool) else 'float'} {v!r}")
+    return Fraction(v)
 
 
 class Mismatch(NamedTuple):
@@ -57,7 +64,7 @@ class QSeries:
     def __init__(self, coeffs: dict, den: int = 1, order: Rat = Fraction(0)):
         if den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
-        order = _frac(order)
+        order = _frac(order, "the order")
         top = ceil(order * den)     # integer keys k lie below order iff k < top
         clean = {}
         for k, v in coeffs.items():
@@ -79,7 +86,7 @@ class QSeries:
 
     @classmethod
     def const(cls, c: Rat, order: Rat) -> "QSeries":
-        order = _frac(order)
+        order = _frac(order, "the order")
         if order <= 0:
             return cls({}, 1, order)
         return cls({0: c}, 1, order)
@@ -90,8 +97,8 @@ class QSeries:
 
     @classmethod
     def monomial(cls, exp: Rat, coeff: Rat, order: Rat) -> "QSeries":
-        exp = _frac(exp)
-        order = _frac(order)
+        exp = _frac(exp, "the exponent")
+        order = _frac(order, "the order")
         if exp >= order:
             return cls({}, exp.denominator, order)
         return cls({exp.numerator: coeff}, exp.denominator, order)
@@ -109,7 +116,7 @@ class QSeries:
         return Fraction(k, self.den), self.coeffs[k]
 
     def coeff(self, exp: Rat) -> Rat:
-        e = _frac(exp)
+        e = _frac(exp, "the exponent")
         if e >= self.order:
             raise OrderTooLarge(f"exponent {e} is not below order {self.order}")
         k = e * self.den
@@ -164,7 +171,7 @@ class QSeries:
         return QSeries({k * f: v for k, v in self.coeffs.items()}, den, self.order)
 
     def truncate(self, order: Rat) -> "QSeries":
-        order = _frac(order)
+        order = _frac(order, "the order")
         if order > self.order:
             raise OrderTooLarge(f"cannot extend order {self.order} to {order}")
         if order == self.order:
@@ -222,7 +229,7 @@ class QSeries:
 
     def shift(self, e: Rat) -> "QSeries":
         """Multiply by q^e."""
-        e = _frac(e)
+        e = _frac(e, "the shift")
         den = lcm(self.den, e.denominator)
         s = self.with_den(den)
         off = int(e * den)
@@ -230,7 +237,7 @@ class QSeries:
 
     def scale(self, r: Rat) -> "QSeries":
         """Multiply every coefficient by the rational r."""
-        r = _coeff(_frac(r))
+        r = _coeff(_frac(r, "the scale"))
         if r == 0:
             return QSeries({}, 1, self.order)
         return QSeries({k: v * r for k, v in self.coeffs.items()}, self.den, self.order)
@@ -260,7 +267,7 @@ class QSeries:
                     acc += u[j] * t[i - j]
             if acc:
                 t[i] = -acc
-        inv_c = _coeff(Fraction(1, 1) / _frac(c))
+        inv_c = _coeff(Fraction(1) / c)
         out = {}
         top = ceil(order * s.den)
         for i, v in enumerate(t):
@@ -298,7 +305,7 @@ def align(s: QSeries, t: QSeries) -> tuple[QSeries, QSeries]:
 
 def eq_to_order(s: QSeries, t: QSeries, order: Rat) -> Optional[Mismatch]:
     """Compare coefficients below `order`; None if equal, else smallest mismatch."""
-    order = _frac(order)
+    order = _frac(order, "the order")
     if order > s.order or order > t.order:
         raise OrderTooLarge(
             f"comparison order {order} exceeds provable orders "
@@ -311,7 +318,7 @@ def eq_to_order(s: QSeries, t: QSeries, order: Rat) -> Optional[Mismatch]:
         return None
     k = min(diff)
     return Mismatch(Fraction(k, a.den),
-                    _frac(a.coeffs.get(k, 0)), _frac(b.coeffs.get(k, 0)))
+                    _frac(a.coeffs.get(k, 0), "lhs"), _frac(b.coeffs.get(k, 0), "rhs"))
 
 
 # ---------------------------------------------------------------------------

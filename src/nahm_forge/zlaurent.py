@@ -34,14 +34,13 @@ shared with the Nahm sums, takes the z^0 row from a float64 run (exact below
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, isqrt
 
 import numpy as np
 
 from .errors import WindowOverflow
 from .products import _check_window, exact_run, rungs
-from .series import QSeries, Rat
+from .series import QSeries, Rat, _frac
 
 
 def _ct_window(u_exp: int, v_exp: int, n: int) -> int:
@@ -93,7 +92,7 @@ def double_sum_ct(u_exp: int, v_exp: int, order: Rat) -> QSeries:
     ValueError refuses a window past MAX_WINDOW slots, and WindowOverflow
     offsets that reach a negative q-power, before any window is allocated.
     """
-    order = Fraction(order)
+    order = _frac(order, "the order")
     n = ceil(order)
     if n <= 0:
         return QSeries.zero(order)

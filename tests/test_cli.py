@@ -5,6 +5,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,14 @@ def test_documented_experiments(capsys):
         check_transformation(rel, 1j).to_json() for rel in relations()]
     code, out, _ = run(capsys, "verify-all", "--order", "20", "--param-order", "10")
     assert code == 0 and out.endswith("records, 0 failures\n")
+
+
+def test_readme_library_tour_runs(capsys):
+    # the README's "Library quick tour" block, run as printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    exec(tour.split("```", 1)[0], {})
+    assert "ModularReport" in capsys.readouterr().out
 
 
 def test_grid_parser():

@@ -119,12 +119,6 @@ def test_eval_series_J_two_paths():
     assert tail < 1e-12
 
 
-def test_eval_series_tail_guard():
-    s = product((pf(1, 1, 1),), 10)
-    with pytest.raises(TailTooLarge):
-        M.eval_series_at(s, 1j, tol=1e-30)
-
-
 def test_component_ordering():
     # the fourth slot is the odd-parity sum with no offsets
     sigma, b, pre = M._COMPONENT_DATA[3]

@@ -17,7 +17,7 @@ from nahm_forge.nahm import (
     quadruple,
 )
 from nahm_forge.candidates import DUAL_PAIRS, FAMILIES
-from nahm_forge.registry import NahmSide, SingleSum, registry, sf, single_sum
+from nahm_forge.registry import NahmSide, SingleSum, combo, registry, sf, single_sum
 
 from _naive import naive_single_sum
 from _oracles import (
@@ -531,7 +531,7 @@ def test_each_exact_path_matches_product_times_naive_body(monkeypatch, order, ru
     body = {int(e): int(v) for e, v in naive_single_sum(THETA, order).items()}
     want = product(ETA24, order) * QSeries(body, 1, order)
     assert eq_to_order(got, want, order) is None
-    assert eq_to_order(single_sum(THETA, order, ETA24), want, order) is None
+    assert eq_to_order(combo((1, 0, ETA24, THETA)).build(order), want, order) is None
     assert (max(got.coeffs.values()) >= 2 ** 63) == (order >= 45)
 
 
@@ -594,7 +594,7 @@ def test_unplaceable_shadow_skips_the_int64_run():
 def test_param_sum_cao_wang():
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
     lhs = nahm_sum_param(quad, 25, 25, (1, 2))
-    rhs = poch_param(-1, 1, 0, 1, 25, 25)
+    rhs = poch_param(-1, 0, 1, 25, 25)
     assert eq_to_order_param(lhs, rhs, 25) is None
 
 
@@ -619,7 +619,7 @@ def test_param_degree_zero_slice():
 def test_negative_degree_cap_refused(order):
     quad = quadruple([[2, 1], [2, 2]], [-1, -1], 0, [1, 2])
     with pytest.raises(ValueError, match="u-degree cap must be nonnegative, not -1"):
-        poch_param(1, 1, 1, 2, order, -1)
+        poch_param(1, 1, 2, order, -1)
     with pytest.raises(ValueError, match="u-degree cap must be nonnegative, not -1"):
         nahm_sum_param(quad, order, -1, (1, 2))
 

@@ -188,7 +188,7 @@ def test_neg_base_pair_splits_even_odd_rungs():
 
 def test_poch_param_matches_specialization():
     # (-u; q)_inf: its u^k row starts at q^(k(k-1)/2), so cap 20 discards none
-    p = poch_param(-1, 1, 0, 1, 20, 20)
+    p = poch_param(-1, 0, 1, 20, 20)
     for a in (1, 2, 3):
         got = specialize(p, a)
         assert got.order == 20
@@ -197,26 +197,26 @@ def test_poch_param_matches_specialization():
 
 def test_poch_param_matches_literal_binomials():
     # every row against the binomials multiplied out one by one
-    grid = itertools.product((1, -1), range(1, 4), (0, 1, F(1, 2), 3), (1, 2, F(3, 2)),
+    grid = itertools.product((1, -1), (0, 1, F(1, 2), 3), (1, 2, F(3, 2)),
                              (0, 1, 3, 6), (0, 7, F(29, 2)))
-    for sign, upow, a, m, deg, order in grid:
-        p = poch_param(sign, upow, a, m, order, deg)
+    for sign, a, m, deg, order in grid:
+        p = poch_param(sign, a, m, order, deg)
         got = {(r, F(k, row.den)): v
                for r, row in enumerate(p.rows) for k, v in row.coeffs.items()}
         assert [row.order for row in p.rows] == [order] * (deg + 1)
-        assert got == poch_param_naive(sign, upow, a, m, None, order, deg), \
-            (sign, upow, a, m, deg, order)
+        assert got == poch_param_naive(sign, 1, a, m, None, order, deg), \
+            (sign, a, m, deg, order)
 
 
 def test_poch_param_fixed_factors_go_into_every_row():
     # (-u q; q^2)_inf (-q; q)_inf row by row against the rows times the product
-    plain = poch_param(-1, 1, 1, 2, 20, 6)
-    both = poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(-1, 1, 1),))
+    plain = poch_param(-1, 1, 2, 20, 6)
+    both = poch_param(-1, 1, 2, 20, 6, factors=(pf(-1, 1, 1),))
     extra = product((pf(-1, 1, 1),), 20)
     for r, row in zip(plain.rows, both.rows):
         assert eq_to_order(r * extra, row, 20) is None
     with pytest.raises(ValueError):
-        poch_param(-1, 1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
+        poch_param(-1, 1, 2, 20, 6, factors=(pf(1, -1, 1, 2),))
 
 
 # -- the plan: one rung map, theta series for the ladders reaching the top ----
@@ -469,11 +469,11 @@ def test_triple_and_param_products_refuse_a_float():
     with pytest.raises(ValueError, match="^m must be .* float 3.0"):
         jacobi_triple(1, 1, 3.0, 10)
     with pytest.raises(ValueError, match="base a .* float 0.1"):
-        poch_param(1, 1, 0.1, 1, 10, 2)
+        poch_param(1, 0.1, 1, 10, 2)
     with pytest.raises(ValueError, match="step m .* float 2.0"):
-        poch_param(1, 1, 1, 2.0, 10, 2)
+        poch_param(1, 1, 2.0, 10, 2)
     assert jacobi_triple("1/2", 1, 3, 10) == jacobi_triple(F(1, 2), 1, 3, 10)
-    assert poch_param(1, 1, "1/3", 1, 10, 2).rows == poch_param(1, 1, F(1, 3), 1, 10, 2).rows
+    assert poch_param(1, "1/3", 1, 10, 2).rows == poch_param(1, F(1, 3), 1, 10, 2).rows
 
 
 def test_eta_factors_sorted_nonzero_and_positive():

@@ -324,7 +324,7 @@ def test_single_sum_needs_integer_factor_lattice():
     with pytest.raises(ValueError):
         R.single_sum(R.SingleSum(F(1), F(0), F(0), (R.sf(1, F(1, 2), 1, 0, 1, -1),)), 10)
     with pytest.raises(ValueError):
-        R.single_sum(R.SingleSum(F(1), F(0), F(0), ()), 10, (pf(1, 1, F(3, 2)),))
+        R.combo((1, 0, (pf(1, 1, F(3, 2)),), R.SingleSum(F(1), F(0), F(0), ()))).build(10)
 
 
 def test_every_non_lattice_data_side_against_naive():

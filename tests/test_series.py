@@ -8,14 +8,57 @@ from nahm_forge.errors import OrderTooLarge, ZeroLeadingTerm
 from nahm_forge.series import (
     ParamSeries, QSeries, align, eq_to_order, eq_to_order_param,
 )
-from nahm_forge.products import pf, poch_param, product
-from nahm_forge.nahm import nahm_sum, nahm_sum_param, quadruple
+from nahm_forge.products import (
+    J, Jm, eta_quotient, jacobi_triple, pf, poch, poch_param, product,
+)
+from nahm_forge.nahm import enumerate_lattice, nahm_sum, nahm_sum_param, quadruple
+from nahm_forge.recognizer import hunt
+from nahm_forge.zlaurent import double_sum_ct
 
 from _oracles import partitions_from_parts, partitions_gap2, ser_add, ser_mul
 
 
 def qs(pairs, den=1, order=10):
     return QSeries({k: v for k, v in pairs}, den, order)
+
+
+# -- the one exact-value gate ------------------------------------------------
+
+RR = quadruple([[2]], [0], 0, [1])
+_EXACT_INPUTS = [
+    ("the order", lambda v: nahm_sum(RR, v)),
+    ("the order", lambda v: nahm_sum_param(RR, v, 2, (1,))),
+    ("the order", lambda v: list(enumerate_lattice(RR, v))),
+    ("the order", lambda v: product((pf(1, 1, 1),), v)),
+    ("the order", lambda v: poch(pf(1, 1, 1), v)),
+    ("the order", lambda v: J(1, 5, v)),
+    ("the order", lambda v: Jm(1, v)),
+    ("the order", lambda v: eta_quotient({1: 1}, v)),
+    ("the order", lambda v: jacobi_triple(1, 1, 3, v)),
+    ("the order", lambda v: poch_param(-1, 0, 1, v, 2)),
+    ("the order", lambda v: double_sum_ct(0, 0, v)),
+    ("the order", lambda v: hunt([[2]], [1], [(0,)], v)),
+    ("the order", lambda v: QSeries({}, 1, v)),
+    ("an entry of A", lambda v: quadruple([[v]], [0], 0, [1])),
+    ("an entry of b", lambda v: quadruple([[2]], [v], 0, [1])),
+    ("c", lambda v: quadruple([[2]], [0], v, [1])),
+    ("base a", lambda v: pf(1, v, 1)),
+    ("step m", lambda v: pf(1, 1, v)),
+]
+
+
+@pytest.mark.parametrize("value, kind", [(0.1, "float"), (True, "bool")])
+@pytest.mark.parametrize("what, call", _EXACT_INPUTS)
+def test_exact_inputs_refuse_a_float_or_a_bool(what, call, value, kind):
+    # 0.1 was once read as 3602879701896397/36028797018963968, and True as 1
+    with pytest.raises(ValueError, match=f"^{what} must be .* not the {kind} {value!r}$"):
+        call(value)
+
+
+def test_a_bool_symmetrizer_entry_is_no_integer():
+    # d keeps its own check (test_quadruple_validation); True was once read as 1
+    with pytest.raises(ValueError, match="symmetrizer entries must be integers"):
+        quadruple([[2]], [0], 0, [True])
 
 
 # -- alignment ---------------------------------------------------------------
@@ -149,9 +192,6 @@ def test_param_requires_nonnegative_powers():
     quad = quadruple([[2]], [0], 0, [1])
     with pytest.raises(ValueError):
         nahm_sum_param(quad, 5, 3, (-1,))
-    for upow in (-1, 0):
-        with pytest.raises(ValueError):
-            poch_param(-1, upow, 0, 1, 5, 3)
 
 
 def test_param_rows_share_one_order_and_cap():
