@@ -49,6 +49,10 @@ class PochFactor:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        for name in ("length", "power", "per_n"):
+            v = getattr(self, name)
+            if type(v) is not int and not (v is None and name == "length"):
+                raise ValueError(f"{name} must be an int, not {v!r}")
         object.__setattr__(self, "a", _frac(self.a, "base a"))
         object.__setattr__(self, "m", _frac(self.m, "step m"))
         if self.m <= 0:

@@ -62,12 +62,14 @@ class ExponentProfile:
         return QSeries(out, 1, arr_order).shift(self.delta).scale(self.const)
 
 
-def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
+def extract_profile(s: QSeries, max_n: int,
+                    max_abs: Optional[int] = None) -> ExponentProfile:
     """Peel a_1..a_max_n from a nonzero series on an integer lattice.
 
     After dividing out the leading monomial, exponents must be nonnegative
     integers (NotIntegralLattice otherwise); callers normalize fractional
-    lattices with a q -> q^den substitution first.
+    lattices with a q -> q^den substitution first.  Given max_abs, the peel
+    stops after the first a_m that is not an integer or has |a_m| > max_abs.
 
     This is prodmake (Andrews, q-Series, CBMS 66, 1986, section 10.7): for
     f = c_0 prod (1-q^n)^(a_n) the log-derivative q f'/f = sum g_m q^m has
@@ -91,20 +93,23 @@ def extract_profile(s: QSeries, max_n: int) -> ExponentProfile:
         if k - base <= n_max:
             C[k - base] = int(v * scale)
     c0 = C[0]
+    top = c0 ** n_max
     D = [0] * (n_max + 1)
     G = [0] * (n_max + 1)
+    sieve, a = [0] * (n_max + 1), []
     for m in range(1, n_max + 1):
         D[m] = C[m] * c0 ** (m - 1)
         G[m] = m * D[m] - sum(map(mul, G[1:m], D[m - 1:0:-1]))
-    # B_m = m a_m c_0^n_max has divisor sums sum_(d|m) B_d = -G_m c_0^(n_max-m);
-    # Moebius inversion as a sieve: subtract each B_d from its proper multiples
-    B = [-G[m] * c0 ** (n_max - m) for m in range(n_max + 1)]
-    for d in range(1, n_max + 1):
-        for m in range(2 * d, n_max + 1, d):
-            B[m] -= B[d]
-    top = c0 ** n_max
-    a = tuple(Fraction(B[m], m * top) for m in range(1, n_max + 1))
-    return ExponentProfile(delta, _frac(const, "the leading coefficient"), a)
+        # B_m = m a_m c_0^n_max has divisor sums sum_(d|m) B_d = -G_m c_0^(n_max-m);
+        # Moebius inversion as a forward sieve: each final B_m leaves its multiples
+        B = -G[m] * c0 ** (n_max - m) - sieve[m]
+        for k in range(2 * m, n_max + 1, m):
+            sieve[k] += B
+        q, r = divmod(B, m * top)
+        a.append(Fraction(B, m * top) if r else Fraction(q))
+        if max_abs is not None and (r or abs(q) > max_abs):
+            break
+    return ExponentProfile(delta, _frac(const, "the leading coefficient"), tuple(a))
 
 
 def exponent_product(exps: dict, n: int, integral: bool = True) -> list:
@@ -154,13 +159,15 @@ def with_period(profile: ExponentProfile) -> ExponentProfile:
     return profile
 
 
-def normalize_and_profile(s: QSeries, max_n: int) -> ExponentProfile:
-    """Profile a series, substituting q -> q^den first when needed."""
+def normalize_and_profile(s: QSeries, max_n: int,
+                          max_abs: Optional[int] = None) -> ExponentProfile:
+    """Profile a series, substituting q -> q^den first when needed; max_abs
+    stops the peel as in extract_profile."""
     s = s.reduce()
     sub = s.den
     if sub > 1:
         s = s.power_substitute(sub)
-    prof = extract_profile(s, max_n)
+    prof = extract_profile(s, max_n, max_abs)
     if sub > 1:
         prof = replace(prof, substitution=sub)
     return prof
@@ -195,7 +202,7 @@ def hunt(A, d, b_grid: Sequence, order: Rat, max_n: Optional[int] = None,
             continue
         navail = ceil((s.order - s.lead()[0]) * s.den) - 1
         n_scan = navail if max_n is None else min(max_n, navail)
-        prof = normalize_and_profile(s, n_scan)
+        prof = normalize_and_profile(s, n_scan, max_abs)
         if not prof.is_integral() or not prof.is_bounded(max_abs):
             continue
         prof = with_period(prof)

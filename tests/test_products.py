@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -234,6 +235,55 @@ def _naive_product(factors, order):
     return {e: v for e, v in out.items() if e < order}
 
 
+def _integer_product(factors, order):
+    """The same product with every exponent an integer multiple of 1/L, L
+    the lcm of the denominators, multiplied one binomial 1 - s q^e at a time
+    on a list.  A rung e < 0 is written -s q^e (1 - s q^-e) and a rung e = 0
+    is the constant 1 - s, so every binomial left has e > 0 and constant
+    term 1; the list then holds q^0..q^(n-1) exactly, n being the order less
+    the shift that the negative rungs make."""
+    L = math.lcm(F(order).denominator,
+                 *(F(x).denominator for f in factors for x in (f.a, f.m)))
+    ladders = [(f.sign, int(f.a * L), int(f.m * L), f.length, f.power) for f in factors]
+    shift = sum(p * min(a + k * m, 0)
+                for _, a, m, length, p in ladders if length for k in range(length))
+    n = math.ceil(order * L) - shift
+    if n <= 0:
+        return {}
+    const, c = F(1), [1] + [0] * (n - 1)
+    for s, a, m, length, p in ladders:
+        for k in itertools.count() if length is None else range(length):
+            e = a + k * m
+            if e >= n:
+                break
+            if e < 0:
+                const, e = const * F(-s) ** p, -e
+            if e == 0:
+                const *= F(1 - s) ** p
+            elif e < n:
+                for _ in range(abs(p)):
+                    if p > 0:                      # c *= 1 - s q^e
+                        c[e:] = [x - s * y for x, y in zip(c[e:], c)]
+                    else:                          # c /= 1 - s q^e, per residue class
+                        for r in range(e):
+                            c[r::e] = itertools.accumulate(
+                                c[r::e], lambda acc, x: x + s * acc)
+    return {F(i + shift, L): const * v for i, v in enumerate(c) if const * v}
+
+
+def test_integer_oracle_matches_the_naive_product():
+    cases = [
+        ((pf(1, 1, 1),), 10),
+        ((pf(-1, F(1, 2), F(3, 2), None, -2), pf(1, 2, 2, None, 1)), F(19, 2)),
+        ((pf(1, F(-3, 2), 1, 4, 2), pf(-1, F(1, 2), 1, 3, -1)), 8),
+        ((pf(-1, F(-5, 4), F(1, 2), 3, -2),), F(15, 2)),
+        ((pf(1, 1, 5, None, -1), pf(1, 4, 5, None, -1), pf(-1, 0, 2, None, -1)), 12),
+        ((pf(1, -1, 1, 3),), F(1, 2)),
+    ]
+    for factors, order in cases:
+        assert _integer_product(factors, order) == _naive_product(factors, order), factors
+
+
 def _as_dict(s: QSeries) -> dict:
     return {F(k, s.den): v for k, v in s.coeffs.items()}
 
@@ -331,7 +381,7 @@ def test_planned_product_equals_pure_ladder(factors, order):
 def test_theta_shaped_products_equal_the_naive_product(factors, order):
     s = product(factors, order)
     assert s.order == order
-    assert _as_dict(s) == _naive_product(factors, order)
+    assert _as_dict(s) == _integer_product(factors, order)
 
 
 def test_infinite_products_take_theta_where_residues_pair(recurrence_calls, theta_calls):
@@ -447,6 +497,16 @@ def test_factor_length_per_index():
         pf(1, 1, 1, 2, 1, -1)
     with pytest.raises(ValueError):
         pf(1, 1, 1, None, 1, 1)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((None, 0.5), "power"), ((None, True), "power"), ((None, F(2)), "power"),
+    ((2.5,), "length"), ((True,), "length"), (("3",), "length"),
+    ((3, 1, 1.0), "per_n"), ((3, 1, False), "per_n"),
+])
+def test_factor_refuses_a_non_int_power_length_or_per_n(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        pf(1, 1, 1, *args)
 
 
 def test_factor_refuses_a_float_step_or_base():

@@ -126,6 +126,57 @@ def test_peel_matches_naive_on_integer_series(delta, c0, body):
     assert prof.a == peel_naive(coeffs, order, len(body) + 3)
 
 
+# -- the early stop: with max_abs the peel ends at the first bad exponent ------
+
+def assert_stops_at_first_bad_exponent(stopped, full, max_abs):
+    """stopped.a is a prefix of full.a whose exponents all pass the bound but
+    the last, and the last fails it unless the prefix is the whole peel."""
+    a = stopped.a
+    assert (stopped.delta, stopped.const) == (full.delta, full.const)
+    assert a == full.a[:len(a)] and (a or not full.a)
+    assert all(x.denominator == 1 and abs(x) <= max_abs for x in a[:-1])
+    if len(a) < len(full.a):
+        assert a[-1].denominator != 1 or abs(a[-1]) > max_abs
+
+
+def test_stopped_peel_is_a_prefix_on_criterion7_points():
+    A, d = ((2, 1), (2, 2)), (1, 2)
+    grid = [(F(x, 2), F(y)) for x in range(-4, 5) for y in range(-2, 5)]
+    short = 0
+    for b in grid:
+        s = nahm_sum(quadruple(A, b, 0, d), 121).reduce()
+        stopped = normalize_and_profile(s, 120, 4)
+        full = normalize_and_profile(s, 120)
+        assert stopped.substitution == full.substitution
+        assert_stops_at_first_bad_exponent(stopped, full, 4)
+        short += len(stopped.a) < len(full.a)
+    assert short == 52     # the 63 points less the 11 hits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=-3, max_value=3),
+       st.sampled_from((1, -1, 2, -2, 3)),
+       st.lists(st.integers(min_value=-4, max_value=4), max_size=14),
+       st.integers(min_value=0, max_value=3))
+def test_stopped_peel_is_a_prefix_on_integer_series(delta, c0, body, max_abs):
+    coeffs = {delta + k: v for k, v in enumerate([c0] + body) if v}
+    s = QSeries(coeffs, 1, delta + len(body) + 1)
+    assert_stops_at_first_bad_exponent(extract_profile(s, len(body) + 3, max_abs),
+                                       extract_profile(s, len(body) + 3), max_abs)
+
+
+def test_a_family_points_stop_at_their_reasons():
+    # README, "Criterion 7 and the a-family": a = 1 is (2 + q)(-q^2; q)_inf,
+    # whose unit-normalized profile starts at -1/2; a = 2 runs in q^(1/2)
+    # and first passes the bound 4 at a_10 = 6
+    A, d = ((2, 1), (2, 2)), (1, 2)
+    a1 = normalize_and_profile(nahm_sum(quadruple(A, (-1, 1), 0, d), 121).reduce(), 120, 4)
+    assert (a1.substitution, a1.const, a1.a) == (1, 2, (F(-1, 2),))
+    a2 = normalize_and_profile(nahm_sum(quadruple(A, (F(-1, 2), 2), 0, d), 121).reduce(), 120, 4)
+    assert (a2.substitution, len(a2.a), a2.a[-1]) == (2, 10, 6)
+    assert a2.a[:9] == (-1, 1, -1, 1, -2, 2, -3, 2, -4)
+
+
 exponent_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
