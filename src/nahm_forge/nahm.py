@@ -52,7 +52,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import NonSymmetric, NotPositiveDefinite, SingularMatrix
-from .products import _check_window, exact_run, pf, rungs
+from .products import _check_window, _series, exact_run, pf, rungs
 from .series import ParamSeries, QSeries, Rat, _frac
 
 ParityMask = tuple  # per coordinate: None or residue in {0, 1}
@@ -359,7 +359,8 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     """Rows 0..cap of the sum below `order` of q^(E(n) + c) times, for each k,
     the finite PochFactors factors[k] at n_k (length + per_n*n_k; integer a
     and m), over the points n of quad, n in row weights.n (0 if weights is
-    None) up to cap.  The window, from every point below `order` whatever
+    None) up to cap, each a window (den, shift, g, values), the sum of the
+    values[i] q^((shift + i*g)/den).  It holds every point below `order` whatever
     the mask, has one row per prefix n[:-1], one grade per u-power up to the
     largest weights.n kept, and at least ceil(order - c) slots (n = 0, the
     first point listed), so ValueError refuses one past MAX_WINDOW at one
@@ -374,7 +375,7 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
         rows.append(row)
         _check_sum(len(rows), 1, ceil(bound))
     if not rows:
-        return [QSeries({}, quad.c.denominator, order) for _ in range(cap + 1)]
+        return [(quad.c.denominator, 0, 1, np.zeros(0, object))] * (cap + 1)
     prefixes, xs, ss = zip(*rows)
     # E(n) = S'/W lies on the lattice of den = W/g, g = gcd(W, every S')
     ss = np.concatenate(ss)
@@ -399,22 +400,15 @@ def _graded_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
     # the rows carry q^c: keys on the lattice of lcm(den, c's denominator)
     out_den = lcm(den, quad.c.denominator)
     f, off = out_den // den, int(quad.c * out_den)
-    return [QSeries({(lo + i) * f + off: v for i, v in
-                     enumerate(flat[j * slots:(j + 1) * slots]) if v}, out_den, order)
-            for j in range(cap + 1)]
+    grid = [*np.array(flat, object).reshape(-1, slots)]   # the grades up to the top kept
+    grid += [np.zeros(0, object)] * (cap + 1 - len(grid))
+    return [(out_den, lo * f + off, f, row) for row in grid]
 
 
 def nahm_sum(quad: NahmQuadruple, order: Rat,
              mask: Optional[ParityMask] = None) -> QSeries:
     """Exact expansion of the generalized Nahm sum below `order`."""
-    return ladder_sum(quad, order, _denominators(quad), mask)
-
-
-def ladder_sum(quad: NahmQuadruple, order: Rat, factors: Sequence,
-               mask: Optional[ParityMask] = None) -> QSeries:
-    """Sum below `order` of q^(E(n) + c) times the factors of each coordinate
-    (see _graded_sum) over the lattice points n of quad."""
-    return _graded_sum(quad, order, factors, mask)[0].reduce()
+    return _series(_graded_sum(quad, order, _denominators(quad), mask)[0], order)
 
 
 def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
@@ -431,8 +425,8 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
         raise ValueError(f"parameter weights must be nonnegative ints, not {tuple(weights)}")
     if deg < 0:
         raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
-    return ParamSeries(_graded_sum(quad, order, _denominators(quad), mask,
-                                   weights, deg))
+    return ParamSeries([_series(w, order) for w in _graded_sum(
+        quad, order, _denominators(quad), mask, weights, deg)])
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:

@@ -190,16 +190,16 @@ def _series(window: tuple, order: Fraction) -> QSeries:
     return QSeries({shift + i * g: v for i, v in enumerate(values) if v}, den, order).reduce()
 
 
-def _window(factors, order: Fraction, start: Optional[QSeries] = None) -> tuple:
-    """(window, divisor): product(factors, order), times the series start if
-    given (exact below order less the shift of the folds), is the window
+def _window(factors, order: Fraction, start: tuple = (1, 0, 1, (1,))) -> tuple:
+    """(window, divisor): product(factors, order), times the window start
+    (exact below order less the shift of the folds), is the window
     (den, shift, g, values), the sum of values[i] q^((shift + i*g)/den), over
     the divisor {(z, M): t > 0}, the product of the J_(z,M)^t (z, M in q).  den
     makes every a, m and exponent of start an integer; g is the gcd of those
     a and m and of the exponents of start less its least, where it starts."""
-    den = lcm(start.den if start else 1,
-              *(x.denominator for f in factors for x in (f.a, f.m)))
-    terms = {k * den // start.den: v for k, v in start.coeffs.items()} if start else {0: 1}
+    s_den, s_shift, s_g, s_values = start
+    den = lcm(s_den, *(x.denominator for f in factors for x in (f.a, f.m)))
+    terms = {(s_shift + i * s_g) * (den // s_den): v for i, v in enumerate(s_values) if v}
     low = min(terms, default=0)
     const, shift, ladders = 1, low, []
     for f in factors:

@@ -9,11 +9,10 @@ Records fall into a few structural families:
 * identities carrying one formal parameter,
 * the closed product forms of the six parity-restricted vector components.
 
-Most sides are described by small data objects (NahmSide / SingleSum /
-ComboSide, and ParamNahmSide / ParamProdSide with the parameter) interpreted
-by generic builders; the test suite recomputes those with an independent
-naive evaluator.  Only the vector components' left sides are constructor
-closures.  Conjectural entries can never report better than
+Every side is a small data object (NahmSide / SingleSum / ComboSide, and
+ParamNahmSide / ParamProdSide with the parameter) interpreted by generic
+builders; the test suite recomputes them with an independent naive
+evaluator.  Conjectural entries can never report better than
 "conjecture_pass" no matter how far they are checked.
 """
 
@@ -22,12 +21,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Callable, Optional
 
 from .candidates import FAMILIES
 from .errors import UnknownId
-from .nahm import NahmQuadruple, ladder_sum, nahm_sum, nahm_sum_param, quadruple
+from .nahm import NahmQuadruple, _denominators, _graded_sum, nahm_sum_param, quadruple
 from .products import (
     J_factors as Jf, Jm_factors as Jmf, PochFactor, _combine, _divide, _series, _window,
     eta_factors, neg_base_pair, pf, poch_param,
@@ -44,14 +42,37 @@ F = Fraction
 # side descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NahmSide:
-    """A (possibly parity-restricted) generalized lattice sum."""
-    quad: NahmQuadruple
-    mask: Optional[tuple] = None
+class _Side:
+    """A side given as _quotient(order): a window (den, shift, g, values) over
+    a divisor of thetas (products._window), divided out only by build."""
 
     def build(self, order: Rat) -> QSeries:
-        return nahm_sum(self.quad, order, mask=self.mask)
+        order = _frac(order, "the order")
+        return _series(_divide(*self._quotient(order)), order)
+
+
+@dataclass(frozen=True)
+class NahmSide(_Side):
+    """A (possibly parity-restricted) generalized lattice sum S; with flip x,
+    the side q^x (q^-x S)(-q), q -> -q taken about q^x."""
+    quad: NahmQuadruple
+    mask: Optional[tuple] = None
+    flip: Optional[Fraction] = None
+
+    def _quotient(self, order: Fraction) -> tuple:
+        """The graded sum's window; with flip x = p/r, each slot at q^e negated
+        where e - x is odd, and ValueError if a nonzero one has e - x not an integer."""
+        den, shift, g, values = window = _graded_sum(
+            self.quad, order, _denominators(self.quad), self.mask)[0]
+        if self.flip is not None:
+            p, r = self.flip.numerator, self.flip.denominator
+            for i in values.nonzero()[0].tolist():     # e - x = k + rest / (r den)
+                k, rest = divmod((shift + i * g) * r - p * den, r * den)
+                if rest:
+                    raise ValueError(f"q^{Fraction(shift + i * g, den)} is off {self.flip} + Z")
+                if k % 2:
+                    values[i] = -values[i]
+        return window, {}
 
 
 def sf(sign, a, m, len0, len1, power=1) -> PochFactor:
@@ -61,15 +82,12 @@ def sf(sign, a, m, len0, len1, power=1) -> PochFactor:
 
 
 @dataclass(frozen=True)
-class SingleSum:
+class SingleSum(_Side):
     """sum over n >= 0 of q^(e2 n^2 + e1 n + e0) * prod(factors)."""
     e2: Fraction
     e1: Fraction
     e0: Fraction
     factors: tuple
-
-    def build(self, order: Rat) -> QSeries:
-        return single_sum(self, order)
 
     def _quotient(self, order: Fraction) -> tuple:
         return _single_window(self, order)
@@ -84,13 +102,9 @@ class ProdTerm:
 
 
 @dataclass(frozen=True)
-class ComboSide:
+class ComboSide(_Side):
     """Sum of terms coeff * q^shift * prod(factors) [* single sum]."""
     terms: tuple
-
-    def build(self, order: Rat) -> QSeries:
-        order = _frac(order, "the order")
-        return _series(_divide(*self._quotient(order)), order)
 
     def _quotient(self, order: Fraction) -> tuple:
         return _combine([(t.coeff, t.shift, *_single_window(t.body, order - t.shift, t.factors))
@@ -111,8 +125,7 @@ def single_sum(spec: SingleSum, order: Rat) -> QSeries:
     infinite ones then multiply its window on the product plan
     (products._window).  Every a and m is an integer.
     """
-    order = _frac(order, "the order")
-    return _series(_divide(*_single_window(spec, order)), order)
+    return spec.build(order)
 
 
 def _single_window(spec: Optional[SingleSum], order: Fraction, factors=()) -> tuple:
@@ -128,7 +141,7 @@ def _single_window(spec: Optional[SingleSum], order: Fraction, factors=()) -> tu
             or any(f.a < 0 for f in factors)):
         raise ValueError("single-sum factors need integer a and m, and fixed ones a >= 0")
     quad = NahmQuadruple(((2 * spec.e2,),), (spec.e1,), spec.e0, (1,))
-    body = ladder_sum(quad, order, [[f for f in spec.factors if f.length is not None]])
+    body = _graded_sum(quad, order, [[f for f in spec.factors if f.length is not None]])[0]
     return _window((*factors, *(f for f in spec.factors if f.length is None)), order, body)
 
 
@@ -241,15 +254,6 @@ def _component_rhs(vec: str, idx: int, shift: Rat) -> ComboSide:
     pre, (sign, a, m), triple = modular.PRODUCT_FORMS[vec][idx]
     return combo((1, pre - shift, (pf(sign, a, m), *_triple_factors(*triple),
                                    pf(1, 2, 2, None, -1))))
-
-
-def _v_component_lhs(idx):
-    def build(order):
-        order = _frac(order, "the order")
-        pre = modular.PRODUCT_FORMS["v"][idx][0]
-        pre, body = modular.component_series_v(idx, ceil(order - pre) + 2)
-        return body.shift(pre).truncate(order)
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +454,14 @@ def _build_registry() -> list[IdentityRecord]:
                   f"{'signed ' if base_sign < 0 else ''}modulus {m}")
         add(_rec(f"thm-parity-r{k}", "theorem", _nahm(A3, b, (1, 2), (sigma, None)),
                  _component_rhs("u", idx, pre), anchor))
-    # the second vector's components as exact Puiseux identities
+    # the second vector's components as exact Puiseux identities: the first
+    # vector's with q -> -q taken about the second's prefactor exponent
     for idx in range(6):
-        rhs = _component_rhs("v", idx, 0)
-        add(IdentityRecord(f"v-closed-{idx + 1}", "theorem", _v_component_lhs(idx),
-                           rhs.build, "signed-nome component closed form",
-                           rhs_data=rhs))
+        sigma, b, pre = modular._COMPONENT_DATA[idx]
+        lhs = NahmSide(quadruple(A3, b, pre, (1, 2)), (sigma, None),
+                       flip=modular.PRODUCT_FORMS["v"][idx][0])
+        add(_rec(f"v-closed-{idx + 1}", "theorem", lhs, _component_rhs("v", idx, 0),
+                 "signed-nome component closed form"))
 
     # -- family 4: two expressions per sum, plus single-sum splits ------------
     exam4_b = [(0, 0), (-1, 2), (1, 0)]
@@ -714,7 +720,7 @@ def verify(rid: str, order: int) -> VerifyReport:
     """Build both sides at the requested order and compare exactly.
 
     Without a parameter each side is a window N over a divisor D of theta
-    series, D = 1 for a Nahm sum or a closure.  With D the lcm of D_L and
+    series, D = 1 for a Nahm sum.  With D the lcm of D_L and
     D_R, N_L D/D_L - N_R D/D_R is (lhs - rhs) D (products._combine), whose
     first nonzero exponent is the first mismatch, as D has constant term 1.
     Only then are both sides built in full, for the report's (exp, lhs, rhs)."""
@@ -725,9 +731,8 @@ def verify(rid: str, order: int) -> VerifyReport:
     if rec.params:
         mism = eq_to_order_param(rec.lhs(order, int(order)), rec.rhs(order, int(order)), o)
     else:
-        sides = [data._quotient(o) if hasattr(data, "_quotient") else _window((), o, build(o))
-                 for data, build in ((rec.lhs_data, rec.lhs), (rec.rhs_data, rec.rhs))]
-        diff = _combine([(1, 0, *sides[0]), (-1, 0, *sides[1])], o)[0][3]
+        sides = [(1, 0, *rec.lhs_data._quotient(o)), (-1, 0, *rec.rhs_data._quotient(o))]
+        diff = _combine(sides, o)[0][3]
         mism = eq_to_order(rec.lhs(o), rec.rhs(o), o) if diff.any() else None
     ms = int((time.perf_counter() - t0) * 1000)
     result = "fail" if mism else "conjecture_pass" if rec.status == "conjecture" else "pass"

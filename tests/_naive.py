@@ -2,8 +2,9 @@
 
 Interprets the declarative side descriptions (NahmSide / SingleSum /
 ComboSide) with its own dictionary-based exact arithmetic: bounded box scans
-for lattice sums, literal factor multiplication for products, long division
-for inverses.  Shares no series code with the package.
+for lattice sums (a NahmSide's flip as a sign per term), literal factor
+multiplication for products, long division for inverses.  Shares no series
+code with the package.
 """
 
 from fractions import Fraction as F
@@ -39,6 +40,18 @@ def negative_size(f):
     return abs(f.power) * sum(max(0, -(f.a + k * f.m)) for k in range(f.length))
 
 
+def naive_flip(series: dict, x) -> dict:
+    """q^x (q^-x S)(-q) of the expansion S: the coefficient at q^e times
+    (-1)^(e - x), which must be an integer power."""
+    out = {}
+    for e, v in series.items():
+        k = e - x
+        if k.denominator != 1:
+            raise ValueError(f"q^{e} is off {x} + Z")
+        out[e] = -v if k.numerator % 2 else v
+    return out
+
+
 def naive_single_sum(spec: SingleSum, order, nmax=60):
     total = {}
     for n in range(nmax):
@@ -65,8 +78,9 @@ def naive_side(side, order, box=90):
     callers must not mutate the dict it returns."""
     order = F(order)
     if isinstance(side, NahmSide):
-        return nahm_naive(side.quad.A, side.quad.b, side.quad.c, side.quad.d,
-                          order, box=box, mask=side.mask)
+        total = nahm_naive(side.quad.A, side.quad.b, side.quad.c, side.quad.d,
+                           order, box=box, mask=side.mask)
+        return total if side.flip is None else naive_flip(total, side.flip)
     if isinstance(side, SingleSum):
         return naive_single_sum(side, order)
     if isinstance(side, ComboSide):

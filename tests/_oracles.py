@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive and self-contained: partition counting
 by recursion, series arithmetic by dictionary convolution over Fractions,
-products by literal factor multiplication.  None of it shares code with the
-package under test, except the last section: eta, the Weber functions and the
-theta functions h and g as thin wrappers over modular's numeric kernels, so
-that the tests check those kernels against the modular laws.
+products by literal factor multiplication, Nahm's equation by Newton's
+method in floats.  None of it shares code with the package under test,
+except the last section: eta, the Weber functions and the theta functions h
+and g as thin wrappers over modular's numeric kernels, so that the tests
+check those kernels against the modular laws.
 """
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
@@ -301,6 +303,59 @@ def peel_naive(coeffs: dict, order, max_n: int) -> tuple:
         arr = [sum(b * arr[i - j] for j, b in terms if j <= i)
                for i in range(n_slots)]
     return tuple(exps)
+
+
+# -- Nahm's equation and the central charge, in floats ----------------------
+
+def dilog(x: float) -> float:
+    """Li_2(x) for 0 <= x <= 1: the series sum x^k / k^2 up to 1/2, and the
+    reflection Li_2(x) = pi^2/6 - log(x) log(1 - x) - Li_2(1 - x) above."""
+    if x == 1:
+        return math.pi ** 2 / 6
+    if x > 0.5:
+        return math.pi ** 2 / 6 - math.log(x) * math.log1p(-x) - dilog(1 - x)
+    total, power, k = 0.0, x, 1
+    while power > 1e-18:
+        total += power / (k * k)
+        power, k = power * x, k + 1
+    return total
+
+
+def nahm_solution(A, d) -> list:
+    """X in (0, 1)^r solving Nahm's equation 1 - X_i = prod_j X_j^A_ij for
+    A diag(d) symmetric positive definite.  With X_i = exp(-d_i nu_i) it is
+    the stationary point of the strictly concave f of central_charge, found
+    by Newton's method in nu, each step halved until nu stays positive."""
+    r = len(d)
+    ad = [[float(A[i][j]) * d[j] for j in range(r)] for i in range(r)]
+    nu = [1.0] * r
+    for _ in range(200):
+        X = [math.exp(-d[i] * nu[i]) for i in range(r)]
+        grad = [-math.log1p(-X[i]) - sum(ad[i][j] * nu[j] for j in range(r))
+                for i in range(r)]
+        hess = [[-ad[i][j] - (d[i] * X[i] / (1 - X[i]) if i == j else 0.0)
+                 for j in range(r)] for i in range(r)]
+        step = solve_cramer(hess, [-g for g in grad])
+        t = 1.0
+        while any(n + t * s <= 0 for n, s in zip(nu, step)):
+            t /= 2
+        nu = [n + t * s for n, s in zip(nu, step)]
+        if max(abs(t * s) for s in step) < 1e-15:
+            break
+    return [math.exp(-d[i] * nu[i]) for i in range(r)]
+
+
+def central_charge(A, d) -> float:
+    """c = (6/pi^2) f at the solution of Nahm's equation, with
+    f = sum_i (Li_2(1) - Li_2(X_i))/d_i - nu^T A D nu / 2, X_i = exp(-d_i nu_i):
+    a Nahm sum at q = exp(-eps) grows as exp(pi^2 c / (6 eps)), its saddle
+    point at n = nu / eps."""
+    r = len(d)
+    X = nahm_solution(A, d)
+    nu = [-math.log(x) / di for x, di in zip(X, d)]
+    f = sum((math.pi ** 2 / 6 - dilog(x)) / di for x, di in zip(X, d))
+    f -= sum(nu[i] * float(A[i][j]) * d[j] * nu[j] for i in range(r) for j in range(r)) / 2
+    return 6 * f / math.pi ** 2
 
 
 # -- numeric theta series and products, one fresh exp per term --------------

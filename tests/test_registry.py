@@ -11,11 +11,11 @@ from nahm_forge.errors import UnknownId
 from nahm_forge.series import QSeries, eq_to_order, eq_to_order_param
 from nahm_forge.products import pf, product
 from nahm_forge.nahm import nahm_sum, quadruple
-from nahm_forge import products, registry as R
+from nahm_forge import modular, nahm, products, registry as R
 from nahm_forge.candidates import FAMILIES
 from nahm_forge.recognizer import normalize_and_profile, with_period
 
-from _naive import naive_factor, naive_side, naive_single_sum
+from _naive import naive_factor, naive_flip, naive_side, naive_single_sum
 from _oracles import (
     nahm_param_naive, poch_naive, poch_param_naive, ser_add, ser_inv, ser_mul,
 )
@@ -119,9 +119,11 @@ PERTURBED = {
     "single-sum-vs-product":
         ("msz-254", "lhs",
          lambda s: dataclasses.replace(s, factors=(R.sf(-1, 2, 1, 1, 1), s.factors[1]))),
-    "closure-vs-product-deep":
+    "flip-vs-product-deep":
         ("v-closed-1", "rhs",
          lambda s: _with_factor(s, 0, len(s.terms[0].factors) - 1, pf(1, 2, 2, 40, -1))),
+    "flip-vs-product-flip":
+        ("v-closed-1", "lhs", lambda s: dataclasses.replace(s, flip=s.flip + 1)),
 }
 
 
@@ -163,6 +165,63 @@ def test_passing_records_never_divide(monkeypatch):
     assert len(calls) == 1 and calls[0]
     want = naive_side(R._prods(*factors), 120)
     assert {F(k, got.den): F(v) for k, v in got.coeffs.items()} == want
+
+
+def test_verify_builds_no_side_of_a_plain_record(monkeypatch):
+    # one path: verify compares the sides' windows, so a record without a
+    # parameter passes with no side built, no nahm_sum and no component series
+    def boom(*args, **kwargs):
+        raise AssertionError("a side was built")
+
+    assert R.NahmSide.build is R.SingleSum.build is R.ComboSide.build
+    monkeypatch.setattr(R._Side, "build", boom)
+    for owner, name in ((nahm, "nahm_sum"), (modular, "component_series_u"),
+                        (modular, "component_series_v")):
+        monkeypatch.setattr(owner, name, boom)
+    for rec in R.registry():
+        if not rec.params:
+            monkeypatch.setitem(R._BY_ID, rec.id, dataclasses.replace(rec, lhs=boom, rhs=boom))
+            assert R.verify(rec.id, 200).result in ("pass", "conjecture_pass"), rec.id
+
+
+def _registry_nahm_sides() -> list:
+    """Each distinct NahmSide of the registry, named by its first record."""
+    seen = {}
+    for rec in R.registry():
+        for side in (rec.lhs_data, rec.rhs_data):
+            if isinstance(side, R.NahmSide):
+                seen.setdefault(side, rec.id)
+    return [pytest.param(side, id=rid) for side, rid in seen.items()]
+
+
+@pytest.mark.parametrize("side", _registry_nahm_sides())
+def test_nahm_side_window_is_its_nahm_sum(side):
+    # masks, c on the lattice of 1/56 and flips, at an empty, a fractional
+    # and a research order
+    for order in (F(1), F(7, 3), F(200)):
+        got = products._series(products._divide(*side._quotient(order)), order)
+        want = nahm_sum(side.quad, order, side.mask)
+        if side.flip is not None:
+            flipped = naive_flip({F(k, want.den): v for k, v in want.coeffs.items()}, side.flip)
+            want = QSeries({int(e * want.den): v for e, v in flipped.items()}, want.den, order)
+        assert got == want, order
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_v_closed_lhs_against_naive(k):
+    side = R.get(f"v-closed-{k}").lhs_data
+    got = side.build(F(20))
+    assert {F(e, got.den): F(v) for e, v in got.coeffs.items()} == naive_side(side, 20)
+
+
+def test_flip_off_the_exponent_lattice_refused():
+    side = R.get("v-closed-2").lhs_data
+    with pytest.raises(ValueError, match="is off"):
+        dataclasses.replace(side, flip=side.flip + F(1, 3)).build(20)
+    with pytest.raises(ValueError, match="is off"):
+        naive_side(dataclasses.replace(side, flip=side.flip + F(1, 3)), 20)
+    # q -> -q about q^(x + 2) is the same map as about q^x
+    assert dataclasses.replace(side, flip=side.flip + 2).build(20) == side.build(20)
 
 
 def test_combo_sides_equal_the_sum_of_their_terms():
@@ -455,15 +514,15 @@ def test_param_sides_against_naive(rid):
         assert got == want
 
 
-def _side_fails(order, *deg):
-    raise ZeroDivisionError("side failed")
+class _FailingSide(R.ComboSide):
+    def _quotient(self, order):
+        raise ZeroDivisionError("side failed")
 
 
 @pytest.fixture
 def bad_record(monkeypatch):
     """A conjectural record whose right side raises, added to the registry."""
-    rec = R.IdentityRecord("bad-side", "conjecture", R.get("rr-1").lhs,
-                           _side_fails, "test")
+    rec = R._rec("bad-side", "conjecture", R.get("rr-1").lhs_data, _FailingSide(()), "test")
     monkeypatch.setattr(R, "_REGISTRY", [*R.registry(), rec])
     monkeypatch.setattr(R, "_BY_ID", {**R._BY_ID, rec.id: rec})
     return rec
