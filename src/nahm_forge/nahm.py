@@ -425,8 +425,12 @@ def nahm_sum_param(quad: NahmQuadruple, order: Rat, deg: int,
         raise ValueError(f"parameter weights must be nonnegative ints, not {tuple(weights)}")
     if deg < 0:
         raise ValueError(f"the u-degree cap must be nonnegative, not {deg}")
-    return ParamSeries([_series(w, order) for w in _graded_sum(
-        quad, order, _denominators(quad), mask, weights, deg)])
+    # rows unreduced: every row keeps the lattice of all points below order,
+    # masked or not, so the mask never changes a row's denominator
+    return ParamSeries([QSeries({shift + i * g: v for i, v in enumerate(values) if v},
+                                den, order)
+                        for den, shift, g, values in _graded_sum(
+                            quad, order, _denominators(quad), mask, weights, deg)])
 
 
 def dual_quadruple(quad: NahmQuadruple) -> NahmQuadruple:
